@@ -22,7 +22,6 @@ from .errors import (
     AbsoluteContinuityError,
     ContractError,
     DataError,
-    DegenerateMassError,
     DomainError,
     ExtremeSentinelError,
     PanelFormatError,
@@ -125,7 +124,6 @@ __all__ = [
     "SizeError",
     "DataError",
     "PanelFormatError",
-    "DegenerateMassError",
     "AbsoluteContinuityError",
     "ContractError",
 ]

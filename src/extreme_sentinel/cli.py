@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,17 +112,18 @@ def ingest(input_path, excluded_regions=()) -> CountPanel:
                 f"(first seen at line {seen[key]})"
             )
         seen[key] = lineno
-        try:
-            count = int(count_s)
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+", count_s):  # int() would also read 1_0
             raise PanelFormatError(
                 f"{path}:{lineno}: count must be an integer, got {count_s!r}"
-            ) from None
+            )
+        count = int(count_s)
         if count < 0:
             raise PanelFormatError(f"{path}:{lineno}: negative count {count}")
         if not pop_s:
             raise PanelFormatError(f"{path}:{lineno}: missing population")
         try:
+            if not pop_s.isascii() or "_" in pop_s:
+                raise ValueError(pop_s)  # float() would read 1_000 as 1000
             population = float(pop_s)
         except ValueError:
             raise PanelFormatError(

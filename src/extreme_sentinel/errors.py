@@ -21,10 +21,6 @@ class ShapeError(ExtremeSentinelError):
     """Mismatched or empty paired sequences."""
 
 
-class DegenerateMassError(ExtremeSentinelError):
-    """A randomized branch would divide by a zero-width probability bracket."""
-
-
 class AbsoluteContinuityError(ExtremeSentinelError):
     """Alternative model puts mass where the null model has none."""
 

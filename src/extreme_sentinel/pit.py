@@ -34,6 +34,16 @@ class ExtremenessVector:
     randomizers_used: tuple[float, ...]
 
 
+def _check_panel(dists: Sequence[NullDistribution], observations: Sequence[float]) -> int:
+    if len(dists) == 0:
+        raise ShapeError("panel must contain at least one cell")
+    if len(dists) != len(observations):
+        raise ShapeError(
+            f"got {len(dists)} distributions but {len(observations)} observations"
+        )
+    return len(dists)
+
+
 def randomized_pit(dist: NullDistribution, x, u):
     """Score an observation: (1 - u) F(x-) + u F(x).
 
@@ -65,13 +75,7 @@ def extremeness_panel(
     run is reproducible from one seed.  Ties on the maximum go to the
     lowest index.
     """
-    if len(dists) == 0:
-        raise ShapeError("panel must contain at least one cell")
-    if len(dists) != len(observations):
-        raise ShapeError(
-            f"got {len(dists)} distributions but {len(observations)} observations"
-        )
-    n = len(dists)
+    n = _check_panel(dists, observations)
     us = np.atleast_1d(stream.uniform_open(n))
     values = np.array(
         [randomized_pit(d, x, u) for d, x, u in zip(dists, observations, us)]

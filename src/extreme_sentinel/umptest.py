@@ -12,7 +12,8 @@ which has exact size alpha because the scores are i.i.d. uniform under the
 null.  Conditioning on the observations and integrating out the
 randomizers gives the deterministic form ``phi_expected``; the bracket
 structure of the scores also yields sharp p-value bounds that need no
-randomizer at all.
+randomizer at all.  Both read the survival brackets 1 - F(x-), 1 - F(x);
+the split compares them with 1 - t, so it agrees with the bounds at any alpha.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import NullDistribution
-from .errors import ContractError, DegenerateMassError, DomainError, ShapeError
-from .pit import ExtremenessVector
+from .errors import ContractError, DomainError
+from .pit import ExtremenessVector, _check_panel
 
 __all__ = [
     "TestDecision",
@@ -52,8 +53,8 @@ class TestDecision:
     """Outcome of the deterministic case split, conditional on the counts.
 
     ``rejection_probability`` is the conditional probability that the
-    randomized test rejects; it is 0 or 1 unless some cell's probability
-    bracket straddles the threshold, in which case ``branch`` is
+    randomized test rejects; it is 0 or 1 unless some cell's bracket
+    [1 - F(x), 1 - F(x-)] straddles 1 - t, in which case ``branch`` is
     "randomized" and the probability is strictly between 0 and 1.
     """
 
@@ -61,7 +62,7 @@ class TestDecision:
     threshold: float
     branch: str  # "reject" | "accept" | "randomized"
     randomized_set: tuple[int, ...]
-    m_statistic: float
+    m_statistic: float  # 1 - min sf_left, the largest left limit F(x-)
     alpha: float
     n: int
 
@@ -83,14 +84,12 @@ class PValueBounds:
     argmax_lower_cell: int  # attains m_low = max_i F_i(x_i-)
 
 
-def _check_panel(dists: Sequence[NullDistribution], observations: Sequence[float]) -> int:
-    if len(dists) == 0:
-        raise ShapeError("panel must contain at least one cell")
-    if len(dists) != len(observations):
-        raise ShapeError(
-            f"got {len(dists)} distributions but {len(observations)} observations"
-        )
-    return len(dists)
+def _survival_brackets(dists: Sequence[NullDistribution], observations: Sequence[float]):
+    """Per-cell survival brackets: sf_left = 1 - F(x-) and sf_right = 1 - F(x)."""
+    _check_panel(dists, observations)
+    sf_left = np.array([d.sf_left(x) for d, x in zip(dists, observations)])
+    sf_right = np.array([d.sf(x) for d, x in zip(dists, observations)])
+    return sf_left, sf_right
 
 
 def phi_expected(
@@ -100,28 +99,28 @@ def phi_expected(
 ) -> TestDecision:
     """Deterministic case split of the randomized test, given the counts.
 
-    With M the largest left-limit CDF value and R the set of cells whose
-    bracket [F(x-), F(x)] strictly straddles the threshold t:
+    Compares the survival brackets that ``pvalue_bounds`` reads, sf_left =
+    1 - F(x-) and sf_right = 1 - F(x), with s = 1 - t computed as
+    -expm1(log1p(-alpha)/n), so the two agree even where t rounds to 1.
+    With R the set of cells where sf_right < s < sf_left:
 
-      * M > t: every randomization rejects (phi = 1);
-      * M <= t and R empty: no randomization rejects (phi = 0), including
-        the measure-zero boundary M = t;
-      * otherwise phi = 1 - prod_{j in R} (t - F_j(x_j-)) / (F_j(x_j) - F_j(x_j-)).
+      * min sf_left < s: every randomization rejects (phi = 1);
+      * otherwise, R empty: no randomization rejects (phi = 0), including
+        the measure-zero boundary min sf_left = s;
+      * otherwise phi = 1 - prod_{j in R} (sf_left_j - s) / (sf_left_j - sf_right_j).
     """
-    n = _check_panel(dists, observations)
+    sf_left, sf_right = _survival_brackets(dists, observations)
+    n = sf_left.size
     t = threshold(alpha, n)
-    left = np.array([d.cdf_left(x) for d, x in zip(dists, observations)])
-    right = np.array([d.cdf(x) for d, x in zip(dists, observations)])
-    m_stat = float(np.max(left))
-    if m_stat > t:
+    s = -math.expm1(math.log1p(-alpha) / n)
+    sf_min = float(np.min(sf_left))
+    m_stat = 1.0 - sf_min
+    if sf_min < s:
         return TestDecision(1.0, t, "reject", (), m_stat, alpha, n)
-    straddle = np.where((left < t) & (t < right))[0]
+    straddle = np.where((sf_right < s) & (s < sf_left))[0]
     if straddle.size == 0:
         return TestDecision(0.0, t, "accept", (), m_stat, alpha, n)
-    widths = right[straddle] - left[straddle]
-    if np.any(widths <= 0.0):  # unreachable for strict straddles; guard the division
-        raise DegenerateMassError("zero-width bracket straddling the threshold")
-    keep = np.prod((t - left[straddle]) / widths)
+    keep = np.prod((sf_left[straddle] - s) / (sf_left[straddle] - sf_right[straddle]))
     return TestDecision(
         rejection_probability=float(1.0 - keep),
         threshold=t,
@@ -149,9 +148,8 @@ def pvalue_bounds(
     around five significant digits even when the maxima sit within 1e-6
     of 1 (routine for extreme counts).
     """
-    n = _check_panel(dists, observations)
-    sf_right = np.array([d.sf(x) for d, x in zip(dists, observations)])
-    sf_left = np.array([d.sf_left(x) for d, x in zip(dists, observations)])
+    sf_left, sf_right = _survival_brackets(dists, observations)
+    n = sf_left.size
     i_high = int(np.argmin(sf_right))  # max cdf, ties to lowest index
     i_low = int(np.argmin(sf_left))
 

@@ -74,14 +74,27 @@ class TestIngest:
             ingest(write_csv(tmp_path, body))
 
     def test_non_integer_count(self, tmp_path):
-        body = "region,period,count,population\nA,1,two,10\n"
-        with pytest.raises(PanelFormatError, match=":2:.*integer"):
-            ingest(write_csv(tmp_path, body))
+        # int() would read the last three as 10, 12 and 3.
+        for count in ("two", "1.0", "1_0", "\uff11\uff12", "\u0663"):
+            body = f"region,period,count,population\nA,1,{count},10\n"
+            with pytest.raises(PanelFormatError, match=":2:.*integer"):
+                ingest(write_csv(tmp_path, body))
 
     def test_missing_population(self, tmp_path):
         body = "region,period,count,population\nA,1,0,\n"
         with pytest.raises(PanelFormatError, match=":2:.*population"):
             ingest(write_csv(tmp_path, body))
+
+    def test_non_numeric_population(self, tmp_path):
+        # float() would read the last two as 1000 and 10.
+        for pop in ("ten", "1_000", "\uff11\uff10"):
+            body = f"region,period,count,population\nA,1,0,{pop}\n"
+            with pytest.raises(PanelFormatError, match=":2:.*population must be a number"):
+                ingest(write_csv(tmp_path, body))
+
+    def test_signed_count_accepted(self, tmp_path):
+        body = "region,period,count,population\nA,1,+3,10\n"
+        assert ingest(write_csv(tmp_path, body)).cells[0].count == 3
 
     def test_nonpositive_population(self, tmp_path):
         body = "region,period,count,population\nA,1,0,0\n"

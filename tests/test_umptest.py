@@ -148,18 +148,25 @@ class TestPValueBounds:
         assert b.lower < 1e-10  # far below anything 1 - cdf**n could resolve
 
     def test_consistency_with_case_split(self):
+        # Alpha spans the deep tail, where t = (1 - alpha)^(1/n) rounds to 1;
+        # the last case has p_upper ~ 6.1e-17 below alpha = 1e-16.
         rng = np.random.default_rng(7)
-        alpha = 0.05
+        cases = []
         for _ in range(400):
             n = int(rng.integers(1, 6))
             dists = [Poisson(float(rng.uniform(0.05, 4.0))) for _ in range(n)]
-            obs = [int(rng.integers(0, 9)) for _ in range(n)]
+            obs = [int(rng.integers(0, 25)) for _ in range(n)]
+            alpha = float(np.exp(rng.uniform(math.log(1e-18), math.log(0.5))))
+            cases.append((dists, obs, alpha))
+        cases.append(([Poisson(1.0)], [18], 1e-16))
+        for dists, obs, alpha in cases:
             b = pvalue_bounds(dists, obs)
             dec = phi_expected(dists, obs, alpha)
             if b.upper < alpha:
-                assert dec.branch == "reject"
+                assert dec.branch == "reject", (dists, obs, alpha)
             if b.lower > alpha:
-                assert dec.branch == "accept"
+                assert dec.branch == "accept", (dists, obs, alpha)
+        assert b.upper < 1e-16 and dec.branch == "reject"
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
