@@ -16,7 +16,6 @@ from .distributions import (
     RandomStream,
     TabulatedDiscrete,
     Uniform01,
-    integer_cdf_table,
 )
 from .errors import (
     AbsoluteContinuityError,
@@ -79,7 +78,6 @@ __all__ = [
     "Uniform01",
     "TabulatedDiscrete",
     "ContinuousByCdf",
-    "integer_cdf_table",
     # transform
     "randomized_pit",
     "extremeness_panel",

@@ -74,6 +74,22 @@ class RunConfig:
             raise ParameterError(f"trials must be at least 1000, got {self.trials}")
 
 
+def _ascii_number(text: str, kind: type):
+    """``kind(text)`` for kind int or float, refusing Python's literal forms.
+
+    int() and float() also read 1_0 as 10 and full-width digits as
+    digits.  An int here is ASCII digits with an optional sign; a float
+    is what float() reads from ASCII text without '_'.  Raises ValueError.
+    """
+    if kind is int:
+        ok = re.fullmatch(r"[+-]?[0-9]+", text) is not None
+    else:
+        ok = text.isascii() and "_" not in text
+    if not ok:
+        raise ValueError(text)
+    return kind(text)
+
+
 def ingest(input_path, excluded_regions=()) -> CountPanel:
     """Parse and validate a panel CSV.
 
@@ -112,19 +128,18 @@ def ingest(input_path, excluded_regions=()) -> CountPanel:
                 f"(first seen at line {seen[key]})"
             )
         seen[key] = lineno
-        if not re.fullmatch(r"[+-]?[0-9]+", count_s):  # int() would also read 1_0
+        try:
+            count = _ascii_number(count_s, int)
+        except ValueError:
             raise PanelFormatError(
                 f"{path}:{lineno}: count must be an integer, got {count_s!r}"
-            )
-        count = int(count_s)
+            ) from None
         if count < 0:
             raise PanelFormatError(f"{path}:{lineno}: negative count {count}")
         if not pop_s:
             raise PanelFormatError(f"{path}:{lineno}: missing population")
         try:
-            if not pop_s.isascii() or "_" in pop_s:
-                raise ValueError(pop_s)  # float() would read 1_000 as 1000
-            population = float(pop_s)
+            population = _ascii_number(pop_s, float)
         except ValueError:
             raise PanelFormatError(
                 f"{path}:{lineno}: population must be a number, got {pop_s!r}"
@@ -174,6 +189,7 @@ def _report_payload(report: EpidemicReport) -> dict:
         "phi": report.decision.rejection_probability,
         "branch": report.decision.branch,
         "threshold": report.decision.threshold,
+        "threshold_sf": report.decision.survival_threshold,
         "flagged_region": report.flagged_cell[0],
         "flagged_period": report.flagged_cell[1],
         "seed": report.seed,
@@ -285,6 +301,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _flag(kind: type):
+    """argparse type reading ``kind`` through _ascii_number."""
+
+    def convert(text):
+        try:
+            return _ascii_number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+    return convert
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="extreme-sentinel",
@@ -295,19 +323,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--input", required=True, help="panel CSV (region,period,count,population)")
     parser.add_argument("--mode", choices=_MODES, default="test")
-    parser.add_argument("--alpha", type=float, default=0.05, help="test size (default 0.05)")
+    parser.add_argument("--alpha", type=_flag(float), default=0.05, help="test size (default 0.05)")
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=float,
+        type=_flag(float),
         default=None,
         help="cases per person-period; estimated from the panel when omitted",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized decisions")
-    parser.add_argument("--max-rounds", type=int, default=5, help="peel rounds cap (default 5)")
+    parser.add_argument("--seed", type=_flag(int), default=None, help="seed for randomized decisions")
+    parser.add_argument("--max-rounds", type=_flag(int), default=5, help="peel rounds cap (default 5)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
-        "--trials", type=int, default=10_000, help="simulate-null trial count (default 10000)"
+        "--trials", type=_flag(int), default=10_000, help="simulate-null trial count (default 10000)"
     )
     args = parser.parse_args(argv)
     seed = args.seed
@@ -315,7 +343,7 @@ def main(argv=None) -> int:
         env = os.environ.get(ENV_SEED)
         if env:
             try:
-                seed = int(env)
+                seed = _ascii_number(env, int)
             except ValueError:
                 print(f"error: {ENV_SEED} must be an integer, got {env!r}", file=sys.stderr)
                 return 1

@@ -6,9 +6,11 @@ F(x-), point masses, and the generalized inverse
     N(omega) = sup{y : F(y) < omega},  omega in (0, 1),
 
 used for inverse-transform sampling.  N satisfies F(N(omega)) >= omega and
-F(z) > omega implies z > N(omega).  Survival counterparts (``sf``,
-``sf_left``) are first class so tail quantities close to 1 keep full
-relative precision instead of dying in 1 - cdf cancellation.
+F(z) > omega implies z > N(omega).  For every discrete model N is one
+search on a lazily cached CDF ladder: the support points and F at them.
+Survival counterparts (``sf``, ``sf_left``) are first class so tail
+quantities close to 1 keep full relative precision instead of dying in
+1 - cdf cancellation.
 
 All numeric methods accept scalars or arrays and mirror the numpy ufunc
 convention: scalar in, float out.
@@ -16,8 +18,10 @@ convention: scalar in, float out.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -34,13 +38,6 @@ __all__ = [
     "TabulatedDiscrete",
     "ContinuousByCdf",
 ]
-
-# Widest truncation used when a full-support discrete model must be reduced
-# to a finite table (tail mass below this is ignored by table builders).
-TABLE_TAIL = 1e-16
-
-_QUANTILE_MAX_STEPS = 1000
-
 
 class RandomStream:
     """Deterministic, seedable source of uniforms on the open interval (0, 1).
@@ -135,7 +132,42 @@ class NullDistribution(ABC):
         return self.skorokhod_quantile(stream.uniform_open(size))
 
 
-class _IntegerSupport(NullDistribution):
+class _Discrete(NullDistribution):
+    """Shared inverse for discrete models.
+
+    Each subclass provides ``_ladder``: its support points, increasing,
+    and F at those points.  F is exactly 0 below the first point and the
+    last point takes every omega past the table, so the search below is
+    the exact sup-form inverse for every omega in (0, 1).
+    """
+
+    def skorokhod_quantile(self, omega):
+        om = _check_open_unit(omega)
+        pts, cdf = self._ladder
+        idx = np.minimum(np.searchsorted(cdf, om, side="left"), pts.size - 1)
+        return _ret(omega, pts[idx])
+
+
+def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = math.inf):
+    """Ladder on the integers [lo, hi] with F(lo - 1) == 0 and F(hi) == 1.0.
+
+    Chernoff bounds the tail 40 standard deviations below the mean by
+    about exp(-800), so F has underflowed to 0 there, and the tail 10
+    above by about exp(-50), so F has rounded to 1.  The window keeps
+    O(sd) points; the loops widen it where a bound is loose.
+    """
+    lo = max(math.floor(mean - 40.0 * sd - 40.0), 0)
+    hi = math.ceil(min(mean + 10.0 * sd + 40.0, top))
+    step = max(hi - lo, 1)
+    while lo > 0 and dist.cdf(lo - 1.0) > 0.0:
+        lo = max(lo - step, 0)
+    while dist.cdf(hi) < 1.0:
+        hi += step
+    pts = np.arange(lo, hi + 1, dtype=float)
+    return pts, np.asarray(dist.cdf(pts), dtype=float)
+
+
+class _IntegerSupport(_Discrete):
     """Shared left-limit plumbing for models supported on 0, 1, 2, ..."""
 
     def cdf_left(self, x):
@@ -144,28 +176,6 @@ class _IntegerSupport(NullDistribution):
 
     def sf_left(self, x):
         return self.sf(np.ceil(_check_finite(x)) - 1.0)
-
-    def _ppf_start(self, om: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _upper_limit(self) -> float:
-        return np.inf
-
-    def skorokhod_quantile(self, omega):
-        om = _check_open_unit(omega)
-        oma = np.atleast_1d(om)
-        k = np.clip(self._ppf_start(oma), 0.0, self._upper_limit())
-        # Library inverses can be off by a step at bracket boundaries;
-        # correct against the sup definition exactly.
-        for _ in range(_QUANTILE_MAX_STEPS):
-            down = (k > 0) & (self.cdf(k - 1.0) >= oma)
-            up = ~down & (self.cdf(k) < oma) & (k < self._upper_limit())
-            if not np.any(down | up):
-                break
-            k = np.where(down, k - 1.0, np.where(up, k + 1.0, k))
-        else:  # pragma: no cover
-            raise RuntimeError("quantile correction did not converge")
-        return _ret(omega, k if np.ndim(omega) else k[0])
 
 
 @dataclass(frozen=True)
@@ -195,8 +205,9 @@ class Poisson(_IntegerSupport):
         logp = k * np.log(self.mean) - self.mean - special.gammaln(k + 1.0)
         return _ret(x, np.where(on, np.exp(logp), 0.0))
 
-    def _ppf_start(self, om):
-        return np.asarray(stats.poisson.ppf(om, self.mean), dtype=float)
+    @cached_property
+    def _ladder(self):
+        return _integer_ladder(self, self.mean, math.sqrt(self.mean))
 
 
 @dataclass(frozen=True)
@@ -223,11 +234,11 @@ class Binomial(_IntegerSupport):
     def mass(self, x):
         return _ret(x, stats.binom.pmf(_check_finite(x), self.trials, self.success_prob))
 
-    def _ppf_start(self, om):
-        return np.asarray(stats.binom.ppf(om, self.trials, self.success_prob), dtype=float)
-
-    def _upper_limit(self) -> float:
-        return float(self.trials)
+    @cached_property
+    def _ladder(self):
+        mean = self.trials * self.success_prob
+        sd = math.sqrt(mean * (1.0 - self.success_prob))
+        return _integer_ladder(self, mean, sd, self.trials)
 
 
 @dataclass(frozen=True)
@@ -257,7 +268,7 @@ class Uniform01(NullDistribution):
 
 
 @dataclass(frozen=True)
-class TabulatedDiscrete(NullDistribution):
+class TabulatedDiscrete(_Discrete):
     """Finite discrete model given by explicit support points and masses."""
 
     support: tuple[float, ...]
@@ -281,6 +292,7 @@ class TabulatedDiscrete(NullDistribution):
         # cum[i] = mass at or below point i; tail[i] = mass at or above point i
         object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(m)]))
         object.__setattr__(self, "_tail", np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]]))
+        object.__setattr__(self, "_ladder", (sup, self._cum[1:]))
 
     def cdf(self, x):
         idx = np.searchsorted(self._sup, _check_finite(x), side="right")
@@ -304,12 +316,6 @@ class TabulatedDiscrete(NullDistribution):
         idx_c = np.minimum(idx, self._sup.size - 1)
         hit = self._sup[idx_c] == xa
         return _ret(x, np.where(hit, self._m[idx_c], 0.0))
-
-    def skorokhod_quantile(self, omega):
-        om = _check_open_unit(omega)
-        idx = np.searchsorted(self._cum[1:], om, side="left")
-        idx = np.minimum(idx, self._sup.size - 1)
-        return _ret(omega, self._sup[idx])
 
 
 @dataclass(frozen=True)
@@ -378,20 +384,3 @@ class ContinuousByCdf(NullDistribution):
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return _ret(omega, hi if np.ndim(omega) else hi[0])
-
-
-def integer_cdf_table(dist: NullDistribution, tail: float = TABLE_TAIL) -> np.ndarray:
-    """CDF values F(0..K) with P(X > K) <= tail, for integer-supported models.
-
-    Used by the Monte Carlo harness: searchsorted on this table is exactly
-    the Skorokhod inverse restricted to integer support.
-    """
-    if isinstance(dist, Binomial):
-        k_max = dist.trials
-    elif isinstance(dist, Poisson):
-        k_max = int(np.ceil(dist.mean + 20.0 * np.sqrt(dist.mean) + 40.0))
-        while dist.sf(float(k_max)) > tail:  # rare for extreme tails
-            k_max = 2 * k_max + 10
-    else:
-        raise ParameterError(f"no integer table for {type(dist).__name__}")
-    return np.asarray(dist.cdf(np.arange(0, k_max + 1, dtype=float)))

@@ -60,6 +60,7 @@ class TestDecision:
 
     rejection_probability: float
     threshold: float
+    survival_threshold: float  # s = 1 - t, what the split compares against
     branch: str  # "reject" | "accept" | "randomized"
     randomized_set: tuple[int, ...]
     m_statistic: float  # 1 - min sf_left, the largest left limit F(x-)
@@ -116,14 +117,15 @@ def phi_expected(
     sf_min = float(np.min(sf_left))
     m_stat = 1.0 - sf_min
     if sf_min < s:
-        return TestDecision(1.0, t, "reject", (), m_stat, alpha, n)
+        return TestDecision(1.0, t, s, "reject", (), m_stat, alpha, n)
     straddle = np.where((sf_right < s) & (s < sf_left))[0]
     if straddle.size == 0:
-        return TestDecision(0.0, t, "accept", (), m_stat, alpha, n)
+        return TestDecision(0.0, t, s, "accept", (), m_stat, alpha, n)
     keep = np.prod((sf_left[straddle] - s) / (sf_left[straddle] - sf_right[straddle]))
     return TestDecision(
         rejection_probability=float(1.0 - keep),
         threshold=t,
+        survival_threshold=s,
         branch="randomized",
         randomized_set=tuple(int(j) for j in straddle),
         m_statistic=m_stat,

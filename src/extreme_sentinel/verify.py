@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    NullDistribution,
-    RandomStream,
-    integer_cdf_table,
-)
+from .distributions import NullDistribution, RandomStream
 from .errors import (
     ContractError,
     DomainError,
@@ -98,16 +94,6 @@ class SimulationResult:
     n_trials: int
 
 
-def _discrete_ladder(dist: NullDistribution):
-    """(support values, cdf at support) for a discrete model."""
-    try:
-        table = integer_cdf_table(dist)
-        return np.arange(table.size, dtype=float), table
-    except ParameterError:
-        pts = discrete_probe_points(dist)
-        return pts, np.asarray(dist.cdf(pts), dtype=float)
-
-
 def _bracket_scores(left, right, v):
     # Same guarded form as the scalar transform: stays inside the bracket.
     return np.clip(left + v * (right - left), left, right)
@@ -119,18 +105,15 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     Each trial draws one panel (from the template, or with one cell's
     sampling law swapped to the alternative), computes every cell's
     extremeness index with fresh randomizers, and rejects when the
-    maximum exceeds the threshold.  Sampling goes through per-cell CDF
-    ladders, which is the generalized-inverse transform restricted to
-    the support, so the chain exercised here is the real one.
+    maximum exceeds the threshold.  Null cells search the CDF ladder
+    that their own ``skorokhod_quantile`` searches, so the chain
+    exercised here is the real one.
     """
     dists = config.panel_template
     n = len(dists)
     t = threshold(config.alpha, n)
-    ladders = [None if d.continuous else _discrete_ladder(d) for d in dists]
+    ladders = [None if d.continuous else d._ladder[1] for d in dists]
     swap = config.alternative
-    alt_ladder = None
-    if swap is not None and not swap.alt_dist.continuous:
-        alt_ladder = _discrete_ladder(swap.alt_dist)
 
     stream = RandomStream(config.seed)
     hits = 0
@@ -144,18 +127,14 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
             if swap is not None and j == swap.cell_index:
                 # Sample the cell from the alternative, transform by the
                 # cell's null CDF bracket.
-                if alt_ladder is None:
-                    x = np.asarray(swap.alt_dist.skorokhod_quantile(u[:, j]))
-                else:
-                    pts, table = alt_ladder
-                    x = pts[np.minimum(np.searchsorted(table, u[:, j], side="left"), pts.size - 1)]
+                x = np.asarray(swap.alt_dist.skorokhod_quantile(u[:, j]))
                 left = np.asarray(d.cdf_left(x), dtype=float)
                 right = np.asarray(d.cdf(x), dtype=float)
                 scores = _bracket_scores(left, right, v[:, j])
             elif ladders[j] is None:
                 scores = np.asarray(d.cdf(d.skorokhod_quantile(u[:, j])), dtype=float)
             else:
-                _, table = ladders[j]
+                table = ladders[j]
                 k = np.minimum(np.searchsorted(table, u[:, j], side="left"), table.size - 1)
                 padded = np.concatenate([[0.0], table])
                 scores = _bracket_scores(padded[k], padded[k + 1], v[:, j])

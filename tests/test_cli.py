@@ -142,6 +142,7 @@ JSON_KEYS = {
     "phi",
     "branch",
     "threshold",
+    "threshold_sf",
     "flagged_region",
     "flagged_period",
     "seed",
@@ -169,6 +170,14 @@ class TestRunTestMode:
         assert payload["n"] == 40
         assert payload["p_lower"] < 0.001 and payload["p_upper"] < 0.001
         assert payload["lambda"] == 9.703e-7
+
+    def test_threshold_sf_is_what_the_split_compares(self, capsys):
+        # t rounds to 1.0 at this alpha; s = 1 - t keeps its precision.
+        _, out, _ = run_main(capsys, "--input", FIXTURE, "--alpha", "1e-16", "--format", "json")
+        payload = json.loads(out)
+        assert payload["threshold"] == 1.0
+        s = -math.expm1(math.log1p(-1e-16) / 40)
+        assert payload["threshold_sf"] == pytest.approx(s, rel=1e-12)
 
     def test_all_zero_panel_accepts_exit_zero(self, capsys, tmp_path):
         body = "region,period,count,population\nA,1,0,1000000\n"
@@ -322,10 +331,12 @@ class TestSeedSources:
         assert json.loads(out)["seed"] == 9
 
     def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "not-a-number")
-        code, _, err = run_main(capsys, "--input", FIXTURE)
-        assert code == 1
-        assert ENV_SEED in err
+        # int() would read the last two as 12 and 10.
+        for env in ("not-a-number", "\uff11\uff12", "1_0"):
+            monkeypatch.setenv(ENV_SEED, env)
+            code, _, err = run_main(capsys, "--input", FIXTURE)
+            assert code == 1
+            assert ENV_SEED in err
 
 
 class TestArgumentErrors:
@@ -343,6 +354,20 @@ class TestArgumentErrors:
         code, _, err = run_main(capsys, "--input", FIXTURE, "--alpha", "1.5")
         assert code == 1
         assert "alpha" in err
+
+    def test_python_literal_numbers_exit_one(self, capsys):
+        # int() and float() would read these as 10, 2, 1000, 0.01 and 9.703e-7.
+        for flag, value in (
+            ("--seed", "1_0"),
+            ("--max-rounds", "\uff12"),
+            ("--trials", "1_000"),
+            ("--alpha", "0.0_1"),
+            ("--lambda", "9.703e-0_7"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["--input", FIXTURE, "--mode", "peel", flag, value])
+            assert exc.value.code == 1
+            assert flag in capsys.readouterr().err
 
     def test_run_config_validation(self):
         with pytest.raises(ParameterError):

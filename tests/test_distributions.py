@@ -18,7 +18,6 @@ from extreme_sentinel.distributions import (
     RandomStream,
     TabulatedDiscrete,
     Uniform01,
-    integer_cdf_table,
 )
 from extreme_sentinel.errors import DomainError, ParameterError
 
@@ -304,14 +303,19 @@ class TestRandomStream:
             RandomStream("not-a-seed")
 
 
-def test_integer_cdf_table_matches_cdf():
-    for dist in (Poisson(1.0661), Poisson(9.0), Binomial(10, 0.3)):
-        table = integer_cdf_table(dist)
-        ks = np.arange(table.size, dtype=float)
-        assert np.array_equal(table, np.asarray(dist.cdf(ks)))
-        assert dist.sf(float(table.size - 1)) <= 1e-16
+def test_ladder_matches_cdf_and_covers_the_unit_interval():
+    for dist in (Poisson(1.0661), Poisson(9.0), Poisson(1e6), Binomial(10, 0.3)):
+        pts, cdf = dist._ladder
+        assert np.array_equal(cdf, np.asarray(dist.cdf(pts)))
+        assert cdf[-1] == 1.0
+        assert dist.cdf(pts[0] - 1.0) == 0.0
 
 
-def test_integer_cdf_table_rejects_continuous():
-    with pytest.raises(ParameterError):
-        integer_cdf_table(Uniform01())
+def test_poisson_quantile_frozen_at_large_mean():
+    omega = [1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
+    expected = [963182, 992974, 999475, 1000000, 1007043, 1008172]
+    assert np.array_equal(Poisson(1e6).skorokhod_quantile(omega), expected)
+
+
+def test_ladder_stays_a_window_at_huge_mean():
+    assert Poisson(1e8)._ladder[0].size < 1_000_000
