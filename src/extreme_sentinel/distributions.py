@@ -164,7 +164,11 @@ def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = 
     while dist.cdf(hi) < 1.0:
         hi += step
     pts = np.arange(lo, hi + 1, dtype=float)
-    return pts, np.asarray(dist.cdf(pts), dtype=float)
+    cdf = np.asarray(dist.cdf(pts), dtype=float)
+    # Probe grids read the ladder too, so keep only the points where F moves:
+    # from the first F > 0 to the first F == 1.0.
+    keep = slice(np.searchsorted(cdf, 0.0, "right"), np.searchsorted(cdf, 1.0, "left") + 1)
+    return pts[keep], cdf[keep]
 
 
 class _IntegerSupport(_Discrete):

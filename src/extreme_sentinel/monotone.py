@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import NullDistribution, TabulatedDiscrete, _ret
+from .distributions import NullDistribution, _ret
 from .errors import (
     AbsoluteContinuityError,
     ContractError,
@@ -31,13 +31,9 @@ __all__ = [
     "discrete_probe_points",
 ]
 
-# Discrete grids stop once the remaining tail mass drops below this; the
-# unchecked mass is bounded by the same amount.
+# Alternative mass above this at a point the null model cannot reach
+# breaks absolute continuity.
 PROBE_TAIL = 1e-12
-
-# Deeper truncation for the internal lookup table so the located support
-# point exists for any y the caller can distinguish from 1.
-_TABLE_TAIL = 1e-15
 
 _REL_TOL = 1e-9
 
@@ -58,14 +54,15 @@ class CheckResult:
         return self.passed
 
 
-def discrete_probe_points(dist: NullDistribution, tail: float = PROBE_TAIL) -> np.ndarray:
-    """Support points of a discrete model out to its 1 - tail quantile."""
+def discrete_probe_points(dist: NullDistribution) -> np.ndarray:
+    """Support points of a discrete model's CDF ladder.
+
+    That is every point where F moves in double precision: the whole
+    support of a tabulated model, the integer window of the others.
+    """
     if dist.continuous:
         raise ParameterError("probe points are defined for discrete models only")
-    if isinstance(dist, TabulatedDiscrete):
-        return np.asarray(dist.support, dtype=float)
-    hi = float(dist.skorokhod_quantile(1.0 - tail))
-    return np.arange(0.0, hi + 1.0)
+    return dist._ladder[0].copy()  # a copy: the ladder backs the model's inverse
 
 
 @dataclass(frozen=True)
@@ -99,11 +96,8 @@ class ModelPair:
 
     @cached_property
     def _tables(self):
-        # Union grid: all support points of either model, deep into the tail.
-        pts = np.union1d(
-            discrete_probe_points(self.null_dist, _TABLE_TAIL),
-            discrete_probe_points(self.alt_dist, PROBE_TAIL),
-        )
+        # Union grid: every point where either model's CDF moves.
+        pts = np.union1d(self.null_dist._ladder[0], self.alt_dist._ladder[0])
         f0r = np.asarray(self.null_dist.cdf(pts), dtype=float)
         f0l = np.asarray(self.null_dist.cdf_left(pts), dtype=float)
         f1l = np.asarray(self.alt_dist.cdf_left(pts), dtype=float)
@@ -143,7 +137,7 @@ def alt_extremeness_cdf(pair: ModelPair, y):
         idx = np.searchsorted(f0r, y1, side="right")
         idx_c = np.minimum(idx, pts.size - 1)
         vals = np.clip(f1l[idx_c] + ratio[idx_c] * (y1 - f0l[idx_c]), 0.0, 1.0)
-        # Past the table means y is within the truncated tail of 1.
+        # Past the table, y is at least F at the null's last point: 1 up to rounding.
         out = np.where(idx >= pts.size, 1.0, vals)
     return _ret(y, out if np.ndim(y) else out[0])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import Poisson, RandomStream
 from .errors import DataError, ParameterError
-from .umptest import PValueBounds, TestDecision, phi_expected, pvalue_bounds
+from .umptest import PValueBounds, TestDecision, pvalue_bounds
 
 __all__ = [
     "PanelCell",
@@ -164,7 +164,7 @@ def epidemic_test(
     dists = null_distributions(panel, lam_used)
     obs = [c.count for c in cells]
     bounds = pvalue_bounds(dists, obs)
-    decision = phi_expected(dists, obs, alpha)
+    decision = bounds.decide(alpha)
     flagged = cells[bounds.argmax_upper_cell]
     if decision.branch == "reject":
         rejected: bool | None = True
@@ -199,7 +199,9 @@ def peel_test(
 
     Stops at the first round that does not produce a hard rejection, or
     after max_rounds, or when no included cells remain.  When ``lam`` is
-    absent the rate is re-estimated from the surviving cells each round.
+    absent the rate is re-estimated from the surviving cells each round,
+    and the peel ends once those cells all count zero: there is no rate
+    to estimate, and no cell of an all-zero panel can stand out.
     Per-round coin seeds are derived from ``seed`` by seed splitting, and
     each report carries its own derived seed so the round can be replayed
     in isolation.
@@ -218,6 +220,8 @@ def peel_test(
     working = panel
     for r in range(int(max_rounds)):
         if working.n == 0:
+            break
+        if r and lam is None and not any(c.count for c in working.included_cells):
             break
         report = epidemic_test(working, lam=lam, alpha=alpha, seed=round_seeds[r])
         reports.append(report)

@@ -12,8 +12,9 @@ which has exact size alpha because the scores are i.i.d. uniform under the
 null.  Conditioning on the observations and integrating out the
 randomizers gives the deterministic form ``phi_expected``; the bracket
 structure of the scores also yields sharp p-value bounds that need no
-randomizer at all.  Both read the survival brackets 1 - F(x-), 1 - F(x);
-the split compares them with 1 - t, so it agrees with the bounds at any alpha.
+randomizer at all.  ``pvalue_bounds`` computes the survival brackets
+1 - F(x-), 1 - F(x) once and keeps them; ``PValueBounds.decide`` splits on
+them against 1 - t, so the split agrees with the bounds at any alpha.
 """
 
 from __future__ import annotations
@@ -70,12 +71,13 @@ class TestDecision:
 
 @dataclass(frozen=True)
 class PValueBounds:
-    """Sharp bracket for the randomized test's p-value.
+    """Sharp bracket for the randomized test's p-value, and the cell brackets.
 
     m_high is the largest full CDF value F_i(x_i) across cells and drives
     the lower bound 1 - m_high^n; m_low is the largest left limit
     F_i(x_i-) and drives the upper bound 1 - m_low^n.  Argmax indices tie
-    to the lowest cell.
+    to the lowest cell.  ``sf_left`` and ``sf_right`` hold each cell's
+    1 - F(x-) and 1 - F(x) in panel order; ``decide`` reads the same ones.
     """
 
     lower: float
@@ -83,14 +85,36 @@ class PValueBounds:
     n: int
     argmax_upper_cell: int  # attains m_high = max_i F_i(x_i)
     argmax_lower_cell: int  # attains m_low = max_i F_i(x_i-)
+    sf_left: tuple[float, ...]
+    sf_right: tuple[float, ...]
 
+    def decide(self, alpha: float) -> TestDecision:
+        """Deterministic case split of the randomized test, given the counts.
 
-def _survival_brackets(dists: Sequence[NullDistribution], observations: Sequence[float]):
-    """Per-cell survival brackets: sf_left = 1 - F(x-) and sf_right = 1 - F(x)."""
-    _check_panel(dists, observations)
-    sf_left = np.array([d.sf_left(x) for d, x in zip(dists, observations)])
-    sf_right = np.array([d.sf(x) for d, x in zip(dists, observations)])
-    return sf_left, sf_right
+        Compares the survival brackets with s = 1 - t computed as
+        -expm1(log1p(-alpha)/n), so the split agrees with the bounds even
+        where t rounds to 1.  With R the set of cells where
+        sf_right < s < sf_left:
+
+          * min sf_left < s: every randomization rejects (phi = 1);
+          * otherwise, R empty: no randomization rejects (phi = 0), including
+            the measure-zero boundary min sf_left = s;
+          * otherwise phi = 1 - prod_{j in R} (sf_left_j - s) / (sf_left_j - sf_right_j).
+        """
+        n = self.n
+        t = threshold(alpha, n)
+        s = -math.expm1(math.log1p(-alpha) / n)
+        sf_left, sf_right = np.array(self.sf_left), np.array(self.sf_right)
+        sf_min = float(np.min(sf_left))
+        m_stat = 1.0 - sf_min
+        if sf_min < s:
+            return TestDecision(1.0, t, s, "reject", (), m_stat, alpha, n)
+        straddle = np.where((sf_right < s) & (s < sf_left))[0]
+        if straddle.size == 0:
+            return TestDecision(0.0, t, s, "accept", (), m_stat, alpha, n)
+        keep = np.prod((sf_left[straddle] - s) / (sf_left[straddle] - sf_right[straddle]))
+        randomized = tuple(int(j) for j in straddle)
+        return TestDecision(float(1.0 - keep), t, s, "randomized", randomized, m_stat, alpha, n)
 
 
 def phi_expected(
@@ -98,40 +122,8 @@ def phi_expected(
     observations: Sequence[float],
     alpha: float,
 ) -> TestDecision:
-    """Deterministic case split of the randomized test, given the counts.
-
-    Compares the survival brackets that ``pvalue_bounds`` reads, sf_left =
-    1 - F(x-) and sf_right = 1 - F(x), with s = 1 - t computed as
-    -expm1(log1p(-alpha)/n), so the two agree even where t rounds to 1.
-    With R the set of cells where sf_right < s < sf_left:
-
-      * min sf_left < s: every randomization rejects (phi = 1);
-      * otherwise, R empty: no randomization rejects (phi = 0), including
-        the measure-zero boundary min sf_left = s;
-      * otherwise phi = 1 - prod_{j in R} (sf_left_j - s) / (sf_left_j - sf_right_j).
-    """
-    sf_left, sf_right = _survival_brackets(dists, observations)
-    n = sf_left.size
-    t = threshold(alpha, n)
-    s = -math.expm1(math.log1p(-alpha) / n)
-    sf_min = float(np.min(sf_left))
-    m_stat = 1.0 - sf_min
-    if sf_min < s:
-        return TestDecision(1.0, t, s, "reject", (), m_stat, alpha, n)
-    straddle = np.where((sf_right < s) & (s < sf_left))[0]
-    if straddle.size == 0:
-        return TestDecision(0.0, t, s, "accept", (), m_stat, alpha, n)
-    keep = np.prod((sf_left[straddle] - s) / (sf_left[straddle] - sf_right[straddle]))
-    return TestDecision(
-        rejection_probability=float(1.0 - keep),
-        threshold=t,
-        survival_threshold=s,
-        branch="randomized",
-        randomized_set=tuple(int(j) for j in straddle),
-        m_statistic=m_stat,
-        alpha=alpha,
-        n=n,
-    )
+    """Deterministic case split of the randomized test: ``pvalue_bounds(...).decide(alpha)``."""
+    return pvalue_bounds(dists, observations).decide(alpha)
 
 
 def phi_randomized(scores: ExtremenessVector, alpha: float) -> int:
@@ -150,8 +142,10 @@ def pvalue_bounds(
     around five significant digits even when the maxima sit within 1e-6
     of 1 (routine for extreme counts).
     """
-    sf_left, sf_right = _survival_brackets(dists, observations)
-    n = sf_left.size
+    _check_panel(dists, observations)
+    sf_left = tuple(float(d.sf_left(x)) for d, x in zip(dists, observations))
+    sf_right = tuple(float(d.sf(x)) for d, x in zip(dists, observations))
+    n = len(sf_left)
     i_high = int(np.argmin(sf_right))  # max cdf, ties to lowest index
     i_low = int(np.argmin(sf_left))
 
@@ -166,6 +160,8 @@ def pvalue_bounds(
         n=n,
         argmax_upper_cell=i_high,
         argmax_lower_cell=i_low,
+        sf_left=sf_left,
+        sf_right=sf_right,
     )
 
 

@@ -179,8 +179,8 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
         raise ShapeError("need matching non-empty models and observations")
     if len(dists) > 4:
         raise SizeError("exact enumeration is limited to panels of at most 4 cells")
-    sf_right = [float(d.sf(x)) for d, x in zip(dists, observations)]
-    sf_left = [float(d.sf_left(x)) for d, x in zip(dists, observations)]
+    sf_right = tuple(float(d.sf(x)) for d, x in zip(dists, observations))
+    sf_left = tuple(float(d.sf_left(x)) for d, x in zip(dists, observations))
     i_high = int(np.argmin(sf_right))
     i_low = int(np.argmin(sf_left))
     y_high = max(float(d.cdf(x)) for d, x in zip(dists, observations))
@@ -200,6 +200,8 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
         n=len(dists),
         argmax_upper_cell=i_high,
         argmax_lower_cell=i_low,
+        sf_left=sf_left,
+        sf_right=sf_right,
     )
 
 

@@ -259,6 +259,22 @@ class TestRunPeelMode:
         assert code == 2
         assert len(json.loads(out)["rounds"]) == 1
 
+    def test_pooled_rate_peel_ends_at_all_zero_remainder(self, capsys, tmp_path):
+        body = (
+            "region,period,count,population\n"
+            "A,1,15,1000000\nB,1,0,1000000\nC,1,0,1000000\n"
+        )
+        path = write_csv(tmp_path, body)
+        args = ("--input", path, "--alpha", "0.5", "--format", "json")
+        code, _, _ = run_main(capsys, *args, "--mode", "test")
+        assert code == 2
+        code, out, err = run_main(capsys, *args, "--mode", "peel")
+        assert code == 2
+        assert err == ""
+        rounds = json.loads(out)["rounds"]
+        assert len(rounds) == 1
+        assert rounds[0]["flagged_region"] == "A"
+
     def test_text_mode_labels_rounds(self, capsys):
         code, out, _ = run_main(
             capsys,

@@ -71,10 +71,13 @@ class TestDiscreteProbePoints:
         assert discrete_probe_points(d).tolist() == [0.0, 1.5, 2.0]
 
     def test_integer_grid_covers_tail(self):
-        pts = discrete_probe_points(Poisson(3.0), tail=1e-12)
-        assert pts[0] == 0.0
-        assert Poisson(3.0).sf(pts[-1]) <= 1e-12
-        assert Poisson(3.0).sf(pts[-1] - 1.0) > 1e-12
+        # The grid is the CDF ladder: F is 0 below it and 1.0 at its end.
+        for d in (Poisson(3.0), Poisson(1e5), Binomial(40, 0.3)):
+            pts = discrete_probe_points(d)
+            assert d.cdf(pts[0] - 1.0) == 0.0 < d.cdf(pts[0])
+            assert d.cdf(pts[-2]) < 1.0 == d.cdf(pts[-1])
+            assert np.all(np.diff(pts) == 1.0)
+        assert discrete_probe_points(Poisson(1e5)).size < 20_000
 
     def test_continuous_rejected(self):
         with pytest.raises(ParameterError):
@@ -188,6 +191,11 @@ class TestMlrCheck:
     def test_self_pair_constant_ratio(self):
         pair = ModelPair(Poisson(3.0), Poisson(3.0))
         assert mlr_check(pair, discrete_probe_points(Poisson(3.0)))
+
+    def test_far_apart_poisson_pair_on_the_ladder(self):
+        # Null masses underflow past the alternative's last moving point.
+        pair = ModelPair(Poisson(0.2), Poisson(50.0))
+        assert mlr_check(pair, discrete_probe_points(pair.alt_dist))
 
     def test_binomial_pairs(self):
         up = ModelPair(Binomial(10, 0.3), Binomial(10, 0.5))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from extreme_sentinel.cli import ingest
-from extreme_sentinel.distributions import RandomStream
+from extreme_sentinel.distributions import Poisson, RandomStream
 from extreme_sentinel.errors import DataError, ParameterError
 from extreme_sentinel.surveillance import (
     CountPanel,
@@ -185,6 +185,32 @@ class TestEpidemicTest:
             assert report.flagged_cell == ("BG", "2010")
 
 
+class TestOneBracketPass:
+    """Each test reads every cell's survival brackets once."""
+
+    @pytest.fixture
+    def sf_left_calls(self, monkeypatch):
+        calls = []
+        original = Poisson.sf_left
+
+        def counting(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(Poisson, "sf_left", counting)
+        return calls
+
+    def test_epidemic_test_on_fixture(self, sf_left_calls):
+        panel = fixture_panel()
+        epidemic_test(panel, lam=PUBLISHED_RATE, alpha=0.01)
+        assert len(sf_left_calls) == panel.n
+
+    def test_fixed_rate_peel(self, sf_left_calls):
+        reports = peel_test(fixture_panel(), lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
+        assert len(reports) == 2
+        assert len(sf_left_calls) == sum(r.n for r in reports)
+
+
 class TestPeelTest:
     def test_fixture_two_rounds(self):
         reports = peel_test(fixture_panel(), lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
@@ -210,6 +236,18 @@ class TestPeelTest:
         reports = peel_test(panel, lam=1e-6, alpha=0.05)
         assert len(reports) == 1
         assert reports[0].rejected is False
+
+    def test_pooled_rate_stops_at_an_all_zero_remainder(self):
+        panel = CountPanel((cell("A", "1", 15), cell("B", "1", 0), cell("C", "1", 0)))
+        reports = peel_test(panel, alpha=0.5)
+        assert len(reports) == 1
+        assert reports[0].rejected is True
+        assert reports[0].flagged_cell == ("A", "1")
+
+    def test_pooled_rate_all_zero_first_round_is_an_error(self):
+        panel = CountPanel((cell("A", "1", 0), cell("B", "1", 0)))
+        with pytest.raises(DataError):
+            peel_test(panel, alpha=0.5)
 
     def test_two_planted_spikes(self):
         cells = [cell(f"R{i}", "1", 0) for i in range(8)]

@@ -168,6 +168,18 @@ class TestPValueBounds:
                 assert dec.branch == "accept", (dists, obs, alpha)
         assert b.upper < 1e-16 and dec.branch == "reject"
 
+    def test_keeps_the_brackets_it_decides_on(self):
+        dists = [Poisson(1.0), Binomial(10, 0.3), Uniform01()]
+        obs = [3, 0, 0.25]
+        b = pvalue_bounds(dists, obs)
+        assert b.sf_left == tuple(d.sf_left(x) for d, x in zip(dists, obs))
+        assert b.sf_right == tuple(d.sf(x) for d, x in zip(dists, obs))
+        assert all(type(v) is float for v in b.sf_left + b.sf_right)
+        for alpha in (0.5, 0.05, 1e-9):
+            assert b.decide(alpha) == phi_expected(dists, obs, alpha)
+        with pytest.raises(DomainError):
+            b.decide(1.0)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             pvalue_bounds([], [])

@@ -136,6 +136,13 @@ class TestEnumeratePValueBounds:
         assert exact.argmax_upper_cell == analytic.argmax_upper_cell
         assert exact.argmax_lower_cell == analytic.argmax_lower_cell
 
+    def test_large_mean_enumerates_its_ladder(self):
+        # Enumeration covers the ladder window, not every integer from 0.
+        exact = enumerate_pvalue_bounds([Poisson(3e5)], [3e5])
+        analytic = pvalue_bounds([Poisson(3e5)], [3e5])
+        assert exact.lower == pytest.approx(analytic.lower, abs=2e-16)
+        assert exact.upper == pytest.approx(analytic.upper, abs=2e-16)
+
     def test_oracle_agreement_on_random_instances(self):
         rng = np.random.default_rng(606)
         stream = RandomStream(607)
