@@ -84,6 +84,22 @@ def _ret(x, values):
     return np.asarray(values, dtype=float)
 
 
+def _array_call(fn, xs: np.ndarray):
+    """Evaluate fn on the array xs in one call; return (callable used, values).
+
+    A callable that fails on arrays, or returns another shape, is wrapped
+    in ``np.vectorize`` and called per element instead.
+    """
+    try:
+        vals = np.asarray(fn(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise TypeError
+    except Exception:
+        fn = np.vectorize(fn, otypes=[float])
+        vals = np.asarray(fn(xs), dtype=float)
+    return fn, vals
+
+
 def _check_open_unit(omega) -> np.ndarray:
     om = np.asarray(omega, dtype=float)
     if not np.all((om > 0.0) & (om < 1.0)):
@@ -138,7 +154,9 @@ class _Discrete(NullDistribution):
     Each subclass provides ``_ladder``: its support points, increasing,
     and F at those points.  F is exactly 0 below the first point and the
     last point takes every omega past the table, so the search below is
-    the exact sup-form inverse for every omega in (0, 1).
+    the exact sup-form inverse for every omega in (0, 1).  It also
+    provides ``_log_mass``, the log point mass (-inf off the support),
+    which stays finite where ``mass`` underflows to 0.
     """
 
     def skorokhod_quantile(self, omega):
@@ -203,11 +221,14 @@ class Poisson(_IntegerSupport):
         return _ret(x, np.where(k < 0.0, 1.0, vals))
 
     def mass(self, x):
+        return _ret(x, np.exp(self._log_mass(x)))
+
+    def _log_mass(self, x):
         xa = _check_finite(x)
         on = (xa >= 0.0) & (np.floor(xa) == xa)
         k = np.where(on, xa, 0.0)
         logp = k * np.log(self.mean) - self.mean - special.gammaln(k + 1.0)
-        return _ret(x, np.where(on, np.exp(logp), 0.0))
+        return np.where(on, logp, -np.inf)
 
     @cached_property
     def _ladder(self):
@@ -237,6 +258,9 @@ class Binomial(_IntegerSupport):
 
     def mass(self, x):
         return _ret(x, stats.binom.pmf(_check_finite(x), self.trials, self.success_prob))
+
+    def _log_mass(self, x):
+        return stats.binom.logpmf(_check_finite(x), self.trials, self.success_prob)
 
     @cached_property
     def _ladder(self):
@@ -321,6 +345,11 @@ class TabulatedDiscrete(_Discrete):
         hit = self._sup[idx_c] == xa
         return _ret(x, np.where(hit, self._m[idx_c], 0.0))
 
+    def _log_mass(self, x):
+        # The masses are given, so none underflows: log 0 = -inf off the support.
+        with np.errstate(divide="ignore"):
+            return np.log(np.asarray(self.mass(x), dtype=float))
+
 
 @dataclass(frozen=True)
 class ContinuousByCdf(NullDistribution):
@@ -341,15 +370,8 @@ class ContinuousByCdf(NullDistribution):
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower < self.upper):
             raise ParameterError("need finite lower < upper")
-        fn = self.cdf_fn
         xs = np.linspace(self.lower, self.upper, self._PROBE_POINTS)
-        try:
-            vals = np.asarray(fn(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise TypeError
-        except Exception:
-            fn = np.vectorize(self.cdf_fn, otypes=[float])
-            vals = np.asarray(fn(xs), dtype=float)
+        fn, vals = _array_call(self.cdf_fn, xs)
         object.__setattr__(self, "_fn", fn)
         if not np.all(np.isfinite(vals)):
             raise ParameterError("cdf callable returned non-finite values on the probe grid")

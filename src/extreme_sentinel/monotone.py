@@ -9,12 +9,13 @@ checked here on finite grids rather than proven symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .distributions import NullDistribution, _ret
+from .distributions import NullDistribution, _array_call, _ret
 from .errors import (
     AbsoluteContinuityError,
     ContractError,
@@ -72,7 +73,8 @@ class ModelPair:
     For discrete pairs the alternative must be absolutely continuous with
     respect to the null on the probe grid: a support point where the null
     has zero mass but the alternative carries more than ``PROBE_TAIL`` is
-    rejected at construction.
+    rejected at construction.  Zero mass is read from the log mass, so a
+    null mass that merely underflows does not count.
     """
 
     null_dist: NullDistribution
@@ -103,13 +105,17 @@ class ModelPair:
         f1l = np.asarray(self.alt_dist.cdf_left(pts), dtype=float)
         p0 = np.asarray(self.null_dist.mass(pts), dtype=float)
         p1 = np.asarray(self.alt_dist.mass(pts), dtype=float)
-        bad = (p0 <= 0.0) & (p1 > PROBE_TAIL)
+        bad = (self.null_dist._log_mass(pts) == -np.inf) & (p1 > PROBE_TAIL)
         if np.any(bad):
             raise AbsoluteContinuityError(
                 f"alternative carries mass {p1[bad][0]:.3g} at {pts[bad][0]!r} "
                 "where the null model has none"
             )
-        ratio = np.divide(p1, p0, out=np.zeros_like(p1), where=p0 > 0.0)
+        # Slopes p1/p0 only where p0 is a normal double, so none overflows.
+        # A smaller null step is invisible next to F0 = 1, or is met only by
+        # y below the normal range; its slope reads 0.
+        normal = p0 >= np.finfo(float).tiny
+        ratio = np.divide(p1, p0, out=np.zeros_like(p1), where=normal)
         return pts, f0l, f0r, f1l, ratio
 
 
@@ -145,7 +151,8 @@ def alt_extremeness_cdf(pair: ModelPair, y):
 def mlr_check(pair: ModelPair, probe_points) -> CheckResult:
     """Check that the alternative/null ratio is non-decreasing on a grid.
 
-    Discrete pairs compare point-mass ratios at the probes; continuous
+    Discrete pairs compare point-mass ratios at the probes, from log
+    masses so that masses which underflow keep their ratio; continuous
     pairs compare density estimates from symmetric CDF differences (the
     window width cancels in the ratio).  Passing means no adjacent pair
     drops by more than a relative 1e-9.
@@ -156,23 +163,23 @@ def mlr_check(pair: ModelPair, probe_points) -> CheckResult:
     if not np.all(np.isfinite(probes)) or not np.all(np.diff(probes) > 0.0):
         raise ParameterError("probe points must be finite and strictly increasing")
     if pair.support_kind == "discrete":
-        dens0 = np.asarray(pair.null_dist.mass(probes), dtype=float)
-        dens1 = np.asarray(pair.alt_dist.mass(probes), dtype=float)
+        log0 = np.asarray(pair.null_dist._log_mass(probes), dtype=float)
+        log1 = np.asarray(pair.alt_dist._log_mass(probes), dtype=float)
     else:
         h = 1e-5 * np.maximum(1.0, np.abs(probes))
-        dens0 = np.asarray(pair.null_dist.cdf(probes + h), dtype=float) - np.asarray(
-            pair.null_dist.cdf(probes - h), dtype=float
+        dens0, dens1 = (
+            np.asarray(d.cdf(probes + h), dtype=float) - np.asarray(d.cdf(probes - h), dtype=float)
+            for d in (pair.null_dist, pair.alt_dist)
         )
-        dens1 = np.asarray(pair.alt_dist.cdf(probes + h), dtype=float) - np.asarray(
-            pair.alt_dist.cdf(probes - h), dtype=float
-        )
-    if np.any(dens0 <= 0.0):
-        where = probes[dens0 <= 0.0][0]
+        with np.errstate(divide="ignore"):  # no density: log -inf
+            log0, log1 = np.log(np.maximum(dens0, 0.0)), np.log(np.maximum(dens1, 0.0))
+    if np.any(log0 == -np.inf):
+        where = probes[log0 == -np.inf][0]
         raise AbsoluteContinuityError(
             f"null model has no mass or density at probe point {where!r}"
         )
-    ratio = dens1 / dens0
-    drop = ratio[1:] < ratio[:-1] * (1.0 - _REL_TOL)
+    log_ratio = log1 - log0
+    drop = log_ratio[1:] < log_ratio[:-1] + math.log1p(-_REL_TOL)
     if np.any(drop):
         i = int(np.flatnonzero(drop)[0])
         return CheckResult(False, (float(probes[i]), float(probes[i + 1])))
@@ -190,7 +197,7 @@ def convexity_check(cdf_on_unit, grid_size: int) -> CheckResult:
     if grid_size < 3:
         raise ParameterError(f"grid_size must be at least 3, got {grid_size}")
     grid = np.linspace(0.0, 1.0, int(grid_size))
-    vals = np.asarray([float(cdf_on_unit(g)) for g in grid])
+    _, vals = _array_call(cdf_on_unit, grid)
     if not np.all(np.isfinite(vals)):
         raise ContractError("cdf handle returned non-finite values on the grid")
     if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:

@@ -127,7 +127,13 @@ def phi_expected(
 
 
 def phi_randomized(scores: ExtremenessVector, alpha: float) -> int:
-    """Hard decision from realized scores: 1 when max Y exceeds the threshold."""
+    """Hard decision from realized scores: 1 when max Y exceeds the threshold.
+
+    The scores live in cdf space and are compared with t itself, so where
+    t rounds to 1.0 (alpha/n below about 5.6e-17) no score exceeds it and
+    this never rejects, although ``phi_expected`` may: one Poisson(1)
+    cell at x = 19 with alpha = 5e-17 has phi = 1 there.
+    """
     t = threshold(alpha, len(scores.values))
     return int(scores.max_value > t)
 

@@ -4,6 +4,13 @@ Three cross-checks that share no code path with the functions they
 validate: a vectorized Monte Carlo harness for size and power of the
 randomized test, an exact enumeration of the p-value bounds over small
 product supports, and a one-sample Kolmogorov-Smirnov uniformity check.
+
+The harness keeps one table per discrete cell, built once per call: its
+sampling law's CDF ladder and the null brackets F(x-), F(x) at the
+ladder's points.  The enumeration works in survival space: each cell's
+brackets [1 - F(x), 1 - F(x-)] are integrated below the levels
+min 1 - F(x) and min 1 - F(x-), so it reaches bounds far below the
+double resolution near 1.
 """
 
 from __future__ import annotations
@@ -99,21 +106,36 @@ def _bracket_scores(left, right, v):
     return np.clip(left + v * (right - left), left, right)
 
 
+def _cell_table(d: NullDistribution, law: NullDistribution):
+    """A discrete law's CDF ladder and the null brackets at its points.
+
+    None when either model is continuous: such a cell has no ladder.
+    """
+    if d.continuous or law.continuous:
+        return None
+    pts, cdf = law._ladder
+    return cdf, np.asarray(d.cdf_left(pts), dtype=float), np.asarray(d.cdf(pts), dtype=float)
+
+
 def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     """Monte Carlo rejection rate of the hard-decision test.
 
     Each trial draws one panel (from the template, or with one cell's
     sampling law swapped to the alternative), computes every cell's
     extremeness index with fresh randomizers, and rejects when the
-    maximum exceeds the threshold.  Null cells search the CDF ladder
-    that their own ``skorokhod_quantile`` searches, so the chain
-    exercised here is the real one.
+    maximum exceeds the threshold.  A discrete cell searches its sampling
+    law's CDF ladder, the one that law's ``skorokhod_quantile`` searches,
+    and reads the null brackets tabulated at the ladder's points once per
+    call; any other cell draws through ``skorokhod_quantile`` and
+    evaluates the null brackets at the draws.
     """
     dists = config.panel_template
     n = len(dists)
     t = threshold(config.alpha, n)
-    ladders = [None if d.continuous else d._ladder[1] for d in dists]
-    swap = config.alternative
+    laws = list(dists)
+    if config.alternative is not None:
+        laws[config.alternative.cell_index] = config.alternative.alt_dist
+    tables = [_cell_table(d, law) for d, law in zip(dists, laws)]
 
     stream = RandomStream(config.seed)
     hits = 0
@@ -123,22 +145,16 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         u = stream.uniform_open((m, n))
         v = stream.uniform_open((m, n))
         max_score = np.zeros(m)
-        for j, d in enumerate(dists):
-            if swap is not None and j == swap.cell_index:
-                # Sample the cell from the alternative, transform by the
-                # cell's null CDF bracket.
-                x = np.asarray(swap.alt_dist.skorokhod_quantile(u[:, j]))
+        for j, (d, law, table) in enumerate(zip(dists, laws, tables)):
+            if table is None:
+                x = law.skorokhod_quantile(u[:, j])
                 left = np.asarray(d.cdf_left(x), dtype=float)
                 right = np.asarray(d.cdf(x), dtype=float)
-                scores = _bracket_scores(left, right, v[:, j])
-            elif ladders[j] is None:
-                scores = np.asarray(d.cdf(d.skorokhod_quantile(u[:, j])), dtype=float)
             else:
-                table = ladders[j]
-                k = np.minimum(np.searchsorted(table, u[:, j], side="left"), table.size - 1)
-                padded = np.concatenate([[0.0], table])
-                scores = _bracket_scores(padded[k], padded[k + 1], v[:, j])
-            np.maximum(max_score, scores, out=max_score)
+                cdf, lefts, rights = table
+                k = np.minimum(np.searchsorted(cdf, u[:, j], side="left"), cdf.size - 1)
+                left, right = lefts[k], rights[k]
+            np.maximum(max_score, _bracket_scores(left, right, v[:, j]), out=max_score)
         hits += int(np.count_nonzero(max_score > t))
         done += m
     rate = hits / config.n_trials
@@ -146,27 +162,35 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(rejection_rate=rate, std_error=se, n_trials=config.n_trials)
 
 
-def _cell_exceedance(dist: NullDistribution, y: float) -> float:
-    """P(extremeness index > y) for one null cell, by bracket integration.
+def _cell_exceedances(dist: NullDistribution, levels) -> list[float]:
+    """P(1 - index < s) for one null cell at each level s, by bracket integration.
 
-    Conditional on the count, the index is uniform on its CDF bracket, so
-    the brackets tile the unit interval with weight equal to their width;
-    the part of each bracket above y is summed exactly.
+    Conditional on the count x, 1 - index is uniform on the survival
+    bracket [sf(x), sf_left(x)], so the brackets tile the unit interval
+    with weight equal to their width; the part of each bracket below s is
+    summed exactly.  The mass past the ladder's last point covers
+    [0, sf(last)], and an integer ladder is extended until that falls
+    below every positive level, so each level is enumerated.
     """
     if dist.continuous:
-        return 1.0 - min(max(y, 0.0), 1.0)
+        return [min(max(s, 0.0), 1.0) for s in levels]
     pts = discrete_probe_points(dist)
+    floor = min((s for s in levels if s > 0.0), default=0.0)
+    # A tabulated ladder ends at sf == 0; an integer one extends by unit steps.
+    while dist.sf(pts[-1]) >= floor > 0.0:
+        pts = np.concatenate([pts, pts[-1] + np.arange(1.0, pts.size + 1.0)])
     if pts.size > _MAX_SUPPORT:
         raise SizeError(f"support of {pts.size} points is too large to enumerate")
-    right = np.asarray(dist.cdf(pts), dtype=float)
-    left = np.asarray(dist.cdf_left(pts), dtype=float)
-    below = math.fsum(np.minimum(y, right) - np.minimum(y, left))
-    above = math.fsum(np.maximum(y, right) - np.maximum(y, left))
-    tail = float(dist.sf(pts[-1]))
-    total = below + above + tail
+    sf_right = np.asarray(dist.sf(pts), dtype=float)
+    sf_left = np.asarray(dist.sf_left(pts), dtype=float)
+    tail = float(sf_right[-1])
+    total = math.fsum(sf_left - sf_right) + tail
     if abs(total - 1.0) > 1e-12:
         raise ContractError(f"bracket integration lost probability mass: total {total!r}")
-    return above + tail
+    return [
+        math.fsum(np.minimum(s, sf_left) - np.minimum(s, sf_right)) + min(s, tail)
+        for s in levels
+    ]
 
 
 def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
@@ -174,6 +198,8 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
 
     Evaluates P(max index > m) by summation over each cell's support with
     the randomizers integrated out analytically; no Monte Carlo error.
+    It compares in survival space, at the levels min sf and min sf_left,
+    so bounds far below the double resolution near 1 are enumerated too.
     """
     if len(dists) == 0 or len(dists) != len(observations):
         raise ShapeError("need matching non-empty models and observations")
@@ -183,8 +209,7 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
     sf_left = tuple(float(d.sf_left(x)) for d, x in zip(dists, observations))
     i_high = int(np.argmin(sf_right))
     i_low = int(np.argmin(sf_left))
-    y_high = max(float(d.cdf(x)) for d, x in zip(dists, observations))
-    y_low = max(float(d.cdf_left(x)) for d, x in zip(dists, observations))
+    levels = (sf_right[i_high], sf_left[i_low])
 
     def one_minus_product(exceedances):
         # P(max > y) = 1 - prod(1 - e_i); a certain cell makes it exactly 1.
@@ -192,8 +217,7 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
             return 1.0
         return -math.expm1(math.fsum(math.log1p(-e) for e in exceedances))
 
-    lower = one_minus_product([_cell_exceedance(d, y_high) for d in dists])
-    upper = one_minus_product([_cell_exceedance(d, y_low) for d in dists])
+    lower, upper = map(one_minus_product, zip(*(_cell_exceedances(d, levels) for d in dists)))
     return PValueBounds(
         lower=min(max(lower, 0.0), 1.0),
         upper=min(max(upper, 0.0), 1.0),

@@ -1,6 +1,7 @@
 """Tests for monotone model pairs and the alternative-law CDF."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,9 +194,17 @@ class TestMlrCheck:
         assert mlr_check(pair, discrete_probe_points(Poisson(3.0)))
 
     def test_far_apart_poisson_pair_on_the_ladder(self):
-        # Null masses underflow past the alternative's last moving point.
-        pair = ModelPair(Poisson(0.2), Poisson(50.0))
-        assert mlr_check(pair, discrete_probe_points(pair.alt_dist))
+        # Null masses underflow before the alternative's last moving point
+        # (Poisson(1) near 178, where Poisson(100) and Poisson(120) still
+        # carry mass); log masses keep the ratio, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for null_mean, alt_mean in ((0.2, 50.0), (1.0, 100.0), (1.0, 120.0)):
+                pair = ModelPair(Poisson(null_mean), Poisson(alt_mean))
+                assert mlr_check(pair, discrete_probe_points(pair.alt_dist))
+                assert convexity_check(lambda y: alt_extremeness_cdf(pair, y), 1001)
+                back = ModelPair(Poisson(alt_mean), Poisson(null_mean))
+                assert not mlr_check(back, discrete_probe_points(back.null_dist))
 
     def test_binomial_pairs(self):
         up = ModelPair(Binomial(10, 0.3), Binomial(10, 0.5))
@@ -227,6 +236,16 @@ class TestConvexityCheck:
     def test_linear_and_square_pass(self):
         assert convexity_check(lambda y: y, 101)
         assert convexity_check(lambda y: y * y, 101)
+
+    def test_array_handle_is_called_once(self):
+        calls = []
+
+        def square(y):
+            calls.append(np.shape(y))
+            return np.asarray(y) ** 2
+
+        assert convexity_check(square, 1001)
+        assert calls == [(1001,)]
 
     def test_sqrt_fails_near_zero(self):
         res = convexity_check(math.sqrt, 101)

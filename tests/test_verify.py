@@ -7,6 +7,7 @@ import pytest
 
 from extreme_sentinel.distributions import (
     Binomial,
+    ContinuousByCdf,
     Poisson,
     RandomStream,
     TabulatedDiscrete,
@@ -113,6 +114,48 @@ class TestSimulateSizeAndPower:
         assert abs(res.rejection_rate - theory) <= 3 * se
         assert res.rejection_rate > alpha  # domination means real power
 
+    @pytest.mark.parametrize(
+        "alternative, rate, std_error",
+        [
+            (Alternative(0, Poisson(4.0)), 0.50775, 0.00790474442186463),
+            (Alternative(1, Binomial(10, 0.7)), 0.75825, 0.006769544620947557),
+            (
+                Alternative(2, TabulatedDiscrete((0.0, 1.5, 2.0), (0.05, 0.15, 0.8))),
+                0.1175,
+                0.005091506407734355,
+            ),
+            (
+                Alternative(1, ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0)),
+                0.4695,
+                0.007890971898315188,
+            ),
+            (Alternative(3, Poisson(0.4)), 0.3865, 0.007699314092826711),
+        ],
+        ids=["poisson", "binomial", "tabulated", "continuous-law", "poisson-in-uniform"],
+    )
+    def test_swapped_cell_results_frozen(self, alternative, rate, std_error):
+        # Frozen from the harness that evaluated the null CDF at every draw
+        # of the swapped cell; the tabulated brackets must not move a bit.
+        template = (
+            Poisson(1.3),
+            Binomial(10, 0.3),
+            TabulatedDiscrete((0.0, 1.5, 2.0), (0.2, 0.3, 0.5)),
+            Uniform01(),
+        )
+        cfg = SimulationConfig(template, 0.1, 4000, 2024, alternative)
+        res = simulate_size_and_power(cfg)
+        assert (res.rejection_rate, res.std_error) == (rate, std_error)
+
+
+def assert_relative_match(exact, analytic):
+    """Relative 1e-12 where both bounds are at least 1e-300, absolute 1e-300 below."""
+    for side in ("lower", "upper"):
+        a, b = getattr(exact, side), getattr(analytic, side)
+        if min(a, b) >= 1e-300:
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0), side
+        else:
+            assert abs(a - b) <= 1e-300, side
+
 
 class TestEnumeratePValueBounds:
     def test_single_continuous_cell(self):
@@ -170,6 +213,44 @@ class TestEnumeratePValueBounds:
             assert exact.upper == pytest.approx(analytic.upper, abs=1e-10)
             assert exact.argmax_upper_cell == analytic.argmax_upper_cell
             assert exact.argmax_lower_cell == analytic.argmax_lower_cell
+
+    @pytest.mark.parametrize(
+        "dists, obs",
+        [
+            ([Poisson(1.0)], [18]),
+            ([Poisson(1.0)], [25]),
+            ([Poisson(1.0)], [30]),
+            ([Poisson(1.0), Poisson(3.0)], [30, 2]),
+        ],
+    )
+    def test_deep_tail_matches_analytic(self, dists, obs):
+        # F(x) rounds to 1.0 at all these counts; survival space still
+        # resolves bounds down to 1e-35.
+        assert_relative_match(enumerate_pvalue_bounds(dists, obs), pvalue_bounds(dists, obs))
+
+    def test_deep_tail_values(self):
+        b = enumerate_pvalue_bounds([Poisson(1.0)], [30])
+        assert b.lower == pytest.approx(4.618e-35, rel=1e-3, abs=0.0)
+        assert b.upper == pytest.approx(1.433e-33, rel=1e-3, abs=0.0)
+
+    def test_deep_tail_on_random_panels(self):
+        # One cell sits 0-39 steps past the first point where its F == 1.0.
+        rng = np.random.default_rng(515)
+        stream = RandomStream(516)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            dists = [
+                Poisson(float(rng.uniform(0.05, 6.0)))
+                if rng.integers(2)
+                else Binomial(int(rng.integers(20, 400)), float(rng.uniform(0.01, 0.2)))
+                for _ in range(n)
+            ]
+            obs = [float(d.sample(stream)) for d in dists]
+            j = int(rng.integers(n))
+            obs[j] = float(dists[j]._ladder[0][-1] + rng.integers(0, 40))
+            if isinstance(dists[j], Binomial):
+                obs[j] = min(obs[j], dists[j].trials)
+            assert_relative_match(enumerate_pvalue_bounds(dists, obs), pvalue_bounds(dists, obs))
 
     def test_size_and_shape_errors(self):
         with pytest.raises(SizeError):
