@@ -9,6 +9,10 @@ is uniform on (0, 1) whenever x is genuinely drawn from F, regardless of
 atoms, and is strictly order preserving: larger observations of the same
 model always score higher.  A panel of such scores makes non-identically
 distributed cells comparable through their common uniform scale.
+
+Panels are scored in survival space, 1 - Y = (1 - u) (1 - F(x-)) +
+u (1 - F(x)), read from the survival brackets that the p-value bounds use
+too, so a score keeps its precision where Y itself would round to 1.
 """
 
 from __future__ import annotations
@@ -26,22 +30,42 @@ __all__ = ["ExtremenessVector", "randomized_pit", "extremeness_panel"]
 
 @dataclass(frozen=True)
 class ExtremenessVector:
-    """Per-cell extremeness scores of one panel, with the randomizers used."""
+    """Per-cell survival scores 1 - Y of one panel, with the randomizers used."""
 
-    values: tuple[float, ...]
-    max_value: float
-    argmax_index: int
+    survival: tuple[float, ...]
     randomizers_used: tuple[float, ...]
 
+    @property
+    def argmax_index(self) -> int:
+        """The most extreme cell: the lowest index attaining the minimum survival score."""
+        return int(np.argmin(self.survival))
 
-def _check_panel(dists: Sequence[NullDistribution], observations: Sequence[float]) -> int:
+
+def _survival_brackets(
+    dists: Sequence[NullDistribution], observations: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each cell's 1 - F(x-) and 1 - F(x), in panel order: the one bracket pass."""
     if len(dists) == 0:
         raise ShapeError("panel must contain at least one cell")
     if len(dists) != len(observations):
         raise ShapeError(
             f"got {len(dists)} distributions but {len(observations)} observations"
         )
-    return len(dists)
+    pairs = [(float(d.sf_left(x)), float(d.sf(x))) for d, x in zip(dists, observations)]
+    sf_left, sf_right = zip(*pairs)
+    return sf_left, sf_right
+
+
+def _check_randomizers(u) -> np.ndarray:
+    ua = np.asarray(u, dtype=float)
+    if not np.all((ua > 0.0) & (ua < 1.0)):
+        raise DomainError("randomizer u must lie strictly inside (0, 1)")
+    return ua
+
+
+def _survival_scores(sf_left, sf_right, u):
+    """1 - Y = (1 - u) sf_left + u sf_right, kept inside [sf_right, sf_left]."""
+    return np.clip(sf_left + u * (sf_right - sf_left), sf_right, sf_left)
 
 
 def randomized_pit(dist: NullDistribution, x, u):
@@ -51,9 +75,7 @@ def randomized_pit(dist: NullDistribution, x, u):
     below the support floor have both limits zero and score exactly 0.
     Accepts scalars or arrays (broadcast together).
     """
-    ua = np.asarray(u, dtype=float)
-    if not np.all((ua > 0.0) & (ua < 1.0)):
-        raise DomainError("randomizer u must lie strictly inside (0, 1)")
+    ua = _check_randomizers(u)
     left = np.asarray(dist.cdf_left(x), dtype=float)
     right = np.asarray(dist.cdf(x), dtype=float)
     # Algebraically (1 - u) left + u right; this form stays inside the
@@ -69,21 +91,16 @@ def extremeness_panel(
     observations: Sequence[float],
     stream: RandomStream,
 ) -> ExtremenessVector:
-    """Score every cell of a panel and locate the most extreme one.
+    """Score every cell of a panel in survival space and locate the most extreme one.
 
     Randomizers are drawn from the stream in cell-index order, so a panel
-    run is reproducible from one seed.  Ties on the maximum go to the
-    lowest index.
+    run is reproducible from one seed.  Ties on the minimum survival score
+    go to the lowest index.
     """
-    n = _check_panel(dists, observations)
-    us = np.atleast_1d(stream.uniform_open(n))
-    values = np.array(
-        [randomized_pit(d, x, u) for d, x, u in zip(dists, observations, us)]
-    )
-    idx = int(np.argmax(values))
+    sf_left, sf_right = _survival_brackets(dists, observations)
+    us = _check_randomizers(np.atleast_1d(stream.uniform_open(len(sf_left))))
+    scores = _survival_scores(np.array(sf_left), np.array(sf_right), us)
     return ExtremenessVector(
-        values=tuple(float(v) for v in values),
-        max_value=float(values[idx]),
-        argmax_index=idx,
+        survival=tuple(float(v) for v in scores),
         randomizers_used=tuple(float(v) for v in us),
     )

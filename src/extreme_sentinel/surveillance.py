@@ -212,15 +212,16 @@ def peel_test(
         or max_rounds < 1
     ):
         raise ParameterError(f"max_rounds must be a positive integer, got {max_rounds!r}")
-    round_seeds: list[int | None] = [None] * int(max_rounds)
+    # Each round excludes one cell, so no peel outlasts the included cells;
+    # generate_state is prefix-stable, so no round's seed depends on the cap.
+    rounds = min(int(max_rounds), panel.n)
+    round_seeds: list[int | None] = [None] * rounds
     if seed is not None:
-        state = np.random.SeedSequence(seed).generate_state(int(max_rounds), dtype=np.uint64)
+        state = np.random.SeedSequence(seed).generate_state(rounds, dtype=np.uint64)
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
     working = panel
-    for r in range(int(max_rounds)):
-        if working.n == 0:
-            break
+    for r in range(rounds):
         if r and lam is None and not any(c.count for c in working.included_cells):
             break
         report = epidemic_test(working, lam=lam, alpha=alpha, seed=round_seeds[r])

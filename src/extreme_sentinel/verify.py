@@ -1,16 +1,20 @@
 """Independent oracles for the analytic modules.
 
-Three cross-checks that share no code path with the functions they
-validate: a vectorized Monte Carlo harness for size and power of the
-randomized test, an exact enumeration of the p-value bounds over small
-product supports, and a one-sample Kolmogorov-Smirnov uniformity check.
+Three cross-checks that reach their answers by other routes than the
+functions they validate: a vectorized Monte Carlo harness for size and
+power of the randomized test, an exact enumeration of the p-value bounds
+over small product supports, and a one-sample Kolmogorov-Smirnov
+uniformity check.  They share with the test only its definitions: the
+observed cells' survival brackets, the cut s = 1 - t and the clamped
+survival score.
 
-The harness keeps one table per discrete cell, built once per call: its
-sampling law's CDF ladder and the null brackets F(x-), F(x) at the
-ladder's points.  The enumeration works in survival space: each cell's
-brackets [1 - F(x), 1 - F(x-)] are integrated below the levels
-min 1 - F(x) and min 1 - F(x-), so it reaches bounds far below the
-double resolution near 1.
+The harness and the enumeration work in survival space, on the brackets [1 - F(x), 1 - F(x-)], so
+they reach levels far below the double resolution near 1.  The harness
+keeps one table per discrete cell, built once per call: its sampling
+law's CDF ladder and the null's survival brackets at the ladder's
+points; each trial compares its smallest survival score with
+s = 1 - t.  The enumeration integrates each cell's brackets below the
+levels min 1 - F(x) and min 1 - F(x-).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .errors import (
     SizeError,
 )
 from .monotone import discrete_probe_points
-from .umptest import PValueBounds, threshold
+from .pit import _survival_brackets, _survival_scores
+from .umptest import PValueBounds, _survival_cut
 
 __all__ = [
     "Alternative",
@@ -101,37 +106,33 @@ class SimulationResult:
     n_trials: int
 
 
-def _bracket_scores(left, right, v):
-    # Same guarded form as the scalar transform: stays inside the bracket.
-    return np.clip(left + v * (right - left), left, right)
-
-
 def _cell_table(d: NullDistribution, law: NullDistribution):
-    """A discrete law's CDF ladder and the null brackets at its points.
+    """A discrete law's CDF ladder and the null's survival brackets at its points.
 
     None when either model is continuous: such a cell has no ladder.
     """
     if d.continuous or law.continuous:
         return None
     pts, cdf = law._ladder
-    return cdf, np.asarray(d.cdf_left(pts), dtype=float), np.asarray(d.cdf(pts), dtype=float)
+    return cdf, np.asarray(d.sf_left(pts), dtype=float), np.asarray(d.sf(pts), dtype=float)
 
 
 def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     """Monte Carlo rejection rate of the hard-decision test.
 
     Each trial draws one panel (from the template, or with one cell's
-    sampling law swapped to the alternative), computes every cell's
-    extremeness index with fresh randomizers, and rejects when the
-    maximum exceeds the threshold.  A discrete cell searches its sampling
-    law's CDF ladder, the one that law's ``skorokhod_quantile`` searches,
-    and reads the null brackets tabulated at the ladder's points once per
-    call; any other cell draws through ``skorokhod_quantile`` and
-    evaluates the null brackets at the draws.
+    sampling law swapped to the alternative), scores every cell in
+    survival space with fresh randomizers, and rejects when the smallest
+    score 1 - Y falls below s = 1 - t.  A discrete cell searches its
+    sampling law's CDF ladder, the one that law's ``skorokhod_quantile``
+    searches, and reads the null's survival brackets tabulated at the
+    ladder's points once per call; any other cell draws through
+    ``skorokhod_quantile`` and evaluates the null's survival brackets at
+    the draws.
     """
     dists = config.panel_template
     n = len(dists)
-    t = threshold(config.alpha, n)
+    s = _survival_cut(config.alpha, n)
     laws = list(dists)
     if config.alternative is not None:
         laws[config.alternative.cell_index] = config.alternative.alt_dist
@@ -144,18 +145,18 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         m = min(_CHUNK, config.n_trials - done)
         u = stream.uniform_open((m, n))
         v = stream.uniform_open((m, n))
-        max_score = np.zeros(m)
+        min_score = np.ones(m)
         for j, (d, law, table) in enumerate(zip(dists, laws, tables)):
             if table is None:
                 x = law.skorokhod_quantile(u[:, j])
-                left = np.asarray(d.cdf_left(x), dtype=float)
-                right = np.asarray(d.cdf(x), dtype=float)
+                left = np.asarray(d.sf_left(x), dtype=float)
+                right = np.asarray(d.sf(x), dtype=float)
             else:
                 cdf, lefts, rights = table
                 k = np.minimum(np.searchsorted(cdf, u[:, j], side="left"), cdf.size - 1)
                 left, right = lefts[k], rights[k]
-            np.maximum(max_score, _bracket_scores(left, right, v[:, j]), out=max_score)
-        hits += int(np.count_nonzero(max_score > t))
+            np.minimum(min_score, _survival_scores(left, right, v[:, j]), out=min_score)
+        hits += int(np.count_nonzero(min_score < s))
         done += m
     rate = hits / config.n_trials
     se = math.sqrt(rate * (1.0 - rate) / config.n_trials)
@@ -205,8 +206,7 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
         raise ShapeError("need matching non-empty models and observations")
     if len(dists) > 4:
         raise SizeError("exact enumeration is limited to panels of at most 4 cells")
-    sf_right = tuple(float(d.sf(x)) for d, x in zip(dists, observations))
-    sf_left = tuple(float(d.sf_left(x)) for d, x in zip(dists, observations))
+    sf_left, sf_right = _survival_brackets(dists, observations)
     i_high = int(np.argmin(sf_right))
     i_low = int(np.argmin(sf_left))
     levels = (sf_right[i_high], sf_left[i_low])

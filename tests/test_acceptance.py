@@ -152,17 +152,14 @@ def test_c5_display_equivalence_monte_carlo():
             fractional_panels += 1
 
         us = stream.uniform_open((reps, n))
+        # survival scores 1 - Y = (1 - u) sf_left + u sf, clamped to the bracket
         cols = np.column_stack([
-            randomized_pit(d, np.full(reps, x), us[:, j])
+            np.clip(d.sf_left(x) + us[:, j] * (d.sf(x) - d.sf_left(x)), d.sf(x), d.sf_left(x))
             for j, (d, x) in enumerate(zip(dists, observations))
         ])
-        maxima = cols.max(axis=1)
-        argmaxes = cols.argmax(axis=1)
         hits = 0
         for r in range(reps):
-            scores = ExtremenessVector(values=tuple(cols[r]),
-                                       max_value=float(maxima[r]),
-                                       argmax_index=int(argmaxes[r]),
+            scores = ExtremenessVector(survival=tuple(cols[r]),
                                        randomizers_used=tuple(us[r]))
             hits += phi_randomized(scores, alpha)
         mc = hits / reps

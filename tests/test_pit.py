@@ -86,9 +86,9 @@ class TestExtremenessPanel:
 
         dists = [Poisson(1.0), Poisson(1.0)]
         ev = extremeness_panel(dists, [0, 0], _Scripted([0.5, 0.25]))
-        assert ev.values[0] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
-        assert ev.values[1] == pytest.approx(0.25 * math.exp(-1.0), rel=1e-14)
-        assert ev.max_value == pytest.approx(0.18394, abs=5e-6)
+        assert ev.survival[0] == pytest.approx(1.0 - 0.5 * math.exp(-1.0), rel=1e-14)
+        assert ev.survival[1] == pytest.approx(1.0 - 0.25 * math.exp(-1.0), rel=1e-14)
+        assert 1.0 - min(ev.survival) == pytest.approx(0.18394, abs=5e-6)
         assert ev.argmax_index == 0
         assert ev.randomizers_used == (0.5, 0.25)
 
@@ -99,7 +99,7 @@ class TestExtremenessPanel:
 
         dists = [Poisson(1.0)] * 3
         ev = extremeness_panel(dists, [2, 2, 2], _Constant())
-        assert ev.values[0] == ev.values[1] == ev.values[2]
+        assert ev.survival[0] == ev.survival[1] == ev.survival[2]
         assert ev.argmax_index == 0
 
     def test_deterministic_given_seed(self):

@@ -267,6 +267,28 @@ class TestPeelTest:
         assert len(reports) == 2
         assert all(r.rejected for r in reports)
 
+    def test_round_cap_is_bounded_by_the_included_cells(self, monkeypatch):
+        # A peel lasts at most panel.n rounds, so a huge cap must not draw
+        # a seed word per requested round; the seeds it draws stay the same.
+        asked = []
+
+        class SpySeedSequence(np.random.SeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                asked.append(n_words)
+                return super().generate_state(n_words, dtype)
+
+        panel = fixture_panel()
+        expected = peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5, seed=7)
+        monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+        got = peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=10**4, seed=7)
+        assert asked and max(asked) <= panel.n
+        assert got == expected
+
+        spikes = CountPanel(tuple(cell(f"R{i}", "1", 15) for i in range(3)))
+        reports = peel_test(spikes, lam=1e-6, alpha=0.05, max_rounds=10**4, seed=7)
+        assert [r.rejected for r in reports] == [True, True, True]
+        assert max(asked) <= panel.n
+
     def test_round_seeds_are_replayable(self):
         # A panel that stays on the randomized branch: coin flips per round.
         panel = CountPanel(tuple(cell(f"R{i}", "1", 0, pop=10_000.0) for i in range(3)))

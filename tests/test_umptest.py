@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from extreme_sentinel.distributions import Binomial, Poisson, RandomStream, Uniform01
+from extreme_sentinel.distributions import (
+    Binomial,
+    Poisson,
+    RandomStream,
+    TabulatedDiscrete,
+    Uniform01,
+)
 from extreme_sentinel.errors import ContractError, DomainError, ShapeError
 from extreme_sentinel.pit import extremeness_panel
 from extreme_sentinel.umptest import (
@@ -35,7 +41,7 @@ class TestThreshold:
         for alpha in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 threshold(alpha, 5)
-        for n in (0, -3, 2.5):
+        for n in (0, -3, 2.5, True):
             with pytest.raises(DomainError):
                 threshold(0.05, n)
 
@@ -185,6 +191,37 @@ class TestPValueBounds:
             pvalue_bounds([], [])
 
 
+def _deep_tail_panel(rng):
+    """1-5 mixed cells, alpha log-uniform in [1e-300, 0.5], and counts from one
+    support point below to two above each null's survival-s point, the first
+    support point x with sf(x) < s."""
+    n = int(rng.integers(1, 6))
+    alpha = float(np.exp(rng.uniform(math.log(1e-300), math.log(0.5))))
+    s = -math.expm1(math.log1p(-alpha) / n)
+    dists, counts = [], []
+    for _ in range(n):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            d = Poisson(float(rng.uniform(0.05, 20.0)))
+            support = np.arange(0.0, 4000.0)
+        elif kind == 1:
+            d = Binomial(int(rng.integers(1, 60)), float(rng.uniform(0.05, 0.95)))
+            support = np.arange(0.0, d.trials + 1.0)
+        else:
+            size = int(rng.integers(2, 7))
+            masses = rng.dirichlet(np.ones(size))
+            d = TabulatedDiscrete(
+                tuple(float(v) for v in np.cumsum(rng.uniform(0.5, 1.5, size))),
+                tuple(float(m) for m in masses),
+            )
+            support = np.asarray(d.support)
+        point = int(np.argmax(np.asarray(d.sf(support)) < s))
+        k = point + int(rng.integers(-1, 3))
+        dists.append(d)
+        counts.append(float(support[min(max(k, 0), support.size - 1)]))
+    return dists, counts, alpha
+
+
 class TestPhiRandomized:
     def test_threshold_comparison(self):
         stream = RandomStream(3)
@@ -192,6 +229,32 @@ class TestPhiRandomized:
         assert phi_randomized(scores, 0.05) == 1
         scores = extremeness_panel([Poisson(4.0)], [3], stream)
         assert phi_randomized(scores, 0.05) == 0
+
+    def test_agrees_with_the_case_split_in_the_deep_tail(self):
+        # Where the split is deterministic, every randomization must agree,
+        # also where t = (1 - alpha)^(1/n) rounds to 1.
+        rng = np.random.default_rng(2006)
+        seen = {"reject": 0, "accept": 0, "rounded": 0}
+        for _ in range(300):
+            dists, counts, alpha = _deep_tail_panel(rng)
+            dec = phi_expected(dists, counts, alpha)
+            if dec.branch == "randomized":
+                continue
+            want = int(dec.branch == "reject")
+            for seed in range(20):
+                got = phi_randomized(extremeness_panel(dists, counts, RandomStream(seed)), alpha)
+                assert got == want, (dists, counts, alpha, seed)
+            seen[dec.branch] += 1
+            seen["rounded"] += int(want and dec.threshold == 1.0)
+        assert seen["reject"] >= 80 and seen["accept"] >= 15 and seen["rounded"] >= 60, seen
+
+    def test_rejects_where_t_rounds_to_one(self):
+        # One Poisson(1) cell at 19: both bounds below 3.2e-18 < alpha = 5e-17.
+        dists, counts, alpha = [Poisson(1.0)], [19], 5e-17
+        assert threshold(alpha, 1) == 1.0
+        assert phi_expected(dists, counts, alpha).branch == "reject"
+        for seed in range(50):
+            assert phi_randomized(extremeness_panel(dists, counts, RandomStream(seed)), alpha) == 1
 
 
 class TestPowerSingleAlternative:

@@ -146,6 +146,17 @@ class TestSimulateSizeAndPower:
         res = simulate_size_and_power(cfg)
         assert (res.rejection_rate, res.std_error) == (rate, std_error)
 
+    @pytest.mark.parametrize("alpha", [5e-17, 1e-200])
+    def test_far_swap_rejects_where_t_rounds_to_one(self, alpha):
+        # Every Poisson(1e4) draw has null survival brackets of 0, below any s.
+        swap = Alternative(0, Poisson(1e4))
+        cfg = SimulationConfig((Poisson(1.0),), alpha, 1000, 17, swap)
+        assert simulate_size_and_power(cfg).rejection_rate == 1.0
+
+    def test_null_never_rejects_at_tiny_alpha(self):
+        cfg = SimulationConfig((Poisson(1.0),), 1e-200, 1000, 17)
+        assert simulate_size_and_power(cfg).rejection_rate == 0.0
+
 
 def assert_relative_match(exact, analytic):
     """Relative 1e-12 where both bounds are at least 1e-300, absolute 1e-300 below."""
