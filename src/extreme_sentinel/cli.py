@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -223,6 +224,26 @@ def _text_report(payload: dict) -> str:
     )
 
 
+def _text_rounds(payload: dict) -> str:
+    return "\n\n".join(
+        f"round {i}:\n{_text_report(p)}" for i, p in enumerate(payload["rounds"], start=1)
+    )
+
+
+def _text_simulation(payload: dict) -> str:
+    return (
+        f"n={payload['n']} cells  alpha={payload['alpha']}  lambda={payload['lambda']}\n"
+        f"trials={payload['trials']}  rejection rate={payload['rejection_rate']}"
+        f"  std error={payload['std_error']}\n"
+        f"seed={payload['seed']}"
+    )
+
+
+def _emit(config: RunConfig, payload: dict, text: Callable[[dict], str]) -> None:
+    """Print the payload as indented JSON or through its text renderer."""
+    print(json.dumps(payload, indent=2) if config.output_format == "json" else text(payload))
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured invocation; returns the exit status."""
     try:
@@ -231,11 +252,7 @@ def run(config: RunConfig) -> int:
             report = epidemic_test(
                 panel, lam=config.lam, alpha=config.alpha, seed=config.seed
             )
-            payload = _report_payload(report)
-            if config.output_format == "json":
-                print(json.dumps(payload, indent=2))
-            else:
-                print(_text_report(payload))
+            _emit(config, _report_payload(report), _text_report)
             return 2 if report.rejected is True else 0
         if config.mode == "peel":
             reports = peel_test(
@@ -245,15 +262,7 @@ def run(config: RunConfig) -> int:
                 max_rounds=config.max_rounds,
                 seed=config.seed,
             )
-            payload = {"rounds": [_report_payload(r) for r in reports]}
-            if config.output_format == "json":
-                print(json.dumps(payload, indent=2))
-            else:
-                blocks = [
-                    f"round {i}:\n{_text_report(p)}"
-                    for i, p in enumerate(payload["rounds"], start=1)
-                ]
-                print("\n\n".join(blocks))
+            _emit(config, {"rounds": [_report_payload(r) for r in reports]}, _text_rounds)
             return 2 if (reports and reports[0].rejected is True) else 0
         # simulate-null
         if config.seed is None:
@@ -279,15 +288,7 @@ def run(config: RunConfig) -> int:
             "std_error": result.std_error,
             "seed": config.seed,
         }
-        if config.output_format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"n={payload['n']} cells  alpha={payload['alpha']}  lambda={payload['lambda']}\n"
-                f"trials={payload['trials']}  rejection rate={payload['rejection_rate']}"
-                f"  std error={payload['std_error']}\n"
-                f"seed={payload['seed']}"
-            )
+        _emit(config, payload, _text_simulation)
         return 0
     except (ExtremeSentinelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -243,7 +243,11 @@ class Binomial(_IntegerSupport):
     success_prob: float
 
     def __post_init__(self):
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 0):
+        if (
+            isinstance(self.trials, bool)
+            or not isinstance(self.trials, (int, np.integer))
+            or self.trials < 0
+        ):
             raise ParameterError(f"trials must be a non-negative integer, got {self.trials!r}")
         if not (np.isfinite(self.success_prob) and 0.0 <= self.success_prob <= 1.0):
             raise ParameterError(f"success_prob must lie in [0, 1], got {self.success_prob!r}")

@@ -5,7 +5,8 @@ with the population at risk.  Under the null hypothesis every included
 cell is Poisson with mean lambda * population; the test asks whether a
 single cell was generated by a dominating alternative instead.  The
 peel analysis repeats the test with the flagged cell removed until
-nothing more stands out.
+nothing more stands out; its state is the kept cells and their survival
+brackets, so a round at an unchanged rate only drops one cell.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import Poisson, RandomStream
 from .errors import DataError, ParameterError
-from .umptest import PValueBounds, TestDecision, pvalue_bounds
+from .umptest import PValueBounds, TestDecision, _bounds, pvalue_bounds
 
 __all__ = [
     "PanelCell",
@@ -127,7 +129,11 @@ def estimate_lambda(panel: CountPanel) -> float:
     All-zero panels have a pooled rate of zero, which cannot parametrize
     a Poisson null; callers must pass an explicit rate in that case.
     """
-    cells = panel.included_cells
+    return _pooled_rate(panel.included_cells)
+
+
+def _pooled_rate(cells: Sequence[PanelCell]) -> float:
+    """Total count over total population of the given included cells."""
     if not cells:
         raise DataError("panel has no included cells")
     total_count = sum(c.count for c in cells)
@@ -141,9 +147,45 @@ def estimate_lambda(panel: CountPanel) -> float:
 
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
     """One Poisson(lambda * population) per included cell, in panel order."""
+    return _poisson_nulls(panel.included_cells, lam)
+
+
+def _poisson_nulls(cells: Sequence[PanelCell], lam: float) -> list[Poisson]:
+    """One Poisson(lambda * population) per given cell, after checking the rate."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise ParameterError(f"rate must be finite and positive, got {lam!r}")
-    return [Poisson(lam * c.population) for c in panel.included_cells]
+    return [Poisson(lam * c.population) for c in cells]
+
+
+def _round_report(
+    cells: Sequence[PanelCell],
+    bounds: PValueBounds,
+    lam: float,
+    alpha: float,
+    seed: int | None,
+) -> EpidemicReport:
+    """Decide one test from its cells' bounds; a seeded coin resolves a randomized branch."""
+    decision = bounds.decide(alpha)
+    if decision.branch == "reject":
+        rejected: bool | None = True
+    elif decision.branch == "accept":
+        rejected = False
+    elif seed is not None:
+        coin = RandomStream(seed).uniform_open()
+        rejected = bool(coin < decision.rejection_probability)
+    else:
+        rejected = None
+    flagged = cells[bounds.argmax_upper_cell]
+    return EpidemicReport(
+        bounds=bounds,
+        decision=decision,
+        flagged_cell=(flagged.region_id, flagged.period_id),
+        lambda_used=lam,
+        alpha=alpha,
+        n=bounds.n,
+        seed=seed,
+        rejected=rejected,
+    )
 
 
 def epidemic_test(
@@ -161,30 +203,8 @@ def epidemic_test(
     """
     lam_used = float(lam) if lam is not None else estimate_lambda(panel)
     cells = panel.included_cells
-    dists = null_distributions(panel, lam_used)
-    obs = [c.count for c in cells]
-    bounds = pvalue_bounds(dists, obs)
-    decision = bounds.decide(alpha)
-    flagged = cells[bounds.argmax_upper_cell]
-    if decision.branch == "reject":
-        rejected: bool | None = True
-    elif decision.branch == "accept":
-        rejected = False
-    elif seed is not None:
-        coin = RandomStream(seed).uniform_open()
-        rejected = bool(coin < decision.rejection_probability)
-    else:
-        rejected = None
-    return EpidemicReport(
-        bounds=bounds,
-        decision=decision,
-        flagged_cell=(flagged.region_id, flagged.period_id),
-        lambda_used=lam_used,
-        alpha=alpha,
-        n=panel.n,
-        seed=seed,
-        rejected=rejected,
-    )
+    bounds = pvalue_bounds(null_distributions(panel, lam_used), [c.count for c in cells])
+    return _round_report(cells, bounds, lam_used, alpha, seed)
 
 
 def peel_test(
@@ -195,13 +215,23 @@ def peel_test(
     max_rounds: int = 5,
     seed: int | None = None,
 ) -> list[EpidemicReport]:
-    """Test, exclude the flagged cell on rejection, repeat.
+    """Test, set the flagged cell aside on rejection, repeat.
 
     Stops at the first round that does not produce a hard rejection, or
     after max_rounds, or when no included cells remain.  When ``lam`` is
     absent the rate is re-estimated from the surviving cells each round,
     and the peel ends once those cells all count zero: there is no rate
     to estimate, and no cell of an all-zero panel can stand out.
+
+    A cell's survival bracket depends only on its count and on the rate
+    times its population, so the brackets are computed only in a round
+    whose rate differs from the one they were computed at: at a fixed
+    rate the panel is scored once, and later rounds drop the flagged
+    cell from the kept brackets.  A pooled rate moves as cells leave, so
+    each such round scores the surviving cells again.  Round r reports
+    exactly what ``epidemic_test`` reports on the panel with rounds
+    1..r-1's flagged cells removed by ``CountPanel.excluding``.
+
     Per-round coin seeds are derived from ``seed`` by seed splitting, and
     each report carries its own derived seed so the round can be replayed
     in isolation.
@@ -220,15 +250,27 @@ def peel_test(
         state = np.random.SeedSequence(seed).generate_state(rounds, dtype=np.uint64)
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
-    working = panel
-    for r in range(rounds):
-        if r and lam is None and not any(c.count for c in working.included_cells):
-            break
-        report = epidemic_test(working, lam=lam, alpha=alpha, seed=round_seeds[r])
+    cells = list(panel.included_cells)
+    scored_at: float | None = None
+    for r, round_seed in enumerate(round_seeds):
+        if r:  # the previous round rejected: set its flagged cell aside
+            flagged = bounds.argmax_upper_cell
+            del cells[flagged]
+            if lam is None and not any(c.count for c in cells):
+                break
+        rate = float(lam) if lam is not None else _pooled_rate(cells)
+        if rate == scored_at:
+            bounds = _bounds(
+                bounds.sf_left[:flagged] + bounds.sf_left[flagged + 1 :],
+                bounds.sf_right[:flagged] + bounds.sf_right[flagged + 1 :],
+            )
+        else:
+            bounds = pvalue_bounds(_poisson_nulls(cells, rate), [c.count for c in cells])
+            scored_at = rate
+        report = _round_report(cells, bounds, rate, alpha, round_seed)
         reports.append(report)
         if report.rejected is not True:
             break
-        working = working.excluding(*report.flagged_cell)
     return reports
 
 

@@ -112,18 +112,19 @@ class PValueBounds:
         with the bounds even where t rounds to 1.  With R the set of cells
         where sf_right < s < sf_left:
 
-          * min sf_left < s: every randomization rejects (phi = 1);
+          * some cell has sf_right < s and sf_left <= s: every randomization
+            rejects (phi = 1), since that cell's survival score lies below s
+            for every randomizer in (0, 1);
           * otherwise, R empty: no randomization rejects (phi = 0), including
-            the measure-zero boundary min sf_left = s;
+            a zero-width bracket at sf_left = sf_right = s;
           * otherwise phi = 1 - prod_{j in R} (sf_left_j - s) / (sf_left_j - sf_right_j).
         """
         n = self.n
         t = threshold(alpha, n)
         s = _survival_cut(alpha, n)
         sf_left, sf_right = np.array(self.sf_left), np.array(self.sf_right)
-        sf_min = float(np.min(sf_left))
-        m_stat = 1.0 - sf_min
-        if sf_min < s:
+        m_stat = 1.0 - float(np.min(sf_left))
+        if np.any((sf_right < s) & (sf_left <= s)):
             return TestDecision(1.0, t, s, "reject", (), m_stat, alpha, n)
         straddle = np.where((sf_right < s) & (s < sf_left))[0]
         if straddle.size == 0:
@@ -163,7 +164,11 @@ def pvalue_bounds(
     around five significant digits even when the maxima sit within 1e-6
     of 1 (routine for extreme counts).
     """
-    sf_left, sf_right = _survival_brackets(dists, observations)
+    return _bounds(*_survival_brackets(dists, observations))
+
+
+def _bounds(sf_left: tuple[float, ...], sf_right: tuple[float, ...]) -> PValueBounds:
+    """``PValueBounds`` of cells whose survival brackets are already known."""
     n = len(sf_left)
     i_high = int(np.argmin(sf_right))  # max cdf, ties to lowest index
     i_low = int(np.argmin(sf_left))

@@ -93,8 +93,14 @@ class SimulationConfig:
             raise ParameterError(f"seed is mandatory and must be an integer, got {self.seed!r}")
         if self.alternative is not None:
             idx = self.alternative.cell_index
-            if not (isinstance(idx, (int, np.integer)) and 0 <= idx < len(self.panel_template)):
-                raise ParameterError(f"alternative cell index {idx!r} outside the panel")
+            if (
+                isinstance(idx, bool)
+                or not isinstance(idx, (int, np.integer))
+                or not 0 <= idx < len(self.panel_template)
+            ):
+                raise ParameterError(
+                    f"alternative cell index must be an integer inside the panel, got {idx!r}"
+                )
             if not isinstance(self.alternative.alt_dist, NullDistribution):
                 raise ParameterError("alternative model must be a NullDistribution")
 

@@ -154,6 +154,8 @@ class TestBinomial:
             Binomial(3, 1.5)
         with pytest.raises(ParameterError):
             Binomial(3.5, 0.5)
+        with pytest.raises(ParameterError):
+            Binomial(True, 0.5)
 
 
 class TestTabulatedDiscrete:

@@ -29,6 +29,46 @@ def fixture_panel():
     return ingest(listeriosis_fixture_path())
 
 
+def spiked_panel(rng):
+    """A small random panel with a few planted spikes, and a rate near its own."""
+    n = int(rng.integers(1, 16))
+    pops = np.rint(rng.lognormal(np.log(1e6), 0.7, n))
+    rate = float(rng.choice([1e-7, 1e-6, 5e-6]))
+    counts = rng.poisson(rate * pops)
+    for j in rng.choice(n, int(rng.integers(0, min(n, 3) + 1)), replace=False):
+        counts[j] += int(rng.integers(3, 25))
+    excluded = rng.random(n) < 0.1
+    return (
+        CountPanel(
+            tuple(
+                cell(f"R{i}", "1", int(c), float(p), included=not bool(x))
+                for i, (c, p, x) in enumerate(zip(counts, pops, excluded))
+            )
+        ),
+        rate,
+    )
+
+
+def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
+    """The peel as rounds of epidemic_test on the panel shrunk by excluding.
+
+    Round r equals epidemic_test, at that round's seed, on the panel with
+    rounds 1..r-1's flagged cells excluded; only the last round may fail
+    to reject hard, and a rejecting last round needs a reason to stop.
+    """
+    if not reports:  # nothing to test in a panel without included cells
+        assert panel.n == 0
+        return
+    working = panel
+    for r in reports:
+        assert epidemic_test(working, lam=lam, alpha=alpha, seed=r.seed) == r
+        working = working.excluding(*r.flagged_cell)
+    assert all(r.rejected is True for r in reports[:-1])
+    if reports[-1].rejected is True and len(reports) < max_rounds:
+        left = working.included_cells
+        assert not left or (lam is None and not any(c.count for c in left))
+
+
 class TestCountPanel:
     def test_uniqueness_enforced(self):
         with pytest.raises(DataError):
@@ -206,9 +246,34 @@ class TestOneBracketPass:
         assert len(sf_left_calls) == panel.n
 
     def test_fixed_rate_peel(self, sf_left_calls):
-        reports = peel_test(fixture_panel(), lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
+        # At a fixed rate the brackets never change: the panel is scored once.
+        panel = fixture_panel()
+        reports = peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
+        assert len(reports) == 2
+        assert len(sf_left_calls) == panel.n
+
+    def test_pooled_rate_peel(self, sf_left_calls):
+        # A pooled rate moves as cells leave, so each round scores its cells again.
+        reports = peel_test(fixture_panel(), alpha=0.01, max_rounds=5)
         assert len(reports) == 2
         assert len(sf_left_calls) == sum(r.n for r in reports)
+
+    def test_peel_builds_no_panel_and_no_model_after_round_one(self, monkeypatch):
+        built = {"CountPanel": 0, "Poisson": 0}
+        for cls in (CountPanel, Poisson):
+
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        panel = fixture_panel()
+        built.update(CountPanel=0, Poisson=0)
+        assert len(peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)) == 2
+        assert built == {"CountPanel": 0, "Poisson": panel.n}
+        built.update(CountPanel=0, Poisson=0)
+        reports = peel_test(panel, alpha=0.01, max_rounds=5)
+        assert built == {"CountPanel": 0, "Poisson": sum(r.n for r in reports)}
 
 
 class TestPeelTest:
@@ -293,15 +358,36 @@ class TestPeelTest:
         # A panel that stays on the randomized branch: coin flips per round.
         panel = CountPanel(tuple(cell(f"R{i}", "1", 0, pop=10_000.0) for i in range(3)))
         reports = peel_test(panel, lam=1e-6, alpha=0.5, max_rounds=3, seed=909)
-        for r in reports:
-            assert r.seed is not None
-            replay = epidemic_test(
-                CountPanel(tuple(c for c in panel.cells)), lam=1e-6, alpha=0.5, seed=r.seed
-            )
-            # Same working panel only for round 1; at least the seed plumbing
-            # must make round 1 reproducible in isolation.
-            if r is reports[0]:
-                assert replay == r
+        assert all(r.seed is not None for r in reports)
+        assert_rounds_replay(panel, reports, lam=1e-6, alpha=0.5, max_rounds=3)
+
+    @pytest.mark.parametrize("lam", [PUBLISHED_RATE, None])
+    def test_fixture_rounds_replay(self, lam):
+        panel = fixture_panel()
+        for alpha, seed in ((0.01, 7), (0.3, 7), (0.3, None)):
+            reports = peel_test(panel, lam=lam, alpha=alpha, max_rounds=6, seed=seed)
+            assert len(reports) >= 2
+            assert_rounds_replay(panel, reports, lam=lam, alpha=alpha, max_rounds=6)
+
+    def test_spiked_panels_replay(self):
+        rng = np.random.default_rng(7070)
+        multi_round = 0
+        for _ in range(300):
+            panel, rate = spiked_panel(rng)
+            alpha = float(rng.choice([1e-3, 0.01, 0.05, 0.3, 0.7]))
+            max_rounds = int(rng.integers(1, 8))
+            for lam in (rate, None):
+                for seed in (int(rng.integers(2**31)), None):
+                    try:
+                        reports = peel_test(
+                            panel, lam=lam, alpha=alpha, max_rounds=max_rounds, seed=seed
+                        )
+                    except DataError:
+                        assert lam is None and not any(c.count for c in panel.included_cells)
+                        continue
+                    assert_rounds_replay(panel, reports, lam=lam, alpha=alpha, max_rounds=max_rounds)
+                    multi_round += len(reports) > 1
+        assert multi_round >= 300, multi_round
 
     def test_max_rounds_validation(self):
         panel = CountPanel((cell("A", "1", 1),))

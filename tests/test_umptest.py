@@ -19,6 +19,7 @@ from extreme_sentinel.umptest import (
     phi_expected,
     phi_randomized,
     power_single_alternative,
+    _survival_cut,
     pvalue_bounds,
     threshold,
 )
@@ -255,6 +256,33 @@ class TestPhiRandomized:
         assert phi_expected(dists, counts, alpha).branch == "reject"
         for seed in range(50):
             assert phi_randomized(extremeness_panel(dists, counts, RandomStream(seed)), alpha) == 1
+
+    def test_rejects_where_the_smallest_sf_left_equals_s(self):
+        # One Poisson(0.5) cell at 1 with alpha = sf_left(1): s equals sf_left
+        # exactly, and the bracket lies below s but for that one endpoint.
+        dists, counts, alpha = [Poisson(0.5)], [1], 0.3934693402873665
+        assert _survival_cut(alpha, 1) == dists[0].sf_left(1) == alpha
+        dec = phi_expected(dists, counts, alpha)
+        assert dec.branch == "reject" and dec.rejection_probability == 1.0
+        for seed in range(20):
+            assert phi_randomized(extremeness_panel(dists, counts, RandomStream(seed)), alpha) == 1
+
+    def test_ties_at_s_reject_on_every_randomization(self):
+        # Every (mean, count) pair of the sweep whose sf_left survives the
+        # round trip alpha -> s unchanged is a tie at s.
+        ties = 0
+        for mean in np.arange(0.5, 3.01, 0.25):
+            for x in range(1, 8):
+                dists, counts = [Poisson(float(mean))], [x]
+                alpha = float(dists[0].sf_left(x))
+                if _survival_cut(alpha, 1) != alpha:
+                    continue
+                ties += 1
+                assert phi_expected(dists, counts, alpha).branch == "reject", (mean, x)
+                for seed in range(20):
+                    scores = extremeness_panel(dists, counts, RandomStream(seed))
+                    assert phi_randomized(scores, alpha) == 1, (mean, x, seed)
+        assert ties == 73
 
 
 class TestPowerSingleAlternative:

@@ -50,6 +50,14 @@ class TestSimulationConfig:
                 seed=1,
                 alternative=Alternative(5, Poisson(2.0)),
             )
+        with pytest.raises(ParameterError):
+            SimulationConfig(
+                panel_template=(Poisson(1.0), Poisson(2.0)),
+                alpha=0.05,
+                n_trials=1000,
+                seed=1,
+                alternative=Alternative(True, Poisson(4.0)),
+            )
 
 
 class TestSimulateSizeAndPower:
