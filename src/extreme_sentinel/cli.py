@@ -25,6 +25,8 @@ from .errors import (
     ExtremeSentinelError,
     PanelFormatError,
     ParameterError,
+    _integer,
+    _real,
 )
 from .surveillance import (
     CountPanel,
@@ -63,16 +65,13 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ParameterError(f"lambda must be positive, got {self.lam!r}")
-        if self.max_rounds < 1:
-            raise ParameterError(f"max-rounds must be at least 1, got {self.max_rounds}")
+        _real(self.alpha, "alpha", 0.0, 1.0)
+        if self.lam is not None:
+            _real(self.lam, "lambda", 0.0)
+        _integer(self.max_rounds, "max-rounds", 1)
         if self.output_format not in ("text", "json"):
             raise ParameterError(f"format must be text or json, got {self.output_format!r}")
-        if self.trials < 1000:
-            raise ParameterError(f"trials must be at least 1000, got {self.trials}")
+        _integer(self.trials, "trials", 1000)
 
 
 def _ascii_number(text: str, kind: type):

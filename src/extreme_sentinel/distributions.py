@@ -27,7 +27,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _integer, _real, _seed
 
 __all__ = [
     "RandomStream",
@@ -45,17 +45,14 @@ class RandomStream:
     Wraps a 64-bit-seeded PCG64 generator.  A stream has a single owner:
     share the stream object itself, never the underlying generator, and use
     :meth:`spawn` to derive independent child streams for parallel work
-    instead of reusing one seed.
+    instead of reusing one seed.  The seed is a non-negative integer;
+    ``spawn`` passes each child its ``SeedSequence`` instead.
     """
 
-    def __init__(self, seed: int | tuple | np.random.SeedSequence):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            try:
-                self._seq = np.random.SeedSequence(seed)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"invalid seed: {seed!r}") from exc
+    def __init__(self, seed: int | np.random.SeedSequence):
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(_seed(seed))
+        self._seq = seed
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniform_open(self, size: int | tuple | None = None):
@@ -74,7 +71,8 @@ class RandomStream:
 
     def spawn(self, n: int) -> list["RandomStream"]:
         """Derive n independent child streams (seed splitting)."""
-        return [RandomStream(child) for child in self._seq.spawn(n)]
+        children = self._seq.spawn(_integer(n, "number of child streams", 0))
+        return [RandomStream(child) for child in children]
 
 
 def _ret(x, values):
@@ -166,6 +164,21 @@ class _Discrete(NullDistribution):
         return _ret(omega, pts[idx])
 
 
+class _Continuous(NullDistribution):
+    """Shared plumbing for continuous models: no atoms, so F(x-) = F(x)."""
+
+    continuous: ClassVar[bool] = True
+
+    def cdf_left(self, x):
+        return self.cdf(x)
+
+    def sf_left(self, x):
+        return self.sf(x)
+
+    def mass(self, x):
+        return _ret(x, np.zeros_like(_check_finite(x)))
+
+
 def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = math.inf):
     """Ladder on the integers [lo, hi] with F(lo - 1) == 0 and F(hi) == 1.0.
 
@@ -207,8 +220,7 @@ class Poisson(_IntegerSupport):
     mean: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and self.mean > 0.0):
-            raise ParameterError(f"Poisson mean must be finite and positive, got {self.mean!r}")
+        _real(self.mean, "Poisson mean", 0.0)
 
     def cdf(self, x):
         k = np.floor(_check_finite(x))
@@ -243,14 +255,8 @@ class Binomial(_IntegerSupport):
     success_prob: float
 
     def __post_init__(self):
-        if (
-            isinstance(self.trials, bool)
-            or not isinstance(self.trials, (int, np.integer))
-            or self.trials < 0
-        ):
-            raise ParameterError(f"trials must be a non-negative integer, got {self.trials!r}")
-        if not (np.isfinite(self.success_prob) and 0.0 <= self.success_prob <= 1.0):
-            raise ParameterError(f"success_prob must lie in [0, 1], got {self.success_prob!r}")
+        _integer(self.trials, "trials", 0)
+        _real(self.success_prob, "success_prob", 0.0, 1.0, closed=True)
 
     def cdf(self, x):
         k = np.floor(_check_finite(x))
@@ -274,25 +280,14 @@ class Binomial(_IntegerSupport):
 
 
 @dataclass(frozen=True)
-class Uniform01(NullDistribution):
+class Uniform01(_Continuous):
     """Standard uniform model on [0, 1]."""
-
-    continuous: ClassVar[bool] = True
 
     def cdf(self, x):
         return _ret(x, np.clip(_check_finite(x), 0.0, 1.0))
 
     def sf(self, x):
         return _ret(x, 1.0 - np.clip(_check_finite(x), 0.0, 1.0))
-
-    def cdf_left(self, x):
-        return self.cdf(x)
-
-    def sf_left(self, x):
-        return self.sf(x)
-
-    def mass(self, x):
-        return _ret(x, np.zeros_like(_check_finite(x)))
 
     def skorokhod_quantile(self, omega):
         om = _check_open_unit(omega)
@@ -356,7 +351,7 @@ class TabulatedDiscrete(_Discrete):
 
 
 @dataclass(frozen=True)
-class ContinuousByCdf(NullDistribution):
+class ContinuousByCdf(_Continuous):
     """Continuous model defined by a CDF callable on [lower, upper].
 
     The callable must be a genuine CDF reaching 0 at ``lower`` and 1 at
@@ -367,13 +362,10 @@ class ContinuousByCdf(NullDistribution):
     lower: float = 0.0
     upper: float = 1.0
 
-    continuous: ClassVar[bool] = True
-
     _PROBE_POINTS = 257
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower < self.upper):
-            raise ParameterError("need finite lower < upper")
+        _real(self.upper, "upper", _real(self.lower, "lower"))
         xs = np.linspace(self.lower, self.upper, self._PROBE_POINTS)
         fn, vals = _array_call(self.cdf_fn, xs)
         object.__setattr__(self, "_fn", fn)
@@ -390,15 +382,6 @@ class ContinuousByCdf(NullDistribution):
 
     def sf(self, x):
         return _ret(x, 1.0 - np.asarray(self.cdf(x)))
-
-    def cdf_left(self, x):
-        return self.cdf(x)
-
-    def sf_left(self, x):
-        return self.sf(x)
-
-    def mass(self, x):
-        return _ret(x, np.zeros_like(_check_finite(x)))
 
     def skorokhod_quantile(self, omega):
         om = _check_open_unit(omega)

@@ -1,8 +1,23 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its parameter checks.
 
 Everything inherits from ExtremeSentinelError so callers (and the CLI) can
-catch package failures with one handler.
+catch package failures with one handler.  Every public entry point checks
+its scalar parameters with one rule per kind, so a bad argument raises
+the site's package error, never a raw TypeError or ValueError:
+
+* an integer is an ``int`` or numpy integer, not a bool, in [lo, hi);
+* a real is a finite Python or numpy int or float, not a bool, inside a
+  given interval;
+* a seed is a non-negative integer, which is what numpy's SeedSequence
+  accepts.
 """
+
+import math
+
+import numpy as np
+
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 class ExtremeSentinelError(Exception):
@@ -39,3 +54,32 @@ class SizeError(ExtremeSentinelError):
 
 class PanelFormatError(ExtremeSentinelError):
     """Malformed panel CSV input."""
+
+
+def _integer(value, what: str, lo: int, hi: float = math.inf, error=ParameterError) -> int:
+    """``int(value)`` for a non-bool integer in [lo, hi); raises ``error`` otherwise."""
+    if isinstance(value, _INTEGERS) and not isinstance(value, bool) and lo <= value < hi:
+        return int(value)
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi})"
+    raise error(f"{what} must be an integer {span}, got {value!r}")
+
+
+def _real(
+    value,
+    what: str,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    closed: bool = False,
+    error=ParameterError,
+) -> float:
+    """``float(value)`` for a finite non-bool real inside (lo, hi), or [lo, hi] when closed."""
+    if isinstance(value, _REALS) and not isinstance(value, bool) and math.isfinite(value):
+        if (lo <= value <= hi) if closed else (lo < value < hi):
+            return float(value)
+    span = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+    raise error(f"{what} must be a finite real number in {span}, got {value!r}")
+
+
+def _seed(value) -> int:
+    """``int(value)`` for a seed: a non-negative integer."""
+    return _integer(value, "seed", 0)

@@ -21,6 +21,7 @@ from .errors import (
     ContractError,
     DomainError,
     ParameterError,
+    _integer,
 )
 
 __all__ = [
@@ -192,11 +193,7 @@ def convexity_check(cdf_on_unit, grid_size: int) -> CheckResult:
     The midpoint test is robust to piecewise-linear shapes, where second
     differences sit exactly on the tolerance edge at every breakpoint.
     """
-    if not (isinstance(grid_size, (int, np.integer)) and not isinstance(grid_size, bool)):
-        raise ParameterError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 3:
-        raise ParameterError(f"grid_size must be at least 3, got {grid_size}")
-    grid = np.linspace(0.0, 1.0, int(grid_size))
+    grid = np.linspace(0.0, 1.0, _integer(grid_size, "grid_size", 3))
     _, vals = _array_call(cdf_on_unit, grid)
     if not np.all(np.isfinite(vals)):
         raise ContractError("cdf handle returned non-finite values on the grid")

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Poisson, RandomStream
-from .errors import DataError, ParameterError
+from .errors import DataError, _integer, _real, _seed
 from .umptest import PValueBounds, TestDecision, _bounds, pvalue_bounds
 
 __all__ = [
@@ -66,21 +66,12 @@ class CountPanel:
             if key in seen:
                 raise DataError(f"duplicate cell key {key!r}")
             seen.add(key)
-            if (
-                isinstance(cell.count, bool)
-                or not isinstance(cell.count, (int, np.integer))
-                or cell.count < 0
-            ):
-                raise DataError(
-                    f"cell {key!r}: count must be a non-negative integer, got {cell.count!r}"
-                )
-            if cell.included and not (
-                np.isfinite(cell.population) and cell.population > 0.0
-            ):
-                raise DataError(
-                    f"cell {key!r}: included cell needs a positive population, "
-                    f"got {cell.population!r}"
-                )
+            try:
+                _integer(cell.count, "count", 0, error=DataError)
+                if cell.included:
+                    _real(cell.population, "included population", 0.0, error=DataError)
+            except DataError as exc:
+                raise DataError(f"cell {key!r}: {exc}") from None
 
     @property
     def included_cells(self) -> tuple[PanelCell, ...]:
@@ -152,8 +143,7 @@ def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
 
 def _poisson_nulls(cells: Sequence[PanelCell], lam: float) -> list[Poisson]:
     """One Poisson(lambda * population) per given cell, after checking the rate."""
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ParameterError(f"rate must be finite and positive, got {lam!r}")
+    _real(lam, "rate", 0.0)
     return [Poisson(lam * c.population) for c in cells]
 
 
@@ -201,7 +191,9 @@ def epidemic_test(
     flagged cell is the one attaining the upper maximum of the p-value
     bounds, i.e. the most extreme observation.
     """
-    lam_used = float(lam) if lam is not None else estimate_lambda(panel)
+    if seed is not None:
+        _seed(seed)
+    lam_used = _real(lam, "rate", 0.0) if lam is not None else estimate_lambda(panel)
     cells = panel.included_cells
     bounds = pvalue_bounds(null_distributions(panel, lam_used), [c.count for c in cells])
     return _round_report(cells, bounds, lam_used, alpha, seed)
@@ -218,7 +210,8 @@ def peel_test(
     """Test, set the flagged cell aside on rejection, repeat.
 
     Stops at the first round that does not produce a hard rejection, or
-    after max_rounds, or when no included cells remain.  When ``lam`` is
+    after max_rounds, or when no included cells remain.  A panel with no
+    included cells fails in round 1, as ``epidemic_test`` does.  When ``lam`` is
     absent the rate is re-estimated from the surviving cells each round,
     and the peel ends once those cells all count zero: there is no rate
     to estimate, and no cell of an all-zero panel can stand out.
@@ -236,18 +229,15 @@ def peel_test(
     each report carries its own derived seed so the round can be replayed
     in isolation.
     """
-    if (
-        isinstance(max_rounds, bool)
-        or not isinstance(max_rounds, (int, np.integer))
-        or max_rounds < 1
-    ):
-        raise ParameterError(f"max_rounds must be a positive integer, got {max_rounds!r}")
-    # Each round excludes one cell, so no peel outlasts the included cells;
+    if lam is not None:
+        lam = _real(lam, "rate", 0.0)
+    # Each round excludes one cell, so no peel outlasts the included cells,
+    # but round 1 always runs: an empty panel fails as in epidemic_test.
     # generate_state is prefix-stable, so no round's seed depends on the cap.
-    rounds = min(int(max_rounds), panel.n)
+    rounds = min(_integer(max_rounds, "max_rounds", 1), max(panel.n, 1))
     round_seeds: list[int | None] = [None] * rounds
     if seed is not None:
-        state = np.random.SeedSequence(seed).generate_state(rounds, dtype=np.uint64)
+        state = np.random.SeedSequence(_seed(seed)).generate_state(rounds, dtype=np.uint64)
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
     cells = list(panel.included_cells)
@@ -258,7 +248,7 @@ def peel_test(
             del cells[flagged]
             if lam is None and not any(c.count for c in cells):
                 break
-        rate = float(lam) if lam is not None else _pooled_rate(cells)
+        rate = lam if lam is not None else _pooled_rate(cells)
         if rate == scored_at:
             bounds = _bounds(
                 bounds.sf_left[:flagged] + bounds.sf_left[flagged + 1 :],

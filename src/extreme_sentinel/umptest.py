@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import NullDistribution
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _integer, _real
 from .pit import ExtremenessVector, _survival_brackets
 
 __all__ = [
@@ -49,10 +49,8 @@ __all__ = [
 
 def _log_threshold(alpha: float, n: int) -> float:
     """log t = log1p(-alpha)/n, after checking alpha and the panel size."""
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"panel size must be a positive integer, got {n!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    n = _integer(n, "panel size", 1, error=DomainError)
+    alpha = _real(alpha, "alpha", 0.0, 1.0, error=DomainError)
     return math.log1p(-alpha) / n
 
 

@@ -31,6 +31,9 @@ from .errors import (
     ParameterError,
     ShapeError,
     SizeError,
+    _integer,
+    _real,
+    _seed,
 )
 from .monotone import discrete_probe_points
 from .pit import _survival_brackets, _survival_scores
@@ -79,28 +82,12 @@ class SimulationConfig:
             raise ShapeError("panel template must not be empty")
         if not all(isinstance(d, NullDistribution) for d in self.panel_template):
             raise ParameterError("panel template must hold NullDistribution instances")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if (
-            isinstance(self.n_trials, bool)
-            or not isinstance(self.n_trials, (int, np.integer))
-            or self.n_trials < 1000
-        ):
-            raise ParameterError(
-                f"n_trials must be an integer >= 1000, got {self.n_trials!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ParameterError(f"seed is mandatory and must be an integer, got {self.seed!r}")
+        _real(self.alpha, "alpha", 0.0, 1.0, error=DomainError)
+        _integer(self.n_trials, "n_trials", 1000)
+        _seed(self.seed)
         if self.alternative is not None:
-            idx = self.alternative.cell_index
-            if (
-                isinstance(idx, bool)
-                or not isinstance(idx, (int, np.integer))
-                or not 0 <= idx < len(self.panel_template)
-            ):
-                raise ParameterError(
-                    f"alternative cell index must be an integer inside the panel, got {idx!r}"
-                )
+            n_cells = len(self.panel_template)
+            _integer(self.alternative.cell_index, "alternative cell index", 0, n_cells)
             if not isinstance(self.alternative.alt_dist, NullDistribution):
                 raise ParameterError("alternative model must be a NullDistribution")
 

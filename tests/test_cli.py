@@ -354,6 +354,13 @@ class TestSeedSources:
             assert code == 1
             assert ENV_SEED in err
 
+    def test_negative_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_SEED, "-3")
+        code, _, err = run_main(capsys, "--input", FIXTURE, "--mode", "peel")
+        assert code == 1
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in err
+
 
 class TestArgumentErrors:
     def test_unknown_mode_exits_one(self):
@@ -370,6 +377,17 @@ class TestArgumentErrors:
         code, _, err = run_main(capsys, "--input", FIXTURE, "--alpha", "1.5")
         assert code == 1
         assert "alpha" in err
+
+    def test_negative_seed_exits_one(self, capsys):
+        # test mode rejects the fixture deterministically, so the seed is
+        # never drawn from, yet it is still checked.
+        for mode in ("peel", "test", "simulate-null"):
+            code, _, err = run_main(
+                capsys, "--input", FIXTURE, "--mode", mode, "--alpha", "0.01", "--seed", "-1"
+            )
+            assert code == 1
+            assert err.startswith("error:") and "seed" in err
+            assert "Traceback" not in err
 
     def test_python_literal_numbers_exit_one(self, capsys):
         # int() and float() would read these as 10, 2, 1000, 0.01 and 9.703e-7.
@@ -394,6 +412,18 @@ class TestArgumentErrors:
             RunConfig(input_path="x.csv", lam=-1.0)
         with pytest.raises(ParameterError):
             RunConfig(input_path="x.csv", output_format="xml")
+        for alpha in (True, "0.05", None, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                RunConfig(input_path="x.csv", alpha=alpha)
+        for lam in (True, "1e-6", math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                RunConfig(input_path="x.csv", lam=lam)
+        for max_rounds in (0, True, 2.0, "5", None):
+            with pytest.raises(ParameterError):
+                RunConfig(input_path="x.csv", max_rounds=max_rounds)
+        for trials in (999, True, 1000.0, "1000", None, math.inf):
+            with pytest.raises(ParameterError):
+                RunConfig(input_path="x.csv", trials=trials)
 
     def test_run_reports_ingest_errors(self, capsys, tmp_path):
         path = write_csv(tmp_path, "region,period,count,population\nA,1,-3,10\n")

@@ -123,7 +123,7 @@ class TestPoisson:
         assert d.sf_left(15) == pytest.approx(tail, rel=1e-12)
 
     def test_invalid_mean_rejected(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True, "2", None):
             with pytest.raises(ParameterError):
                 Poisson(bad)
 
@@ -156,6 +156,12 @@ class TestBinomial:
             Binomial(3.5, 0.5)
         with pytest.raises(ParameterError):
             Binomial(True, 0.5)
+        for trials in ("3", None, math.nan, math.inf, 3.0):
+            with pytest.raises(ParameterError):
+                Binomial(trials, 0.5)
+        for prob in (True, "0.5", None, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                Binomial(3, prob)
 
 
 class TestTabulatedDiscrete:
@@ -197,6 +203,10 @@ class TestContinuousByCdf:
             ContinuousByCdf(lambda y: 1.0 - np.clip(y, 0.0, 1.0))  # decreasing
         with pytest.raises(ParameterError):
             ContinuousByCdf(lambda y: 0.5 * np.clip(y, 0.0, 1.0))  # never reaches 1
+        for lower, upper in ((1.0, 1.0), (0.0, -1.0), (math.nan, 1.0), (0.0, math.inf),
+                             ("0", 1.0), (0.0, None), (False, 1.0)):
+            with pytest.raises(ParameterError):
+                ContinuousByCdf(lambda y: np.clip(y, 0.0, 1.0) ** 2, lower, upper)
 
 
 class TestUniform01:
@@ -301,8 +311,12 @@ class TestRandomStream:
         assert a == b
 
     def test_bad_seed_rejected(self):
-        with pytest.raises(ParameterError):
-            RandomStream("not-a-seed")
+        for seed in ("not-a-seed", -1, 2.5, True, None, (1, 2)):
+            with pytest.raises(ParameterError):
+                RandomStream(seed)
+        for n in (-1, 2.5, True, "2", None):
+            with pytest.raises(ParameterError):
+                RandomStream(1).spawn(n)
 
 
 def test_ladder_matches_cdf_and_covers_the_unit_interval():

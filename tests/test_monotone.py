@@ -261,8 +261,9 @@ class TestConvexityCheck:
     def test_grid_size_validation(self):
         with pytest.raises(ParameterError):
             convexity_check(lambda y: y, 2)
-        with pytest.raises(ParameterError):
-            convexity_check(lambda y: y, 100.5)
+        for grid_size in (100.5, True, "101", None, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                convexity_check(lambda y: y, grid_size)
 
 
 class TestMonotonePairsGiveConvexLaw:

@@ -7,7 +7,7 @@ import pytest
 
 from extreme_sentinel.cli import ingest
 from extreme_sentinel.distributions import Poisson, RandomStream
-from extreme_sentinel.errors import DataError, ParameterError
+from extreme_sentinel.errors import DataError, ParameterError, ShapeError
 from extreme_sentinel.surveillance import (
     CountPanel,
     PanelCell,
@@ -56,9 +56,6 @@ def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
     rounds 1..r-1's flagged cells excluded; only the last round may fail
     to reject hard, and a rejecting last round needs a reason to stop.
     """
-    if not reports:  # nothing to test in a panel without included cells
-        assert panel.n == 0
-        return
     working = panel
     for r in reports:
         assert epidemic_test(working, lam=lam, alpha=alpha, seed=r.seed) == r
@@ -81,6 +78,12 @@ class TestCountPanel:
             CountPanel((cell("A", "1", 1.5),))
         with pytest.raises(DataError):
             CountPanel((cell("A", "1", True),))
+        for count in ("1", None, math.nan, math.inf):
+            with pytest.raises(DataError):
+                CountPanel((cell("A", "1", count),))
+        for pop in (True, "x", None, math.nan, math.inf):
+            with pytest.raises(DataError):
+                CountPanel((cell("A", "1", 0, pop=pop),))
 
     def test_population_required_only_when_included(self):
         with pytest.raises(DataError):
@@ -154,9 +157,14 @@ class TestNullDistributions:
 
     def test_rate_validation(self):
         panel = CountPanel((cell("A", "1", 0),))
-        for lam in (0.0, -1e-6, math.inf, math.nan):
+        for lam in (0.0, -1e-6, math.inf, math.nan, True, "1e-6", None):
             with pytest.raises(ParameterError):
                 null_distributions(panel, lam)
+        for lam in (0.0, math.inf, math.nan, True, "1e-6"):
+            with pytest.raises(ParameterError):
+                epidemic_test(panel, lam=lam)
+            with pytest.raises(ParameterError):
+                peel_test(panel, lam=lam)
 
 
 class TestEpidemicTest:
@@ -196,6 +204,12 @@ class TestEpidemicTest:
             coin = RandomStream(seed).uniform_open()
             assert resolved.rejected is (coin < phi)
             assert resolved.seed == seed
+        # A bad seed fails on every branch, not only where the coin is drawn.
+        loud = CountPanel((cell("A", "1", 10, pop=1e6),))
+        for seed in (-1, 2.5, True, "7"):
+            for p in (panel, loud):
+                with pytest.raises(ParameterError):
+                    epidemic_test(p, lam=1e-6, alpha=0.05, seed=seed)
 
     def test_exclusion_correctness(self):
         base = CountPanel((cell("A", "1", 2), cell("B", "1", 4)))
@@ -313,6 +327,12 @@ class TestPeelTest:
         panel = CountPanel((cell("A", "1", 0), cell("B", "1", 0)))
         with pytest.raises(DataError):
             peel_test(panel, alpha=0.5)
+        # No included cells: round 1 still runs and fails as epidemic_test does.
+        empty = CountPanel((cell("A", "1", 0, included=False),))
+        with pytest.raises(DataError):
+            peel_test(empty, alpha=0.5)
+        with pytest.raises(ShapeError):
+            peel_test(empty, lam=1e-6, alpha=0.5)
 
     def test_two_planted_spikes(self):
         cells = [cell(f"R{i}", "1", 0) for i in range(8)]
@@ -382,8 +402,9 @@ class TestPeelTest:
                         reports = peel_test(
                             panel, lam=lam, alpha=alpha, max_rounds=max_rounds, seed=seed
                         )
-                    except DataError:
-                        assert lam is None and not any(c.count for c in panel.included_cells)
+                    except (DataError, ShapeError) as exc:
+                        with pytest.raises(type(exc)):
+                            epidemic_test(panel, lam=lam, alpha=alpha, seed=seed)
                         continue
                     assert_rounds_replay(panel, reports, lam=lam, alpha=alpha, max_rounds=max_rounds)
                     multi_round += len(reports) > 1
@@ -391,8 +412,12 @@ class TestPeelTest:
 
     def test_max_rounds_validation(self):
         panel = CountPanel((cell("A", "1", 1),))
-        with pytest.raises(ParameterError):
-            peel_test(panel, lam=1e-6, max_rounds=0)
+        for max_rounds in (0, True, 2.0, "5", None, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                peel_test(panel, lam=1e-6, max_rounds=max_rounds)
+        for seed in (-1, 2.5, True, "7"):
+            with pytest.raises(ParameterError):
+                peel_test(panel, lam=1e-6, seed=seed)
 
 
 class TestFixtureFile:

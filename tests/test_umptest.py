@@ -39,10 +39,10 @@ class TestThreshold:
         assert 1.0 - t == pytest.approx(1e-13, rel=1e-9)
 
     def test_domain_checks(self):
-        for alpha in (0.0, 1.0, -0.1, 1.5):
+        for alpha in (0.0, 1.0, -0.1, 1.5, True, "0.05", None, math.nan, math.inf):
             with pytest.raises(DomainError):
                 threshold(alpha, 5)
-        for n in (0, -3, 2.5, True):
+        for n in (0, -3, 2.5, True, "5", None, math.nan, math.inf):
             with pytest.raises(DomainError):
                 threshold(0.05, n)
 

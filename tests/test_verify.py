@@ -42,6 +42,15 @@ class TestSimulationConfig:
             SimulationConfig(panel_template=dists, alpha=0.05, n_trials=1000, seed=None)
         with pytest.raises(DomainError):
             SimulationConfig(panel_template=dists, alpha=1.0, n_trials=1000, seed=1)
+        for alpha in (True, "0.05", None, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                SimulationConfig(panel_template=dists, alpha=alpha, n_trials=1000, seed=1)
+        for n_trials in (True, "1000", None, math.nan, math.inf, 1000.0):
+            with pytest.raises(ParameterError):
+                SimulationConfig(panel_template=dists, alpha=0.05, n_trials=n_trials, seed=1)
+        for seed in (-1, 2.5, True, "1", math.nan):
+            with pytest.raises(ParameterError):
+                SimulationConfig(panel_template=dists, alpha=0.05, n_trials=1000, seed=seed)
         with pytest.raises(ParameterError):
             SimulationConfig(
                 panel_template=dists,
