@@ -90,16 +90,13 @@ def _ascii_number(text: str, kind: type):
     return kind(text)
 
 
-def ingest(input_path, excluded_regions=()) -> CountPanel:
-    """Parse and validate a panel CSV.
+def ingest(input_path) -> CountPanel:
+    """Parse and validate a panel CSV; every row is a cell that enters the test.
 
-    Rows for a region in ``excluded_regions`` (non-reporting areas) must
-    carry zero counts and are kept as excluded cells; a positive count
-    there is a data error, not something to drop silently.  All parse
-    errors name the offending line.
+    A non-reporting area is left out of the file, not given zero rows.
+    All parse errors name the offending line.
     """
     path = Path(input_path)
-    excluded = frozenset(excluded_regions)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -148,15 +145,7 @@ def ingest(input_path, excluded_regions=()) -> CountPanel:
             raise PanelFormatError(
                 f"{path}:{lineno}: population must be positive, got {pop_s!r}"
             )
-        included = True
-        if region in excluded:
-            if count > 0:
-                raise PanelFormatError(
-                    f"{path}:{lineno}: region {region} is excluded from reporting "
-                    f"but carries count {count}"
-                )
-            included = False
-        cells.append(PanelCell(region, period, count, population, included))
+        cells.append(PanelCell(region, period, count, population))
     if not cells:
         raise PanelFormatError(f"{path}: no data rows after the header")
     try:
@@ -166,16 +155,17 @@ def ingest(input_path, excluded_regions=()) -> CountPanel:
 
 
 def write_panel(panel: CountPanel, output_path) -> None:
-    """Inverse of ingest for all-included panels (exact round-trip)."""
+    """Inverse of ingest: ``ingest`` of the written file returns equal cells.
+
+    That holds for region and period ids that are non-empty strings
+    without surrounding whitespace, which is what ``ingest`` produces.
+    """
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
         for c in panel.cells:
-            pop = (
-                str(int(c.population))
-                if float(c.population).is_integer()
-                else repr(c.population)
-            )
+            pop = float(c.population)
+            pop = str(int(pop)) if pop.is_integer() else repr(pop)
             writer.writerow([c.region_id, c.period_id, c.count, pop])
 
 
@@ -262,7 +252,7 @@ def run(config: RunConfig) -> int:
                 seed=config.seed,
             )
             _emit(config, {"rounds": [_report_payload(r) for r in reports]}, _text_rounds)
-            return 2 if (reports and reports[0].rejected is True) else 0
+            return 2 if reports[0].rejected is True else 0
         # simulate-null
         if config.seed is None:
             raise ParameterError(

@@ -27,7 +27,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .errors import DomainError, ParameterError, _integer, _real, _seed
+from .errors import DomainError, ParameterError, _array, _integer, _real, _seed
 
 __all__ = [
     "RandomStream",
@@ -56,12 +56,19 @@ class RandomStream:
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniform_open(self, size: int | tuple | None = None):
-        """Draw uniforms strictly inside (0, 1); scalar when size is None."""
+        """Draw uniforms strictly inside (0, 1); scalar when size is None.
+
+        ``size`` is None, a non-negative integer, or a tuple of them.
+        """
         if size is None:
             u = self._gen.random()
             while u == 0.0:
                 u = self._gen.random()
             return u
+        if isinstance(size, tuple):
+            size = tuple(_integer(k, "size entry", 0) for k in size)
+        else:
+            size = _integer(size, "size", 0)
         u = self._gen.random(size)
         mask = u == 0.0
         while mask.any():
@@ -98,15 +105,15 @@ def _array_call(fn, xs: np.ndarray):
     return fn, vals
 
 
-def _check_open_unit(omega) -> np.ndarray:
-    om = np.asarray(omega, dtype=float)
+def _check_open_unit(omega, what: str = "omega") -> np.ndarray:
+    om = _array(omega, what, DomainError)
     if not np.all((om > 0.0) & (om < 1.0)):
-        raise DomainError("omega must lie strictly inside (0, 1)")
+        raise DomainError(f"{what} must lie strictly inside (0, 1)")
     return om
 
 
 def _check_finite(x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
+    xa = _array(x, "evaluation point", DomainError)
     if not np.all(np.isfinite(xa)):
         raise DomainError("evaluation point must be finite")
     return xa
@@ -302,8 +309,8 @@ class TabulatedDiscrete(_Discrete):
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        sup = np.asarray(self.support, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
+        sup = _array(self.support, "support")
+        m = _array(self.masses, "masses")
         if sup.ndim != 1 or m.ndim != 1 or sup.size != m.size or sup.size == 0:
             raise ParameterError("support and masses must be 1-d, non-empty, equal length")
         if not np.all(np.isfinite(sup)) or not np.all(np.diff(sup) > 0.0):

@@ -10,9 +10,13 @@ the site's package error, never a raw TypeError or ValueError:
   given interval;
 * a seed is a non-negative integer, which is what numpy's SeedSequence
   accepts.
+
+An array argument is whatever numpy reads as a float array, so a value
+it cannot read raises the site's package error too.
 """
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -78,6 +82,14 @@ def _real(
             return float(value)
     span = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
     raise error(f"{what} must be a finite real number in {span}, got {value!r}")
+
+
+def _array(value, what: str, error=ParameterError) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; raises ``error`` where numpy cannot read it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be real numbers, got {reprlib.repr(value)}") from None
 
 
 def _seed(value) -> int:

@@ -21,6 +21,7 @@ from .errors import (
     ContractError,
     DomainError,
     ParameterError,
+    _array,
     _integer,
 )
 
@@ -129,7 +130,7 @@ def alt_extremeness_cdf(pair: ModelPair, y):
     case: F1(F0^{-1}(y)) with the generalized inverse.  Endpoints map to
     themselves.  Accepts scalars or arrays in [0, 1].
     """
-    ya = np.asarray(y, dtype=float)
+    ya = _array(y, "y", DomainError)
     if not np.all(np.isfinite(ya)) or np.any((ya < 0.0) | (ya > 1.0)):
         raise DomainError("y must lie in [0, 1]")
     y1 = np.atleast_1d(ya)
@@ -158,7 +159,7 @@ def mlr_check(pair: ModelPair, probe_points) -> CheckResult:
     window width cancels in the ratio).  Passing means no adjacent pair
     drops by more than a relative 1e-9.
     """
-    probes = np.asarray(probe_points, dtype=float)
+    probes = _array(probe_points, "probe points")
     if probes.ndim != 1 or probes.size < 2:
         raise ParameterError("need a 1-d grid of at least two probe points")
     if not np.all(np.isfinite(probes)) or not np.all(np.diff(probes) > 0.0):

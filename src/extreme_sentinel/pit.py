@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NullDistribution, RandomStream
-from .errors import DomainError, ShapeError
+from .distributions import NullDistribution, RandomStream, _check_open_unit
+from .errors import ShapeError
 
 __all__ = ["ExtremenessVector", "randomized_pit", "extremeness_panel"]
 
@@ -56,13 +56,6 @@ def _survival_brackets(
     return sf_left, sf_right
 
 
-def _check_randomizers(u) -> np.ndarray:
-    ua = np.asarray(u, dtype=float)
-    if not np.all((ua > 0.0) & (ua < 1.0)):
-        raise DomainError("randomizer u must lie strictly inside (0, 1)")
-    return ua
-
-
 def _survival_scores(sf_left, sf_right, u):
     """1 - Y = (1 - u) sf_left + u sf_right, kept inside [sf_right, sf_left]."""
     return np.clip(sf_left + u * (sf_right - sf_left), sf_right, sf_left)
@@ -75,7 +68,7 @@ def randomized_pit(dist: NullDistribution, x, u):
     below the support floor have both limits zero and score exactly 0.
     Accepts scalars or arrays (broadcast together).
     """
-    ua = _check_randomizers(u)
+    ua = _check_open_unit(u, "randomizer u")
     left = np.asarray(dist.cdf_left(x), dtype=float)
     right = np.asarray(dist.cdf(x), dtype=float)
     # Algebraically (1 - u) left + u right; this form stays inside the
@@ -98,7 +91,7 @@ def extremeness_panel(
     go to the lowest index.
     """
     sf_left, sf_right = _survival_brackets(dists, observations)
-    us = _check_randomizers(np.atleast_1d(stream.uniform_open(len(sf_left))))
+    us = _check_open_unit(np.atleast_1d(stream.uniform_open(len(sf_left))), "randomizer u")
     scores = _survival_scores(np.array(sf_left), np.array(sf_right), us)
     return ExtremenessVector(
         survival=tuple(float(v) for v in scores),

@@ -1,10 +1,11 @@
 """Count-panel surveillance: rate estimation, epidemic testing, peeling.
 
 A panel holds observed case counts per (region, period) cell together
-with the population at risk.  Under the null hypothesis every included
-cell is Poisson with mean lambda * population; the test asks whether a
-single cell was generated by a dominating alternative instead.  The
-peel analysis repeats the test with the flagged cell removed until
+with the population at risk: exactly the cells that enter the test, so a
+non-reporting area is left out of the panel.  Under the null hypothesis
+every cell is Poisson with mean lambda * population; the test asks
+whether a single cell was generated by a dominating alternative instead.
+The peel analysis repeats the test with the flagged cell removed until
 nothing more stands out; its state is the kept cells and their survival
 brackets, so a round at an unchanged rate only drops one cell.
 """
@@ -12,7 +13,7 @@ brackets, so a round at an unchanged rate only drops one cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -43,21 +44,18 @@ class PanelCell:
     period_id: str
     count: int
     population: float
-    included: bool = True
 
 
 @dataclass(frozen=True)
 class CountPanel:
-    """Cells with unique (region, period) keys; excluded cells are inert.
-
-    Excluded cells stay in the panel for bookkeeping but contribute to no
-    statistic; n counts included cells only.
-    """
+    """The cells that enter the test: at least one, with unique (region, period) keys."""
 
     cells: tuple[PanelCell, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
+        if not self.cells:
+            raise DataError("panel must contain at least one cell")
         seen = set()
         for cell in self.cells:
             if not isinstance(cell, PanelCell):
@@ -68,31 +66,22 @@ class CountPanel:
             seen.add(key)
             try:
                 _integer(cell.count, "count", 0, error=DataError)
-                if cell.included:
-                    _real(cell.population, "included population", 0.0, error=DataError)
+                _real(cell.population, "population", 0.0, error=DataError)
             except DataError as exc:
                 raise DataError(f"cell {key!r}: {exc}") from None
 
     @property
-    def included_cells(self) -> tuple[PanelCell, ...]:
-        return tuple(c for c in self.cells if c.included)
-
-    @property
     def n(self) -> int:
         """Number of cells entering the test (the exponent in the bounds)."""
-        return sum(1 for c in self.cells if c.included)
+        return len(self.cells)
 
     def excluding(self, region_id: str, period_id: str) -> "CountPanel":
-        """Copy of the panel with one cell marked excluded."""
+        """Copy of the panel without one cell."""
         key = (region_id, period_id)
-        if not any((c.region_id, c.period_id) == key for c in self.cells):
+        kept = tuple(c for c in self.cells if (c.region_id, c.period_id) != key)
+        if len(kept) == len(self.cells):
             raise DataError(f"no cell with key {key!r}")
-        return CountPanel(
-            tuple(
-                replace(c, included=False) if (c.region_id, c.period_id) == key else c
-                for c in self.cells
-            )
-        )
+        return CountPanel(kept)
 
 
 @dataclass(frozen=True)
@@ -115,30 +104,25 @@ class EpidemicReport:
 
 
 def estimate_lambda(panel: CountPanel) -> float:
-    """Pooled rate: total included count over total included population.
+    """Pooled rate: total count over total population.
 
     All-zero panels have a pooled rate of zero, which cannot parametrize
     a Poisson null; callers must pass an explicit rate in that case.
     """
-    return _pooled_rate(panel.included_cells)
+    return _pooled_rate(panel.cells)
 
 
 def _pooled_rate(cells: Sequence[PanelCell]) -> float:
-    """Total count over total population of the given included cells."""
-    if not cells:
-        raise DataError("panel has no included cells")
+    """Total count over total population of the given cells."""
     total_count = sum(c.count for c in cells)
-    total_pop = math.fsum(c.population for c in cells)
-    if not total_pop > 0.0:
-        raise DataError("total population must be positive")
     if total_count == 0:
-        raise DataError("all included counts are zero; pass an explicit rate instead")
-    return total_count / total_pop
+        raise DataError("all counts are zero; pass an explicit rate instead")
+    return total_count / math.fsum(c.population for c in cells)
 
 
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
-    """One Poisson(lambda * population) per included cell, in panel order."""
-    return _poisson_nulls(panel.included_cells, lam)
+    """One Poisson(lambda * population) per cell, in panel order."""
+    return _poisson_nulls(panel.cells, lam)
 
 
 def _poisson_nulls(cells: Sequence[PanelCell], lam: float) -> list[Poisson]:
@@ -194,9 +178,8 @@ def epidemic_test(
     if seed is not None:
         _seed(seed)
     lam_used = _real(lam, "rate", 0.0) if lam is not None else estimate_lambda(panel)
-    cells = panel.included_cells
-    bounds = pvalue_bounds(null_distributions(panel, lam_used), [c.count for c in cells])
-    return _round_report(cells, bounds, lam_used, alpha, seed)
+    bounds = pvalue_bounds(null_distributions(panel, lam_used), [c.count for c in panel.cells])
+    return _round_report(panel.cells, bounds, lam_used, alpha, seed)
 
 
 def peel_test(
@@ -210,11 +193,10 @@ def peel_test(
     """Test, set the flagged cell aside on rejection, repeat.
 
     Stops at the first round that does not produce a hard rejection, or
-    after max_rounds, or when no included cells remain.  A panel with no
-    included cells fails in round 1, as ``epidemic_test`` does.  When ``lam`` is
-    absent the rate is re-estimated from the surviving cells each round,
-    and the peel ends once those cells all count zero: there is no rate
-    to estimate, and no cell of an all-zero panel can stand out.
+    after max_rounds, or when no cells remain.  When ``lam`` is absent
+    the rate is re-estimated from the surviving cells each round, and the
+    peel ends once those cells all count zero: there is no rate to
+    estimate, and no cell of an all-zero panel can stand out.
 
     A cell's survival bracket depends only on its count and on the rate
     times its population, so the brackets are computed only in a round
@@ -231,16 +213,15 @@ def peel_test(
     """
     if lam is not None:
         lam = _real(lam, "rate", 0.0)
-    # Each round excludes one cell, so no peel outlasts the included cells,
-    # but round 1 always runs: an empty panel fails as in epidemic_test.
+    # Each round sets one cell aside, so no peel outlasts the panel's cells.
     # generate_state is prefix-stable, so no round's seed depends on the cap.
-    rounds = min(_integer(max_rounds, "max_rounds", 1), max(panel.n, 1))
+    rounds = min(_integer(max_rounds, "max_rounds", 1), panel.n)
     round_seeds: list[int | None] = [None] * rounds
     if seed is not None:
         state = np.random.SeedSequence(_seed(seed)).generate_state(rounds, dtype=np.uint64)
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
-    cells = list(panel.included_cells)
+    cells = list(panel.cells)
     scored_at: float | None = None
     for r, round_seed in enumerate(round_seeds):
         if r:  # the previous round rejected: set its flagged cell aside

@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     SizeError,
+    _array,
     _integer,
     _real,
     _seed,
@@ -236,7 +237,7 @@ def ks_uniformity(samples) -> KsResult:
     value 1.628/sqrt(N); the sample size floor keeps that approximation
     honest.
     """
-    arr = np.sort(np.asarray(samples, dtype=float).ravel())
+    arr = np.sort(_array(samples, "samples", DomainError).ravel())
     if arr.size == 0:
         raise ShapeError("no samples given")
     if arr.size < 1000:

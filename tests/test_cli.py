@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from extreme_sentinel.cli import (
@@ -101,17 +102,6 @@ class TestIngest:
         with pytest.raises(PanelFormatError, match=":2:.*positive"):
             ingest(write_csv(tmp_path, body))
 
-    def test_excluded_region_zero_count_kept_inert(self, tmp_path):
-        body = "region,period,count,population\nA,1,3,10\nSO,1,0,5\n"
-        panel = ingest(write_csv(tmp_path, body), excluded_regions={"SO"})
-        assert panel.n == 1
-        assert [c.included for c in panel.cells] == [True, False]
-
-    def test_excluded_region_with_cases_rejected(self, tmp_path):
-        body = "region,period,count,population\nA,1,3,10\nSO,1,1,5\n"
-        with pytest.raises(PanelFormatError, match=":3:.*excluded"):
-            ingest(write_csv(tmp_path, body), excluded_regions={"SO"})
-
 
 class TestWritePanel:
     def test_round_trip_fixture(self, tmp_path):
@@ -121,10 +111,11 @@ class TestWritePanel:
         assert ingest(out) == panel
 
     def test_round_trip_fractional_population(self, tmp_path):
-        panel = CountPanel((PanelCell("A", "1", 2, 123456.78),))
         out = tmp_path / "frac.csv"
-        write_panel(panel, out)
-        assert ingest(out) == panel
+        for pop in (123456.78, np.float64(123456.78), np.float32(1.5), np.int64(7)):
+            panel = CountPanel((PanelCell("A", "1", 2, pop),))
+            write_panel(panel, out)
+            assert ingest(out) == panel
 
 
 def run_main(capsys, *args):

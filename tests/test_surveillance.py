@@ -1,13 +1,14 @@
 """Tests for count-panel surveillance: estimation, testing, peeling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from extreme_sentinel.cli import ingest
+from extreme_sentinel.cli import ingest, write_panel
 from extreme_sentinel.distributions import Poisson, RandomStream
-from extreme_sentinel.errors import DataError, ParameterError, ShapeError
+from extreme_sentinel.errors import DataError, ParameterError
 from extreme_sentinel.surveillance import (
     CountPanel,
     PanelCell,
@@ -21,29 +22,32 @@ from extreme_sentinel.surveillance import (
 PUBLISHED_RATE = 9.703e-7
 
 
-def cell(region, period, count, pop=1_000_000.0, included=True):
-    return PanelCell(region, period, count, pop, included)
+def cell(region, period, count, pop=1_000_000.0):
+    return PanelCell(region, period, count, pop)
 
 
 def fixture_panel():
     return ingest(listeriosis_fixture_path())
 
 
-def spiked_panel(rng):
-    """A small random panel with a few planted spikes, and a rate near its own."""
+def spiked_cells(rng):
+    """The cells of a small random panel with a few planted spikes, and a rate near its own.
+
+    About one cell in ten is left out, as a non-reporting area is, so the
+    cells may run out; the rest keep their names.
+    """
     n = int(rng.integers(1, 16))
     pops = np.rint(rng.lognormal(np.log(1e6), 0.7, n))
     rate = float(rng.choice([1e-7, 1e-6, 5e-6]))
     counts = rng.poisson(rate * pops)
     for j in rng.choice(n, int(rng.integers(0, min(n, 3) + 1)), replace=False):
         counts[j] += int(rng.integers(3, 25))
-    excluded = rng.random(n) < 0.1
+    left_out = rng.random(n) < 0.1
     return (
-        CountPanel(
-            tuple(
-                cell(f"R{i}", "1", int(c), float(p), included=not bool(x))
-                for i, (c, p, x) in enumerate(zip(counts, pops, excluded))
-            )
+        tuple(
+            cell(f"R{i}", "1", int(c), float(p))
+            for i, (c, p, x) in enumerate(zip(counts, pops, left_out))
+            if not x
         ),
         rate,
     )
@@ -57,12 +61,14 @@ def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
     to reject hard, and a rejecting last round needs a reason to stop.
     """
     working = panel
-    for r in reports:
+    for i, r in enumerate(reports):
+        if i:
+            working = working.excluding(*reports[i - 1].flagged_cell)
         assert epidemic_test(working, lam=lam, alpha=alpha, seed=r.seed) == r
-        working = working.excluding(*r.flagged_cell)
     assert all(r.rejected is True for r in reports[:-1])
     if reports[-1].rejected is True and len(reports) < max_rounds:
-        left = working.included_cells
+        # The last round's flagged cell is set aside: nothing, or only zeros, is left.
+        left = [c for c in working.cells if (c.region_id, c.period_id) != reports[-1].flagged_cell]
         assert not left or (lam is None and not any(c.count for c in left))
 
 
@@ -86,20 +92,28 @@ class TestCountPanel:
                 CountPanel((cell("A", "1", 0, pop=pop),))
 
     def test_population_required_only_when_included(self):
-        with pytest.raises(DataError):
-            CountPanel((cell("A", "1", 0, pop=0.0),))
-        panel = CountPanel((cell("A", "1", 0, pop=0.0, included=False), cell("B", "1", 2)))
-        assert panel.n == 1
-        assert panel.included_cells[0].region_id == "B"
+        # Every cell enters the test, so every cell needs a positive population.
+        for pop in (0.0, -1.0):
+            with pytest.raises(DataError, match="population"):
+                CountPanel((cell("A", "1", 0, pop=pop),))
+            with pytest.raises(DataError, match="population"):
+                CountPanel((cell("A", "1", 0, pop=pop), cell("B", "1", 2)))
+
+    def test_empty_panel_rejected(self):
+        for cells in ((), []):
+            with pytest.raises(DataError, match="at least one cell"):
+                CountPanel(cells)
 
     def test_excluding(self):
         panel = CountPanel((cell("A", "1", 3), cell("B", "1", 0)))
         smaller = panel.excluding("A", "1")
         assert smaller.n == 1
         assert panel.n == 2  # original untouched
-        assert [c.included for c in smaller.cells] == [False, True]
+        assert smaller.cells == (cell("B", "1", 0),)
         with pytest.raises(DataError):
             panel.excluding("Z", "9")
+        with pytest.raises(DataError):
+            smaller.excluding("B", "1")  # no cell would be left
 
     def test_cells_must_be_panel_cells(self):
         with pytest.raises(DataError):
@@ -115,19 +129,11 @@ class TestEstimateLambda:
         panel = CountPanel((cell("A", "1", 3, pop=1e6), cell("B", "1", 1, pop=1e6)))
         assert estimate_lambda(panel) == pytest.approx(2e-6, rel=1e-15)
 
-    def test_excluded_cells_ignored(self):
-        panel = CountPanel(
-            (cell("A", "1", 3, pop=1e6), cell("B", "1", 7, pop=1e6, included=False))
-        )
-        assert estimate_lambda(panel) == pytest.approx(3e-6, rel=1e-15)
-
     def test_fixture_near_reported_rate(self):
         lam = estimate_lambda(fixture_panel())
         assert abs(lam - PUBLISHED_RATE) / PUBLISHED_RATE < 0.15
 
     def test_errors(self):
-        with pytest.raises(DataError):
-            estimate_lambda(CountPanel(()))
         with pytest.raises(DataError):
             estimate_lambda(CountPanel((cell("A", "1", 0),)))
 
@@ -138,19 +144,12 @@ class TestNullDistributions:
         (dist,) = null_distributions(panel, 1e-6)
         assert dist.mean == pytest.approx(1.0, rel=1e-15)
 
-    def test_excluded_cells_emit_nothing(self):
-        panel = CountPanel(
-            (cell("A", "1", 0, pop=1e6), cell("B", "1", 0, pop=2e6, included=False))
-        )
-        dists = null_distributions(panel, 1e-6)
-        assert len(dists) == 1
-
     def test_fixture_bergamo_2010_mean(self):
         panel = fixture_panel()
         dists = null_distributions(panel, PUBLISHED_RATE)
         idx = [
             i
-            for i, c in enumerate(panel.included_cells)
+            for i, c in enumerate(panel.cells)
             if (c.region_id, c.period_id) == ("BG", "2010")
         ][0]
         assert dists[idx].mean == pytest.approx(1.066, abs=5e-3)
@@ -210,15 +209,6 @@ class TestEpidemicTest:
             for p in (panel, loud):
                 with pytest.raises(ParameterError):
                     epidemic_test(p, lam=1e-6, alpha=0.05, seed=seed)
-
-    def test_exclusion_correctness(self):
-        base = CountPanel((cell("A", "1", 2), cell("B", "1", 4)))
-        padded = CountPanel(
-            (cell("A", "1", 2), cell("B", "1", 4), cell("X", "9", 3, 5e5, included=False))
-        )
-        r1 = epidemic_test(base, alpha=0.05)
-        r2 = epidemic_test(padded, alpha=0.05)
-        assert r1 == r2  # lambda re-estimated, bounds, decision, flag: all equal
 
     def test_lambda_monotonicity_of_bounds(self):
         panel = fixture_panel()
@@ -327,12 +317,6 @@ class TestPeelTest:
         panel = CountPanel((cell("A", "1", 0), cell("B", "1", 0)))
         with pytest.raises(DataError):
             peel_test(panel, alpha=0.5)
-        # No included cells: round 1 still runs and fails as epidemic_test does.
-        empty = CountPanel((cell("A", "1", 0, included=False),))
-        with pytest.raises(DataError):
-            peel_test(empty, alpha=0.5)
-        with pytest.raises(ShapeError):
-            peel_test(empty, lam=1e-6, alpha=0.5)
 
     def test_two_planted_spikes(self):
         cells = [cell(f"R{i}", "1", 0) for i in range(8)]
@@ -393,17 +377,23 @@ class TestPeelTest:
         rng = np.random.default_rng(7070)
         multi_round = 0
         for _ in range(300):
-            panel, rate = spiked_panel(rng)
+            cells, rate = spiked_cells(rng)
             alpha = float(rng.choice([1e-3, 0.01, 0.05, 0.3, 0.7]))
             max_rounds = int(rng.integers(1, 8))
-            for lam in (rate, None):
-                for seed in (int(rng.integers(2**31)), None):
+            drawn_seeds = [int(rng.integers(2**31)) for _ in range(2)]  # one per rate
+            if not cells:
+                with pytest.raises(DataError):
+                    CountPanel(cells)
+                continue
+            panel = CountPanel(cells)
+            for lam, drawn in zip((rate, None), drawn_seeds):
+                for seed in (drawn, None):
                     try:
                         reports = peel_test(
                             panel, lam=lam, alpha=alpha, max_rounds=max_rounds, seed=seed
                         )
-                    except (DataError, ShapeError) as exc:
-                        with pytest.raises(type(exc)):
+                    except DataError:
+                        with pytest.raises(DataError):
                             epidemic_test(panel, lam=lam, alpha=alpha, seed=seed)
                         continue
                     assert_rounds_replay(panel, reports, lam=lam, alpha=alpha, max_rounds=max_rounds)
@@ -418,6 +408,28 @@ class TestPeelTest:
         for seed in (-1, 2.5, True, "7"):
             with pytest.raises(ParameterError):
                 peel_test(panel, lam=1e-6, seed=seed)
+
+
+class TestPanelCsv:
+    def test_spiked_panels_round_trip(self, tmp_path):
+        # A panel holds only cells a CSV row can express, so write_panel then
+        # ingest gives equal cells back, at integer and fractional populations.
+        rng = np.random.default_rng(8080)
+        out = tmp_path / "panel.csv"
+        fractional_seen = 0
+        for _ in range(200):
+            cells, _ = spiked_cells(rng)
+            if not cells:
+                continue
+            fractional = tuple(
+                replace(c, population=c.population * float(rng.uniform(0.5, 1.5)))
+                for c in cells
+            )
+            fractional_seen += sum(not c.population.is_integer() for c in fractional)
+            for panel in (CountPanel(cells), CountPanel(fractional)):
+                write_panel(panel, out)
+                assert ingest(out).cells == panel.cells
+        assert fractional_seen > 1000
 
 
 class TestFixtureFile:
