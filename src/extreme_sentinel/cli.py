@@ -155,11 +155,7 @@ def ingest(input_path) -> CountPanel:
 
 
 def write_panel(panel: CountPanel, output_path) -> None:
-    """Inverse of ingest: ``ingest`` of the written file returns equal cells.
-
-    That holds for region and period ids that are non-empty strings
-    without surrounding whitespace, which is what ``ingest`` produces.
-    """
+    """Inverse of ingest: ``ingest`` of the written file returns equal cells."""
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)

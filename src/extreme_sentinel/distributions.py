@@ -220,6 +220,11 @@ class _IntegerSupport(_Discrete):
         return self.sf(np.ceil(_check_finite(x)) - 1.0)
 
 
+def _poisson_sf(k, mean):
+    """P(X > k) for X ~ Poisson(mean): integer-valued k and positive means, broadcast."""
+    return np.where(k < 0.0, 1.0, special.gammainc(np.maximum(k, 0.0) + 1.0, mean))
+
+
 @dataclass(frozen=True)
 class Poisson(_IntegerSupport):
     """Poisson model with positive mean."""
@@ -235,9 +240,7 @@ class Poisson(_IntegerSupport):
         return _ret(x, np.where(k < 0.0, 0.0, vals))
 
     def sf(self, x):
-        k = np.floor(_check_finite(x))
-        vals = special.gammainc(np.maximum(k, 0.0) + 1.0, self.mean)
-        return _ret(x, np.where(k < 0.0, 1.0, vals))
+        return _ret(x, _poisson_sf(np.floor(_check_finite(x)), self.mean))
 
     def mass(self, x):
         return _ret(x, np.exp(self._log_mass(x)))

@@ -11,8 +11,9 @@ the site's package error, never a raw TypeError or ValueError:
 * a seed is a non-negative integer, which is what numpy's SeedSequence
   accepts.
 
-An array argument is whatever numpy reads as a float array, so a value
-it cannot read raises the site's package error too.
+An array argument is whatever numpy reads as a float array, except
+bools and strings, which the scalar rules refuse too; any other value
+raises the site's package error.
 """
 
 import math
@@ -85,11 +86,18 @@ def _real(
 
 
 def _array(value, what: str, error=ParameterError) -> np.ndarray:
-    """``np.asarray(value, dtype=float)``; raises ``error`` where numpy cannot read it."""
+    """``np.asarray(value, dtype=float)`` for real numbers; raises ``error`` otherwise.
+
+    Bools and strings are refused as the scalar rules refuse them, though
+    numpy would read them; a float array comes back as it is, not copied.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "bUS":
+            return np.asarray(arr, dtype=float)
     except (TypeError, ValueError):
-        raise error(f"{what} must be real numbers, got {reprlib.repr(value)}") from None
+        pass
+    raise error(f"{what} must be real numbers, got {reprlib.repr(value)}")
 
 
 def _seed(value) -> int:

@@ -5,9 +5,12 @@ with the population at risk: exactly the cells that enter the test, so a
 non-reporting area is left out of the panel.  Under the null hypothesis
 every cell is Poisson with mean lambda * population; the test asks
 whether a single cell was generated by a dominating alternative instead.
-The peel analysis repeats the test with the flagged cell removed until
-nothing more stands out; its state is the kept cells and their survival
-brackets, so a round at an unchanged rate only drops one cell.
+A test scores the panel in one array pass: the survival brackets of
+every cell's Poisson null come from the count and mean arrays, and no
+model is built per cell.  The peel analysis repeats the test with the
+flagged cell removed until nothing more stands out; its state is the
+kept cells and their survival brackets, so a round at an unchanged rate
+only drops one cell.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Poisson, RandomStream
+from .distributions import Poisson, RandomStream, _poisson_sf
 from .errors import DataError, _integer, _real, _seed
-from .umptest import PValueBounds, TestDecision, _bounds, pvalue_bounds
+from .umptest import PValueBounds, TestDecision, _bounds
+from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
 
 __all__ = [
     "PanelCell",
@@ -46,9 +50,18 @@ class PanelCell:
     population: float
 
 
+def _id_ok(name) -> bool:
+    """A region or period id: a non-empty string without surrounding whitespace."""
+    return isinstance(name, str) and name != "" and name == name.strip()
+
+
 @dataclass(frozen=True)
 class CountPanel:
-    """The cells that enter the test: at least one, with unique (region, period) keys."""
+    """The cells that enter the test: at least one, with unique (region, period) keys.
+
+    Region and period ids are non-empty strings without surrounding
+    whitespace, so every panel is one that a CSV file can hold.
+    """
 
     cells: tuple[PanelCell, ...]
 
@@ -61,6 +74,11 @@ class CountPanel:
             if not isinstance(cell, PanelCell):
                 raise DataError(f"panel cells must be PanelCell, got {type(cell).__name__}")
             key = (cell.region_id, cell.period_id)
+            if not (_id_ok(cell.region_id) and _id_ok(cell.period_id)):
+                raise DataError(
+                    f"cell {key!r}: region and period ids must be non-empty strings"
+                    " without surrounding whitespace"
+                )
             if key in seen:
                 raise DataError(f"duplicate cell key {key!r}")
             seen.add(key)
@@ -122,13 +140,28 @@ def _pooled_rate(cells: Sequence[PanelCell]) -> float:
 
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
     """One Poisson(lambda * population) per cell, in panel order."""
-    return _poisson_nulls(panel.cells, lam)
-
-
-def _poisson_nulls(cells: Sequence[PanelCell], lam: float) -> list[Poisson]:
-    """One Poisson(lambda * population) per given cell, after checking the rate."""
     _real(lam, "rate", 0.0)
-    return [Poisson(lam * c.population) for c in cells]
+    return [Poisson(lam * c.population) for c in panel.cells]
+
+
+def _panel_brackets(
+    cells: Sequence[PanelCell], rate: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each cell's Poisson(rate * population) survival brackets, in one array pass.
+
+    Returns what ``pit._survival_brackets`` returns on the cells' null
+    models, bit for bit, without building a model per cell; a mean that
+    is not a finite positive number raises what ``Poisson`` raises.
+    """
+    products = [rate * c.population for c in cells]
+    means = np.array(products, dtype=float)
+    bad = ~(np.isfinite(means) & (means > 0.0))
+    if bad.any():
+        _real(products[int(np.argmax(bad))], "Poisson mean", 0.0)
+    counts = np.array([c.count for c in cells], dtype=float)
+    sf_left = _poisson_sf(counts - 1.0, means)
+    sf_right = _poisson_sf(counts, means)
+    return tuple(sf_left.tolist()), tuple(sf_right.tolist())
 
 
 def _round_report(
@@ -172,13 +205,15 @@ def epidemic_test(
     """Run the maximum-score test on a panel.
 
     Estimates the rate from the panel when ``lam`` is absent.  The
-    flagged cell is the one attaining the upper maximum of the p-value
-    bounds, i.e. the most extreme observation.
+    cells' survival brackets come from one array pass and equal those of
+    ``pvalue_bounds`` on ``null_distributions(panel, lam)``.  The flagged
+    cell is the one attaining the upper maximum of the p-value bounds,
+    i.e. the most extreme observation.
     """
     if seed is not None:
         _seed(seed)
     lam_used = _real(lam, "rate", 0.0) if lam is not None else estimate_lambda(panel)
-    bounds = pvalue_bounds(null_distributions(panel, lam_used), [c.count for c in panel.cells])
+    bounds = _bounds(*_panel_brackets(panel.cells, lam_used))
     return _round_report(panel.cells, bounds, lam_used, alpha, seed)
 
 
@@ -199,11 +234,12 @@ def peel_test(
     estimate, and no cell of an all-zero panel can stand out.
 
     A cell's survival bracket depends only on its count and on the rate
-    times its population, so the brackets are computed only in a round
-    whose rate differs from the one they were computed at: at a fixed
-    rate the panel is scored once, and later rounds drop the flagged
-    cell from the kept brackets.  A pooled rate moves as cells leave, so
-    each such round scores the surviving cells again.  Round r reports
+    times its population, so the brackets are computed, in one array
+    pass over the surviving cells, only in a round whose rate differs
+    from the one they were computed at: at a fixed rate the panel is
+    scored once, and later rounds drop the flagged cell from the kept
+    brackets.  A pooled rate moves as cells leave, so each such round
+    scores the surviving cells again.  Round r reports
     exactly what ``epidemic_test`` reports on the panel with rounds
     1..r-1's flagged cells removed by ``CountPanel.excluding``.
 
@@ -236,7 +272,7 @@ def peel_test(
                 bounds.sf_right[:flagged] + bounds.sf_right[flagged + 1 :],
             )
         else:
-            bounds = pvalue_bounds(_poisson_nulls(cells, rate), [c.count for c in cells])
+            bounds = _bounds(*_panel_brackets(cells, rate))
             scored_at = rate
         report = _round_report(cells, bounds, rate, alpha, round_seed)
         reports.append(report)

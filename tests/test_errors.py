@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extreme_sentinel.distributions import Poisson, RandomStream, TabulatedDiscrete
-from extreme_sentinel.errors import DomainError, ParameterError
+from extreme_sentinel.errors import DomainError, ParameterError, _array
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, mlr_check
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
 from extreme_sentinel.umptest import pvalue_bounds
@@ -26,6 +26,32 @@ def test_unreadable_arrays_raise_the_sites_error():
     for error, call in probes:
         with pytest.raises(error, match="must be real numbers"):
             call()
+
+
+def test_bools_and_strings_are_refused_as_the_scalar_rules_refuse_them():
+    # numpy reads each of these as numbers; the scalar rules refuse them all.
+    probes = [
+        (DomainError, lambda: Poisson(1.0).cdf("3")),
+        (DomainError, lambda: Poisson(1.0).cdf(True)),
+        (DomainError, lambda: Poisson(1.0).sf(np.array([True, False]))),
+        (DomainError, lambda: Poisson(1.0).sf_left(b"3")),
+        (DomainError, lambda: pvalue_bounds([Poisson(1.0)], [np.True_])),
+        (DomainError, lambda: ks_uniformity(["0.5"] * 1000)),
+        (ParameterError, lambda: TabulatedDiscrete(("1",), (1.0,))),
+        (ParameterError, lambda: TabulatedDiscrete((1.0,), (True,))),
+    ]
+    for error, call in probes:
+        with pytest.raises(error, match="must be real numbers"):
+            call()
+
+
+def test_real_arrays_are_read_as_before():
+    x = np.linspace(0.0, 1.0, 5)
+    assert _array(x, "x") is x  # a float array is not copied
+    assert Poisson(1.0).cdf(x).tolist() == Poisson(1.0).cdf(x.tolist()).tolist()
+    assert Poisson(1.0).cdf([0, 1, 2]).tolist() == Poisson(1.0).cdf(x[::2] * 2.0).tolist()
+    assert Poisson(1.0).cdf(np.int64(3)) == Poisson(1.0).cdf(3.0)
+    assert _array([2**64], "x").tolist() == [2.0**64]
 
 
 def test_sizes_are_none_a_count_or_a_tuple_of_counts():

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from extreme_sentinel import surveillance
 from extreme_sentinel.cli import ingest, write_panel
 from extreme_sentinel.distributions import Poisson, RandomStream
 from extreme_sentinel.errors import DataError, ParameterError
+from extreme_sentinel.pit import _survival_brackets
 from extreme_sentinel.surveillance import (
     CountPanel,
     PanelCell,
@@ -230,54 +232,96 @@ class TestEpidemicTest:
 
 
 class TestOneBracketPass:
-    """Each test reads every cell's survival brackets once."""
+    """Each test scores its cells in one array pass and builds no model per cell."""
 
     @pytest.fixture
-    def sf_left_calls(self, monkeypatch):
-        calls = []
-        original = Poisson.sf_left
+    def panel(self):
+        return fixture_panel()
 
-        def counting(self, x):
-            calls.append(x)
-            return original(self, x)
+    @pytest.fixture
+    def work(self, panel, monkeypatch):
+        # Requests `panel` first, so building it is not counted.
+        work = {"passes": [], "sf_left": 0, "CountPanel": 0, "Poisson": 0}
+        array_pass = surveillance._panel_brackets
+        sf_left = Poisson.sf_left
 
-        monkeypatch.setattr(Poisson, "sf_left", counting)
-        return calls
+        def counting_pass(cells, rate):
+            work["passes"].append(len(cells))
+            return array_pass(cells, rate)
 
-    def test_epidemic_test_on_fixture(self, sf_left_calls):
-        panel = fixture_panel()
-        epidemic_test(panel, lam=PUBLISHED_RATE, alpha=0.01)
-        assert len(sf_left_calls) == panel.n
+        def counting_sf_left(self, x):
+            work["sf_left"] += 1
+            return sf_left(self, x)
 
-    def test_fixed_rate_peel(self, sf_left_calls):
-        # At a fixed rate the brackets never change: the panel is scored once.
-        panel = fixture_panel()
-        reports = peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
-        assert len(reports) == 2
-        assert len(sf_left_calls) == panel.n
-
-    def test_pooled_rate_peel(self, sf_left_calls):
-        # A pooled rate moves as cells leave, so each round scores its cells again.
-        reports = peel_test(fixture_panel(), alpha=0.01, max_rounds=5)
-        assert len(reports) == 2
-        assert len(sf_left_calls) == sum(r.n for r in reports)
-
-    def test_peel_builds_no_panel_and_no_model_after_round_one(self, monkeypatch):
-        built = {"CountPanel": 0, "Poisson": 0}
+        monkeypatch.setattr(surveillance, "_panel_brackets", counting_pass)
+        monkeypatch.setattr(Poisson, "sf_left", counting_sf_left)
         for cls in (CountPanel, Poisson):
 
             def counting(self, original=cls.__post_init__, name=cls.__name__):
-                built[name] += 1
+                work[name] += 1
                 original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        panel = fixture_panel()
-        built.update(CountPanel=0, Poisson=0)
-        assert len(peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)) == 2
-        assert built == {"CountPanel": 0, "Poisson": panel.n}
-        built.update(CountPanel=0, Poisson=0)
+        return work
+
+    def test_epidemic_test_on_fixture(self, panel, work):
+        epidemic_test(panel, lam=PUBLISHED_RATE, alpha=0.01)
+        assert work == {"passes": [panel.n], "sf_left": 0, "CountPanel": 0, "Poisson": 0}
+
+    def test_fixed_rate_peel(self, panel, work):
+        # At a fixed rate the brackets never change: the panel is scored once.
+        reports = peel_test(panel, lam=PUBLISHED_RATE, alpha=0.01, max_rounds=5)
+        assert len(reports) == 2
+        assert work == {"passes": [panel.n], "sf_left": 0, "CountPanel": 0, "Poisson": 0}
+
+    def test_pooled_rate_peel(self, panel, work):
+        # A pooled rate moves as cells leave, so each round scores its cells again.
         reports = peel_test(panel, alpha=0.01, max_rounds=5)
-        assert built == {"CountPanel": 0, "Poisson": sum(r.n for r in reports)}
+        assert len(reports) == 2
+        assert work["passes"] == [r.n for r in reports]  # one pass per round, r.n cells each
+        assert (work["sf_left"], work["Poisson"]) == (0, 0)
+
+    def test_peel_builds_no_panel_and_no_model(self, panel, work):
+        for lam in (PUBLISHED_RATE, None):
+            assert len(peel_test(panel, lam=lam, alpha=0.01, max_rounds=5, seed=7)) == 2
+        assert (work["sf_left"], work["CountPanel"], work["Poisson"]) == (0, 0, 0)
+
+
+class TestPanelBrackets:
+    def test_equals_the_per_model_pass(self):
+        # Seeded panels mixing int and float populations, means from 1e-12 to
+        # 1e8, and counts of zero, Poisson draws and values up to 1e6.
+        rng = np.random.default_rng(4242)
+        for _ in range(400):
+            n = int(rng.integers(1, 30))
+            rate = float(10.0 ** rng.uniform(-12, -6))
+            targets = 10.0 ** rng.uniform(-12, 8, n)
+            cells = []
+            for i, target in enumerate(targets):
+                pop = target / rate
+                if rng.random() < 0.5:
+                    pop = max(1, round(pop))
+                kind = int(rng.integers(3))
+                count = (0, int(rng.poisson(rate * pop)), int(rng.integers(0, 10**6 + 1)))[kind]
+                cells.append(cell(f"R{i}", "1", count, pop))
+            panel = CountPanel(tuple(cells))
+            expected = _survival_brackets(
+                null_distributions(panel, rate), [c.count for c in panel.cells]
+            )
+            got = surveillance._panel_brackets(panel.cells, rate)
+            assert got == expected
+            assert all(type(v) is float for v in got[0] + got[1])
+
+    def test_mean_out_of_range_raises_what_poisson_raises(self):
+        # 1e300 * 1e10 overflows to inf; 1e-300 * 1e-30 underflows to 0.
+        panel = CountPanel((cell("A", "1", 0), cell("B", "1", 3, pop=1e10)))
+        tiny = CountPanel((cell("A", "1", 0, pop=1e-30),))
+        for p, lam, got in ((panel, 1e300, "inf"), (tiny, 1e-300, "0.0")):
+            msg = f"Poisson mean must be a finite real number in (0.0, inf), got {got}"
+            for run in (epidemic_test, peel_test):
+                with pytest.raises(ParameterError) as info:
+                    run(p, lam=lam)
+                assert str(info.value) == msg
 
 
 class TestPeelTest:
@@ -430,6 +474,19 @@ class TestPanelCsv:
                 write_panel(panel, out)
                 assert ingest(out).cells == panel.cells
         assert fractional_seen > 1000
+
+
+    def test_ids_round_trip_or_are_refused(self, tmp_path):
+        # An id that a CSV row cannot give back is refused by the panel itself.
+        out = tmp_path / "panel.csv"
+        for bad in (5, np.int64(5), None, "", " A", "A ", "\tA", "A\n", "\u00a0A"):
+            for region, period in ((bad, "1"), ("A", bad)):
+                with pytest.raises(DataError, match=r"cell \(.*ids must be non-empty strings"):
+                    CountPanel((cell("B", "1", 0), cell(region, period, 1)))
+        ids = ("A", "Val d'Aosta", "a,b", 'say "hi"', "two words", "x\ny", "Città", "0")
+        panel = CountPanel(tuple(cell(r, p, 1) for r in ids for p in ids))
+        write_panel(panel, out)
+        assert ingest(out).cells == panel.cells
 
 
 class TestFixtureFile:
