@@ -32,6 +32,7 @@ from .surveillance import (
     CountPanel,
     EpidemicReport,
     PanelCell,
+    _first_fault,
     epidemic_test,
     estimate_lambda,
     null_distributions,
@@ -91,10 +92,11 @@ def _ascii_number(text: str, kind: type):
 
 
 def ingest(input_path) -> CountPanel:
-    """Parse and validate a panel CSV; every row is a cell that enters the test.
+    """Read a panel CSV; every row is a cell that enters the test.
 
     A non-reporting area is left out of the file, not given zero rows.
-    All parse errors name the offending line.
+    The text is read first and the cells checked second, by ``CountPanel``,
+    so a bad literal is reported before any bad value; errors name the line.
     """
     path = Path(input_path)
     try:
@@ -108,31 +110,19 @@ def ingest(input_path) -> CountPanel:
         raise PanelFormatError(
             f"{path}:1: expected header {','.join(HEADER)}, got {','.join(rows[0])!r}"
         )
-    cells = []
-    seen: dict[tuple[str, str], int] = {}
+    cells, lines = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) == 0:
             continue  # trailing blank line
         if len(row) != 4:
             raise PanelFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         region, period, count_s, pop_s = (f.strip() for f in row)
-        if not region or not period:
-            raise PanelFormatError(f"{path}:{lineno}: empty region or period")
-        key = (region, period)
-        if key in seen:
-            raise PanelFormatError(
-                f"{path}:{lineno}: duplicate cell {region},{period} "
-                f"(first seen at line {seen[key]})"
-            )
-        seen[key] = lineno
         try:
             count = _ascii_number(count_s, int)
         except ValueError:
             raise PanelFormatError(
                 f"{path}:{lineno}: count must be an integer, got {count_s!r}"
             ) from None
-        if count < 0:
-            raise PanelFormatError(f"{path}:{lineno}: negative count {count}")
         if not pop_s:
             raise PanelFormatError(f"{path}:{lineno}: missing population")
         try:
@@ -141,17 +131,15 @@ def ingest(input_path) -> CountPanel:
             raise PanelFormatError(
                 f"{path}:{lineno}: population must be a number, got {pop_s!r}"
             ) from None
-        if not (np.isfinite(population) and population > 0.0):
-            raise PanelFormatError(
-                f"{path}:{lineno}: population must be positive, got {pop_s!r}"
-            )
         cells.append(PanelCell(region, period, count, population))
+        lines.append(lineno)
     if not cells:
         raise PanelFormatError(f"{path}: no data rows after the header")
     try:
         return CountPanel(tuple(cells))
-    except DataError as exc:  # defense in depth; parse checks should catch first
-        raise PanelFormatError(f"{path}: {exc}") from exc
+    except DataError:
+        i, reason = _first_fault(cells, lambda j: f"line {lines[j]}")
+        raise PanelFormatError(f"{path}:{lines[i]}: {reason}") from None
 
 
 def write_panel(panel: CountPanel, output_path) -> None:

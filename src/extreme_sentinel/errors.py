@@ -88,12 +88,14 @@ def _real(
 def _array(value, what: str, error=ParameterError) -> np.ndarray:
     """``np.asarray(value, dtype=float)`` for real numbers; raises ``error`` otherwise.
 
-    Bools and strings are refused as the scalar rules refuse them, though
-    numpy would read them; a float array comes back as it is, not copied.
+    Bools and strings, loose or in an object array, are refused as the
+    scalar rules refuse them; a float array comes back as it is, not copied.
     """
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind not in "bUS":
+        if arr.dtype.kind not in "bUSO" or arr.dtype.kind == "O" and all(
+            isinstance(x, _REALS) and not isinstance(x, bool) for x in arr.flat
+        ):
             return np.asarray(arr, dtype=float)
     except (TypeError, ValueError):
         pass

@@ -10,7 +10,7 @@ every cell's Poisson null come from the count and mean arrays, and no
 model is built per cell.  The peel analysis repeats the test with the
 flagged cell removed until nothing more stands out; its state is the
 kept cells and their survival brackets, so a round at an unchanged rate
-only drops one cell.
+only drops one cell.  ``CountPanel`` alone checks its cells.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Poisson, RandomStream, _poisson_sf
-from .errors import DataError, _integer, _real, _seed
+from .errors import DataError, ParameterError, _integer, _real, _seed
 from .umptest import PValueBounds, TestDecision, _bounds
 from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
 
@@ -55,9 +55,34 @@ def _id_ok(name) -> bool:
     return isinstance(name, str) and name != "" and name == name.strip()
 
 
+def _first_fault(cells: Sequence, where) -> tuple[int, str] | None:
+    """The first cell breaking a panel rule, as (index, reason), or None.
+
+    A duplicate's reason names its first occurrence ``j`` as ``where(j)``.
+    """
+    first: dict[tuple[str, str], int] = {}
+    for i, c in enumerate(cells):
+        if not isinstance(c, PanelCell):
+            return i, f"must be a PanelCell, got {type(c).__name__}"
+        if not (_id_ok(c.region_id) and _id_ok(c.period_id)):
+            return i, "ids must be non-empty strings without surrounding whitespace"
+        j = first.setdefault((c.region_id, c.period_id), i)
+        if j != i:
+            return i, f"duplicate key, first seen at {where(j)}"
+        try:
+            _integer(c.count, "count", 0)
+        except ParameterError:
+            return i, f"count must be a non-negative integer, got {c.count!r}"
+        try:
+            _real(c.population, "population", 0.0)
+        except ParameterError:
+            return i, f"population must be a positive finite number, got {c.population!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class CountPanel:
-    """The cells that enter the test: at least one, with unique (region, period) keys.
+    """The cells that enter the test: at least one, each valid, keys unique.
 
     Region and period ids are non-empty strings without surrounding
     whitespace, so every panel is one that a CSV file can hold.
@@ -69,37 +94,16 @@ class CountPanel:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not self.cells:
             raise DataError("panel must contain at least one cell")
-        seen = set()
-        for cell in self.cells:
-            if not isinstance(cell, PanelCell):
-                raise DataError(f"panel cells must be PanelCell, got {type(cell).__name__}")
-            key = (cell.region_id, cell.period_id)
-            if not (_id_ok(cell.region_id) and _id_ok(cell.period_id)):
-                raise DataError(
-                    f"cell {key!r}: region and period ids must be non-empty strings"
-                    " without surrounding whitespace"
-                )
-            if key in seen:
-                raise DataError(f"duplicate cell key {key!r}")
-            seen.add(key)
-            try:
-                _integer(cell.count, "count", 0, error=DataError)
-                _real(cell.population, "population", 0.0, error=DataError)
-            except DataError as exc:
-                raise DataError(f"cell {key!r}: {exc}") from None
+        fault = _first_fault(self.cells, lambda j: f"position {j}")
+        if fault is not None:
+            c = self.cells[fault[0]]
+            key = (c.region_id, c.period_id) if isinstance(c, PanelCell) else c
+            raise DataError(f"cell {key!r}: {fault[1]}")
 
     @property
     def n(self) -> int:
         """Number of cells entering the test (the exponent in the bounds)."""
         return len(self.cells)
-
-    def excluding(self, region_id: str, period_id: str) -> "CountPanel":
-        """Copy of the panel without one cell."""
-        key = (region_id, period_id)
-        kept = tuple(c for c in self.cells if (c.region_id, c.period_id) != key)
-        if len(kept) == len(self.cells):
-            raise DataError(f"no cell with key {key!r}")
-        return CountPanel(kept)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,11 @@ def _pooled_rate(cells: Sequence[PanelCell]) -> float:
     total_count = sum(c.count for c in cells)
     if total_count == 0:
         raise DataError("all counts are zero; pass an explicit rate instead")
-    return total_count / math.fsum(c.population for c in cells)
+    try:
+        total_population = math.fsum(c.population for c in cells)
+    except OverflowError:
+        raise DataError("total population overflows; pass an explicit rate instead") from None
+    return total_count / total_population
 
 
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
@@ -239,9 +247,9 @@ def peel_test(
     from the one they were computed at: at a fixed rate the panel is
     scored once, and later rounds drop the flagged cell from the kept
     brackets.  A pooled rate moves as cells leave, so each such round
-    scores the surviving cells again.  Round r reports
-    exactly what ``epidemic_test`` reports on the panel with rounds
-    1..r-1's flagged cells removed by ``CountPanel.excluding``.
+    scores the surviving cells again.  Round r reports exactly what
+    ``epidemic_test`` reports on the panel without rounds 1..r-1's
+    flagged cells.  No other library code drops a cell from a panel.
 
     Per-round coin seeds are derived from ``seed`` by seed splitting, and
     each report carries its own derived seed so the round can be replayed

@@ -16,7 +16,7 @@ from extreme_sentinel.cli import (
     run,
     write_panel,
 )
-from extreme_sentinel.errors import PanelFormatError, ParameterError
+from extreme_sentinel.errors import DataError, PanelFormatError, ParameterError
 from extreme_sentinel.surveillance import (
     CountPanel,
     PanelCell,
@@ -101,6 +101,79 @@ class TestIngest:
         body = "region,period,count,population\nA,1,0,0\n"
         with pytest.raises(PanelFormatError, match=":2:.*positive"):
             ingest(write_csv(tmp_path, body))
+
+
+    def test_file_is_read_before_its_cells_are_checked(self, tmp_path):
+        # Line 2 holds a bad value and line 3 a bad literal: the literal is reported.
+        body = "region,period,count,population\nA,1,-1,10\nB,1,two,10\n"
+        with pytest.raises(PanelFormatError, match=":3:.*count must be an integer"):
+            ingest(write_csv(tmp_path, body))
+        body = "region,period,count,population\nA,1,0,10\nA,1,0,10\nB,1,0,\n"
+        with pytest.raises(PanelFormatError, match=":4:.*missing population"):
+            ingest(write_csv(tmp_path, body))
+
+
+# One planted fault per CSV: (kind, how its reason starts).
+FAULTS = (
+    ("empty region", "ids must be non-empty strings"),
+    ("empty period", "ids must be non-empty strings"),
+    ("duplicate", "duplicate key, first seen at line"),
+    ("negative count", "count must be a non-negative integer"),
+    ("zero population", "population must be a positive finite number"),
+    ("negative population", "population must be a positive finite number"),
+    ("inf population", "population must be a positive finite number"),
+    ("nan population", "population must be a positive finite number"),
+)
+BAD_POPULATIONS = {"zero": "0", "negative": "-2.5", "inf": "inf", "nan": "nan"}
+
+
+class TestOneRuleSet:
+    def test_ingest_and_count_panel_name_the_same_fault(self, tmp_path):
+        # ingest names the planted line; CountPanel on the same cells names its key.
+        rng = np.random.default_rng(20111)
+        path = tmp_path / "panel.csv"
+        for trial in range(240):
+            kind, says = FAULTS[trial % len(FAULTS)]
+            dup = kind == "duplicate"
+            rows = [
+                [f"R{i}", str(2000 + i % 4), str(rng.integers(0, 20)), repr(rng.uniform(1e3, 1e6))]
+                for i in range(int(rng.integers(dup, 30)))
+            ]
+            at = int(rng.integers(dup, len(rows) + 1))
+            bad = ["X", "1", "3", "1000"]
+            if dup:
+                first = int(rng.integers(0, at))
+                bad[:2] = rows[first][:2]
+            elif kind == "empty region":
+                bad[0] = ""
+            elif kind == "empty period":
+                bad[1] = ""
+            elif kind == "negative count":
+                bad[2] = str(-rng.integers(1, 5))
+            else:
+                bad[3] = BAD_POPULATIONS[kind.split()[0]]
+            rows.insert(at, bad)
+            # Blank lines are skipped, so a row's line is not its index plus 2.
+            text, lines = ["region,period,count,population"], []
+            for row in rows:
+                if rng.random() < 0.2:
+                    text.append("")
+                text.append(",".join(row))
+                lines.append(len(text))
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+            with pytest.raises(PanelFormatError) as read:
+                ingest(path)
+            prefix = f"{path}:{lines[at]}: "
+            assert str(read.value).startswith(prefix + says), (kind, str(read.value))
+            reason = str(read.value)[len(prefix) :]
+            if dup:
+                assert reason.endswith(f"line {lines[first]}")
+                reason = reason.replace(f"line {lines[first]}", f"position {first}")
+            cells = tuple(PanelCell(r, p, int(c), float(pop)) for r, p, c, pop in rows)
+            with pytest.raises(DataError) as built:
+                CountPanel(cells)
+            assert str(built.value) == f"cell {(bad[0], bad[1])!r}: {reason}"
 
 
 class TestWritePanel:

@@ -39,6 +39,13 @@ def test_bools_and_strings_are_refused_as_the_scalar_rules_refuse_them():
         (DomainError, lambda: ks_uniformity(["0.5"] * 1000)),
         (ParameterError, lambda: TabulatedDiscrete(("1",), (1.0,))),
         (ParameterError, lambda: TabulatedDiscrete((1.0,), (True,))),
+        # Inside an object array numpy reads each element as a number.
+        (DomainError, lambda: Poisson(1.0).cdf(np.array(["3"], dtype=object))),
+        (DomainError, lambda: Poisson(1.0).cdf(np.array([True], dtype=object))),
+        (DomainError, lambda: Poisson(1.0).sf(np.array([1, np.True_], dtype=object))),
+        (DomainError, lambda: Poisson(1.0).sf_left(np.array([[1.0], [None]], dtype=object))),
+        (DomainError, lambda: pvalue_bounds([Poisson(1.0)], np.array([b"3"], dtype=object))),
+        (ParameterError, lambda: TabulatedDiscrete(np.array(["1"], dtype=object), (1.0,))),
     ]
     for error, call in probes:
         with pytest.raises(error, match="must be real numbers"):
@@ -52,6 +59,8 @@ def test_real_arrays_are_read_as_before():
     assert Poisson(1.0).cdf([0, 1, 2]).tolist() == Poisson(1.0).cdf(x[::2] * 2.0).tolist()
     assert Poisson(1.0).cdf(np.int64(3)) == Poisson(1.0).cdf(3.0)
     assert _array([2**64], "x").tolist() == [2.0**64]
+    mixed = np.array([1, 2.5, np.int64(3), np.float32(0.5)], dtype=object)
+    assert Poisson(1.0).cdf(mixed).tolist() == Poisson(1.0).cdf([1.0, 2.5, 3.0, 0.5]).tolist()
 
 
 def test_sizes_are_none_a_count_or_a_tuple_of_counts():

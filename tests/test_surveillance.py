@@ -56,21 +56,26 @@ def spiked_cells(rng):
 
 
 def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
-    """The peel as rounds of epidemic_test on the panel shrunk by excluding.
+    """The peel as rounds of epidemic_test on panels built without the flagged cells.
 
     Round r equals epidemic_test, at that round's seed, on the panel with
-    rounds 1..r-1's flagged cells excluded; only the last round may fail
-    to reject hard, and a rejecting last round needs a reason to stop.
+    rounds 1..r-1's flagged cells filtered out; only the last round may
+    fail to reject hard, and a rejecting last round needs a reason to stop.
     """
+
+    def key(c):
+        return (c.region_id, c.period_id)
+
     working = panel
     for i, r in enumerate(reports):
         if i:
-            working = working.excluding(*reports[i - 1].flagged_cell)
+            flagged = reports[i - 1].flagged_cell
+            working = CountPanel(tuple(c for c in working.cells if key(c) != flagged))
         assert epidemic_test(working, lam=lam, alpha=alpha, seed=r.seed) == r
     assert all(r.rejected is True for r in reports[:-1])
     if reports[-1].rejected is True and len(reports) < max_rounds:
         # The last round's flagged cell is set aside: nothing, or only zeros, is left.
-        left = [c for c in working.cells if (c.region_id, c.period_id) != reports[-1].flagged_cell]
+        left = [c for c in working.cells if key(c) != reports[-1].flagged_cell]
         assert not left or (lam is None and not any(c.count for c in left))
 
 
@@ -106,17 +111,6 @@ class TestCountPanel:
             with pytest.raises(DataError, match="at least one cell"):
                 CountPanel(cells)
 
-    def test_excluding(self):
-        panel = CountPanel((cell("A", "1", 3), cell("B", "1", 0)))
-        smaller = panel.excluding("A", "1")
-        assert smaller.n == 1
-        assert panel.n == 2  # original untouched
-        assert smaller.cells == (cell("B", "1", 0),)
-        with pytest.raises(DataError):
-            panel.excluding("Z", "9")
-        with pytest.raises(DataError):
-            smaller.excluding("B", "1")  # no cell would be left
-
     def test_cells_must_be_panel_cells(self):
         with pytest.raises(DataError):
             CountPanel((("A", "1", 0, 1.0),))
@@ -138,6 +132,17 @@ class TestEstimateLambda:
     def test_errors(self):
         with pytest.raises(DataError):
             estimate_lambda(CountPanel((cell("A", "1", 0),)))
+
+    def test_total_population_overflow_asks_for_a_rate(self):
+        panel = CountPanel((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=1e308)))
+        for call in (estimate_lambda, epidemic_test, peel_test):
+            with pytest.raises(DataError, match="total population overflows.*explicit rate"):
+                call(panel)
+        assert epidemic_test(panel, lam=1e-308).n == 2
+        # Below the overflow the pooled rate is still total count over fsum.
+        panel = CountPanel((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=7e307)))
+        assert estimate_lambda(panel) == 3 / math.fsum((1e308, 7e307))
+        assert peel_test(panel)[0].lambda_used == 3 / math.fsum((1e308, 7e307))
 
 
 class TestNullDistributions:
