@@ -8,120 +8,22 @@ Poisson count panels this is an epidemic detector; the bundled fixture
 is the Lombardy listeriosis panel.
 """
 
-from .distributions import (
-    Binomial,
-    ContinuousByCdf,
-    NullDistribution,
-    Poisson,
-    RandomStream,
-    TabulatedDiscrete,
-    Uniform01,
-)
-from .errors import (
-    AbsoluteContinuityError,
-    ContractError,
-    DataError,
-    DomainError,
-    ExtremeSentinelError,
-    PanelFormatError,
-    ParameterError,
-    ShapeError,
-    SizeError,
-)
-from .monotone import (
-    CheckResult,
-    ModelPair,
-    alt_extremeness_cdf,
-    convexity_check,
-    discrete_probe_points,
-    mlr_check,
-)
-from .pit import ExtremenessVector, extremeness_panel, randomized_pit
-from .surveillance import (
-    CountPanel,
-    EpidemicReport,
-    PanelCell,
-    epidemic_test,
-    estimate_lambda,
-    listeriosis_fixture_path,
-    null_distributions,
-    peel_test,
-)
-from .umptest import (
-    PValueBounds,
-    TestDecision,
-    phi_expected,
-    phi_randomized,
-    power_single_alternative,
-    pvalue_bounds,
-    threshold,
-)
-from .verify import (
-    Alternative,
-    KsResult,
-    SimulationConfig,
-    SimulationResult,
-    enumerate_pvalue_bounds,
-    ks_uniformity,
-    simulate_size_and_power,
-)
+from . import distributions, errors, monotone, pit, surveillance, umptest, verify
+from .distributions import *
+from .errors import *
+from .monotone import *
+from .pit import *
+from .surveillance import *
+from .umptest import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distributions
-    "RandomStream",
-    "NullDistribution",
-    "Poisson",
-    "Binomial",
-    "Uniform01",
-    "TabulatedDiscrete",
-    "ContinuousByCdf",
-    # transform
-    "randomized_pit",
-    "extremeness_panel",
-    "ExtremenessVector",
-    # test
-    "threshold",
-    "phi_expected",
-    "phi_randomized",
-    "pvalue_bounds",
-    "power_single_alternative",
-    "TestDecision",
-    "PValueBounds",
-    # monotone models
-    "ModelPair",
-    "CheckResult",
-    "alt_extremeness_cdf",
-    "mlr_check",
-    "convexity_check",
-    "discrete_probe_points",
-    # surveillance
-    "PanelCell",
-    "CountPanel",
-    "EpidemicReport",
-    "estimate_lambda",
-    "null_distributions",
-    "epidemic_test",
-    "peel_test",
-    "listeriosis_fixture_path",
-    # oracles
-    "Alternative",
-    "SimulationConfig",
-    "SimulationResult",
-    "KsResult",
-    "simulate_size_and_power",
-    "enumerate_pvalue_bounds",
-    "ks_uniformity",
-    # errors
-    "ExtremeSentinelError",
-    "ParameterError",
-    "DomainError",
-    "ShapeError",
-    "SizeError",
-    "DataError",
-    "PanelFormatError",
-    "AbsoluteContinuityError",
-    "ContractError",
-]
+__all__ = ["__version__"]
+__all__ += distributions.__all__
+__all__ += errors.__all__
+__all__ += monotone.__all__
+__all__ += pit.__all__
+__all__ += surveillance.__all__
+__all__ += umptest.__all__
+__all__ += verify.__all__

@@ -4,6 +4,9 @@ Input is a CSV with header ``region,period,count,population``.  Reports
 go to standard output as text or JSON; JSON carries full precision and
 stable key names, text rounds the p-value bounds to two significant
 figures.  Exit status: 0 accept, 2 reject, 1 any error.
+
+``RunConfig`` holds every flag's default: each flag is stored under the
+name of its ``RunConfig`` field, and an absent flag is left to the field.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ HEADER = ("region", "period", "count", "population")
 ENV_SEED = "EXTREME_SENTINEL_SEED"
 
 _MODES = ("test", "peel", "simulate-null")
+_FORMATS = ("text", "json")
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class RunConfig:
         if self.lam is not None:
             _real(self.lam, "lambda", 0.0)
         _integer(self.max_rounds, "max-rounds", 1)
-        if self.output_format not in ("text", "json"):
+        if self.output_format not in _FORMATS:
             raise ParameterError(f"format must be text or json, got {self.output_format!r}")
         _integer(self.trials, "trials", 1000)
 
@@ -287,51 +291,51 @@ def _flag(kind: type):
     return convert
 
 
+_PARSER = _Parser(
+    prog="extreme-sentinel",
+    description=(
+        "Detect a dominating component in an independent count panel "
+        "with a randomized most-powerful test."
+    ),
+    argument_default=argparse.SUPPRESS,  # an absent flag takes RunConfig's default
+)
+_PARSER.add_argument(
+    "--input",
+    dest="input_path",
+    type=Path,
+    metavar="INPUT",
+    required=True,
+    help="panel CSV (region,period,count,population)",
+)
+_PARSER.add_argument("--mode", choices=_MODES)
+_PARSER.add_argument("--alpha", type=_flag(float), help=f"test size (default {RunConfig.alpha})")
+_PARSER.add_argument(
+    "--lambda",
+    dest="lam",
+    type=_flag(float),
+    help="cases per person-period; estimated from the panel when omitted",
+)
+_PARSER.add_argument("--seed", type=_flag(int), help="seed for randomized decisions")
+_PARSER.add_argument(
+    "--max-rounds", type=_flag(int), help=f"peel rounds cap (default {RunConfig.max_rounds})"
+)
+_PARSER.add_argument("--format", dest="output_format", choices=_FORMATS)
+_PARSER.add_argument(
+    "--trials", type=_flag(int), help=f"simulate-null trial count (default {RunConfig.trials})"
+)
+
+
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="extreme-sentinel",
-        description=(
-            "Detect a dominating component in an independent count panel "
-            "with a randomized most-powerful test."
-        ),
-    )
-    parser.add_argument("--input", required=True, help="panel CSV (region,period,count,population)")
-    parser.add_argument("--mode", choices=_MODES, default="test")
-    parser.add_argument("--alpha", type=_flag(float), default=0.05, help="test size (default 0.05)")
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        type=_flag(float),
-        default=None,
-        help="cases per person-period; estimated from the panel when omitted",
-    )
-    parser.add_argument("--seed", type=_flag(int), default=None, help="seed for randomized decisions")
-    parser.add_argument("--max-rounds", type=_flag(int), default=5, help="peel rounds cap (default 5)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--trials", type=_flag(int), default=10_000, help="simulate-null trial count (default 10000)"
-    )
-    args = parser.parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        if env:
-            try:
-                seed = _ascii_number(env, int)
-            except ValueError:
-                print(f"error: {ENV_SEED} must be an integer, got {env!r}", file=sys.stderr)
-                return 1
+    args = vars(_PARSER.parse_args(argv))
+    env = os.environ.get(ENV_SEED)
+    if "seed" not in args and env:
+        try:
+            args["seed"] = _ascii_number(env, int)
+        except ValueError:
+            print(f"error: {ENV_SEED} must be an integer, got {env!r}", file=sys.stderr)
+            return 1
     try:
-        config = RunConfig(
-            input_path=Path(args.input),
-            mode=args.mode,
-            alpha=args.alpha,
-            lam=args.lam,
-            seed=seed,
-            max_rounds=args.max_rounds,
-            output_format=args.format,
-            trials=args.trials,
-        )
+        config = RunConfig(**args)
     except ExtremeSentinelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

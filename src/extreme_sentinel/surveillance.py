@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Poisson, RandomStream, _poisson_sf
-from .errors import DataError, ParameterError, _integer, _real, _seed
+from .errors import DataError, ParameterError, _integer, _real, _seed, _shown
 from .umptest import PValueBounds, TestDecision, _bounds
 from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
 
@@ -59,6 +59,7 @@ def _first_fault(cells: Sequence, where) -> tuple[int, str] | None:
     """The first cell breaking a panel rule, as (index, reason), or None.
 
     A duplicate's reason names its first occurrence ``j`` as ``where(j)``.
+    A count stays below 2**53, where the float64 array pass is exact.
     """
     first: dict[tuple[str, str], int] = {}
     for i, c in enumerate(cells):
@@ -70,13 +71,15 @@ def _first_fault(cells: Sequence, where) -> tuple[int, str] | None:
         if j != i:
             return i, f"duplicate key, first seen at {where(j)}"
         try:
-            _integer(c.count, "count", 0)
+            _integer(c.count, "count", 0, 2**53)
         except ParameterError:
-            return i, f"count must be a non-negative integer, got {c.count!r}"
+            return i, (
+                f"count must be a non-negative integer below 2**53, got {_shown(c.count)}"
+            )
         try:
             _real(c.population, "population", 0.0)
         except ParameterError:
-            return i, f"population must be a positive finite number, got {c.population!r}"
+            return i, f"population must be a positive finite number, got {_shown(c.population)}"
     return None
 
 
@@ -98,7 +101,7 @@ class CountPanel:
         if fault is not None:
             c = self.cells[fault[0]]
             key = (c.region_id, c.period_id) if isinstance(c, PanelCell) else c
-            raise DataError(f"cell {key!r}: {fault[1]}")
+            raise DataError(f"cell {_shown(key)}: {fault[1]}")
 
     @property
     def n(self) -> int:

@@ -102,6 +102,13 @@ class TestIngest:
         with pytest.raises(PanelFormatError, match=":2:.*positive"):
             ingest(write_csv(tmp_path, body))
 
+    def test_count_past_two_to_the_53_exits_one(self, capsys, tmp_path):
+        # 400 nines once escaped as a raw OverflowError from the float pass.
+        path = write_csv(tmp_path, f"region,period,count,population\nA,1,{'9' * 400},10\n")
+        code, out, err = run_main(capsys, "--input", path, "--lambda", "1e-6")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:2: count must be a non-negative integer")
+        assert "Traceback" not in err
 
     def test_file_is_read_before_its_cells_are_checked(self, tmp_path):
         # Line 2 holds a bad value and line 3 a bad literal: the literal is reported.
@@ -263,6 +270,15 @@ class TestRunTestMode:
         assert out == ""
         assert "error" in err
 
+    def test_unseeded_randomized_branch_is_left_unresolved(self, capsys, tmp_path):
+        path = write_csv(tmp_path, "region,period,count,population\nA,1,1,1000000\n")
+        code, out, err = run_main(capsys, "--input", path, "--lambda", "1e-6", "--alpha", "0.5")
+        assert (code, err) == (0, "")
+        assert "branch=randomized" in out
+        assert out.endswith(
+            "decision: unresolved randomized branch (pass --seed for a hard decision)\n"
+        )
+
     def test_every_text_numeric_exists_in_json(self, capsys):
         args = ("--input", FIXTURE, "--alpha", "0.01", "--lambda", "9.703e-7")
         code_t, text, _ = run_main(capsys, *args, "--format", "text")
@@ -373,6 +389,22 @@ class TestRunSimulateNull:
         assert 0.0 <= payload["rejection_rate"] <= 1.0
         _, again, _ = run_main(capsys, *args)
         assert out == again
+
+    def test_text_summary_on_the_fixture(self, capsys):
+        code, out, err = run_main(
+            capsys,
+            "--input", FIXTURE,
+            "--mode", "simulate-null",
+            "--seed", "1",
+            "--trials", "1000",
+            "--alpha", "0.01",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "n=40 cells  alpha=0.01  lambda=9.452773538283868e-07\n"
+            "trials=1000  rejection rate=0.007  std error=0.0026364749192814255\n"
+            "seed=1\n"
+        )
 
     def test_seed_required(self, capsys):
         code, _, err = run_main(capsys, "--input", FIXTURE, "--mode", "simulate-null")

@@ -335,3 +335,17 @@ def test_poisson_quantile_frozen_at_large_mean():
 
 def test_ladder_stays_a_window_at_huge_mean():
     assert Poisson(1e8)._ladder[0].size < 1_000_000
+
+
+def test_ladder_widens_below_a_loose_first_window():
+    # The first window of Binomial(100, 0.999) starts at 47, but F(46) = 7e-134.
+    dist = Binomial(100, 0.999)
+    assert dist.cdf(46.0) > 0.0
+    pts, _ = dist._ladder
+    assert pts[0] < 47
+    assert dist.cdf(pts[0] - 1.0) == 0.0 < dist.cdf(pts[0])
+    support = np.arange(0.0, 101.0)
+    cdf = np.asarray(dist.cdf(support))
+    for omega in (1e-300, 1e-200, 1e-133, 1e-16, 0.5):
+        # The sup-form inverse is the first support point with F >= omega.
+        assert dist.skorokhod_quantile(omega) == support[np.argmax(cdf >= omega)]

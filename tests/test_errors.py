@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from extreme_sentinel.distributions import Poisson, RandomStream, TabulatedDiscrete
-from extreme_sentinel.errors import DomainError, ParameterError, _array
+from extreme_sentinel.distributions import Binomial, Poisson, RandomStream, TabulatedDiscrete
+from extreme_sentinel.errors import DataError, DomainError, ParameterError, _array
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, mlr_check
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
-from extreme_sentinel.umptest import pvalue_bounds
+from extreme_sentinel.surveillance import CountPanel, PanelCell, epidemic_test
+from extreme_sentinel.umptest import pvalue_bounds, threshold
 from extreme_sentinel.verify import ks_uniformity
 
 
@@ -46,6 +47,10 @@ def test_bools_and_strings_are_refused_as_the_scalar_rules_refuse_them():
         (DomainError, lambda: Poisson(1.0).sf_left(np.array([[1.0], [None]], dtype=object))),
         (DomainError, lambda: pvalue_bounds([Poisson(1.0)], np.array([b"3"], dtype=object))),
         (ParameterError, lambda: TabulatedDiscrete(np.array(["1"], dtype=object), (1.0,))),
+        # In a list or tuple numpy would cast True to 1 before the rule saw it.
+        (DomainError, lambda: Poisson(1.0).cdf([1, True])),
+        (DomainError, lambda: Poisson(1.0).sf([[0, 1], [True, 2]])),
+        (DomainError, lambda: randomized_pit(Poisson(1.0), [1, 2], [0.5, True])),
     ]
     for error, call in probes:
         with pytest.raises(error, match="must be real numbers"):
@@ -61,6 +66,39 @@ def test_real_arrays_are_read_as_before():
     assert _array([2**64], "x").tolist() == [2.0**64]
     mixed = np.array([1, 2.5, np.int64(3), np.float32(0.5)], dtype=object)
     assert Poisson(1.0).cdf(mixed).tolist() == Poisson(1.0).cdf([1.0, 2.5, 3.0, 0.5]).tolist()
+
+
+def test_huge_integers_raise_the_sites_error():
+    # float() refuses an int past the float range, and repr() one past 4300 digits.
+    past_float, past_repr = 10**400, -(10**5000)
+
+    def panel(count=3, population=1e6):
+        return CountPanel((PanelCell("A", "1", count, population),))
+
+    probes = [
+        (ParameterError, "Poisson mean", lambda: Poisson(past_float)),
+        (ParameterError, "rate", lambda: epidemic_test(panel(), lam=past_float)),
+        (ParameterError, "trials", lambda: Binomial(past_repr, 0.5)),
+        (DataError, "population", lambda: panel(population=past_float)),
+        (DataError, "count must be a non-negative", lambda: panel(count=past_repr)),
+        (DataError, "must be a PanelCell", lambda: CountPanel((past_repr,))),
+        (DomainError, "panel size", lambda: threshold(0.05, past_repr)),
+        (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf([past_float])),
+        (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf(past_repr)),
+    ]
+    for error, says, call in probes:
+        with pytest.raises(error, match=says) as info:
+            call()
+        assert "-bit integer" in str(info.value)
+
+
+def test_counts_stop_below_two_to_the_53():
+    # Every integer below 2**53 is exact in the float64 array pass.
+    for count in (2**53, 2**53 + 1, 10**400):
+        with pytest.raises(DataError, match="count must be a non-negative integer below 2"):
+            CountPanel((PanelCell("A", "1", count, 1e6),))
+    report = epidemic_test(CountPanel((PanelCell("A", "1", 2**53 - 1, 1e6),)), lam=1e-6)
+    assert report.bounds.upper == 0.0 and report.rejected is True
 
 
 def test_sizes_are_none_a_count_or_a_tuple_of_counts():

@@ -207,6 +207,17 @@ class TestEnumeratePValueBounds:
         assert exact.argmax_upper_cell == analytic.argmax_upper_cell
         assert exact.argmax_lower_cell == analytic.argmax_lower_cell
 
+    def test_continuous_and_discrete_cells(self):
+        # A continuous cell's brackets both come from its sf.
+        dists = [ContinuousByCdf(lambda x: x**2), Poisson(1.0)]
+        exact = enumerate_pvalue_bounds(dists, [0.9, 2])
+        analytic = pvalue_bounds(dists, [0.9, 2])
+        assert analytic.sf_left[0] == analytic.sf_right[0] == pytest.approx(0.19, abs=1e-15)
+        assert exact.lower == pytest.approx(analytic.lower, abs=1e-12)
+        assert exact.upper == pytest.approx(analytic.upper, abs=1e-12)
+        assert exact.argmax_upper_cell == analytic.argmax_upper_cell == 1
+        assert exact.argmax_lower_cell == analytic.argmax_lower_cell == 0
+
     def test_large_mean_enumerates_its_ladder(self):
         # Enumeration covers the ladder window, not every integer from 0.
         exact = enumerate_pvalue_bounds([Poisson(3e5)], [3e5])
