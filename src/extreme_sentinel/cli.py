@@ -18,13 +18,13 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    DataError,
     ExtremeSentinelError,
     PanelFormatError,
     ParameterError,
@@ -34,8 +34,8 @@ from .errors import (
 from .surveillance import (
     CountPanel,
     EpidemicReport,
-    PanelCell,
     _first_fault,
+    _first_row,
     epidemic_test,
     estimate_lambda,
     null_distributions,
@@ -95,17 +95,46 @@ def _ascii_number(text: str, kind: type):
     return kind(text)
 
 
+def _numbers(texts: tuple[str, ...], kind: type) -> list | None:
+    """``[kind(t) for t in texts]`` when _ascii_number reads every text, else None.
+
+    One check covers the column: its text is ASCII without '_'.  That is
+    _ascii_number's whole float rule, and for stripped text its int rule
+    too, as int() reads no other such text than a sign and digits.
+    """
+    joined = "".join(texts)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(kind, texts))
+        except ValueError:
+            pass
+    return None
+
+
+def _literal_fault(text: str, kind: type, reason: str) -> str | None:
+    """``reason`` about ``text`` when _ascii_number refuses it as ``kind``."""
+    try:
+        _ascii_number(text, kind)
+    except ValueError:
+        return f"{reason}, got {text!r}"
+    return None
+
+
 def ingest(input_path) -> CountPanel:
     """Read a panel CSV; every row is a cell that enters the test.
 
     A non-reporting area is left out of the file, not given zero rows.
-    The text is read first and the cells checked second, by ``CountPanel``,
-    so a bad literal is reported before any bad value; errors name the line.
+    The rows are read into columns, and each rule is checked on a whole
+    column at once.  The text rules come first, the panel rules of
+    ``surveillance._first_fault`` second, so a bad literal is reported
+    before any bad value; errors name the line of the first bad row.
+    No ``PanelCell`` is built.
     """
     path = Path(input_path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            # A tuple of strings leaves the garbage collector's watch; a list does not.
+            rows = list(map(tuple, csv.reader(fh)))
     except OSError as exc:
         raise PanelFormatError(f"{path}: {exc.strerror or exc}") from exc
     if not rows:
@@ -114,36 +143,40 @@ def ingest(input_path) -> CountPanel:
         raise PanelFormatError(
             f"{path}:1: expected header {','.join(HEADER)}, got {','.join(rows[0])!r}"
         )
-    cells, lines = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) == 0:
-            continue  # trailing blank line
-        if len(row) != 4:
-            raise PanelFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        region, period, count_s, pop_s = (f.strip() for f in row)
-        try:
-            count = _ascii_number(count_s, int)
-        except ValueError:
-            raise PanelFormatError(
-                f"{path}:{lineno}: count must be an integer, got {count_s!r}"
-            ) from None
-        if not pop_s:
-            raise PanelFormatError(f"{path}:{lineno}: missing population")
-        try:
-            population = _ascii_number(pop_s, float)
-        except ValueError:
-            raise PanelFormatError(
-                f"{path}:{lineno}: population must be a number, got {pop_s!r}"
-            ) from None
-        cells.append(PanelCell(region, period, count, population))
-        lines.append(lineno)
-    if not cells:
-        raise PanelFormatError(f"{path}: no data rows after the header")
-    try:
-        return CountPanel(tuple(cells))
-    except DataError:
-        i, reason = _first_fault(cells, lambda j: f"line {lines[j]}")
-        raise PanelFormatError(f"{path}:{lines[i]}: {reason}") from None
+    body, lines = rows[1:], range(2, len(rows) + 1)
+    short = None  # the first row without four fields, and its fault
+    if set(map(len, body)) != {4}:
+        lines = [line for line, row in zip(lines, body) if row]  # blank lines are skipped
+        body = [row for row in body if row]
+        if not body:
+            raise PanelFormatError(f"{path}: no data rows after the header")
+        i = next((i for i, row in enumerate(body) if len(row) != 4), None)
+        if i is not None:  # columns come from the rows before it
+            short = i, f"expected 4 fields, got {len(body[i])}"
+            body = body[:i]
+    region_ids, period_ids, count_texts, pop_texts = (
+        tuple(map(str.strip, map(itemgetter(k), body))) for k in range(4)
+    )
+    counts, populations = _numbers(count_texts, int), _numbers(pop_texts, float)
+    fault = _first_row(
+        len(body),
+        (
+            counts is not None,
+            lambda i: _literal_fault(count_texts[i], int, "count must be an integer"),
+        ),
+        ("" not in pop_texts, lambda i: None if pop_texts[i] else "missing population"),
+        (
+            populations is not None,
+            lambda i: _literal_fault(pop_texts[i], float, "population must be a number"),
+        ),
+    ) or short
+    if fault is None:
+        fault = _first_fault(
+            region_ids, period_ids, counts, populations, lambda j: f"line {lines[j]}"
+        )
+    if fault is not None:
+        raise PanelFormatError(f"{path}:{lines[fault[0]]}: {fault[1]}")
+    return CountPanel._from_columns(region_ids, period_ids, counts, populations)
 
 
 def write_panel(panel: CountPanel, output_path) -> None:
@@ -151,10 +184,11 @@ def write_panel(panel: CountPanel, output_path) -> None:
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
-        for c in panel.cells:
-            pop = float(c.population)
-            pop = str(int(pop)) if pop.is_integer() else repr(pop)
-            writer.writerow([c.region_id, c.period_id, c.count, pop])
+        for row in zip(
+            panel.region_ids, panel.period_ids, panel.counts.tolist(), panel.populations.tolist()
+        ):
+            pop = row[3]
+            writer.writerow([*row[:3], str(int(pop)) if pop.is_integer() else repr(pop)])
 
 
 def _report_payload(report: EpidemicReport) -> dict:

@@ -2,24 +2,31 @@
 
 A panel holds observed case counts per (region, period) cell together
 with the population at risk: exactly the cells that enter the test, so a
-non-reporting area is left out of the panel.  Under the null hypothesis
-every cell is Poisson with mean lambda * population; the test asks
-whether a single cell was generated by a dominating alternative instead.
-A test scores the panel in one array pass: the survival brackets of
-every cell's Poisson null come from the count and mean arrays, and no
-model is built per cell.  The peel analysis repeats the test with the
-flagged cell removed until nothing more stands out; its state is the
-kept cells and their survival brackets, so a round at an unchanged rate
-only drops one cell.  ``CountPanel`` alone checks its cells.
+non-reporting area is left out of the panel.  It holds them as columns:
+region ids and period ids as tuples of strings, counts and populations
+as read-only numpy arrays.  ``CountPanel.cells`` is a row view of
+``PanelCell`` objects, built only when asked for; a panel built from
+cells keeps the tuple it was given.  Under the null hypothesis every
+cell is Poisson with mean lambda * population; the test asks whether a
+single cell was generated by a dominating alternative instead.  A test
+scores the panel in one array pass over its count and population
+columns, and no model is built per cell.  The peel analysis repeats the
+test with the flagged cell removed until nothing more stands out; its
+state is the indices of the kept rows and their survival brackets, so a
+round at an unchanged rate only drops one cell.  ``_first_fault`` holds
+the one set of panel rules, applied to whole columns, for both
+``CountPanel`` and ``cli.ingest``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,58 +62,193 @@ def _id_ok(name) -> bool:
     return isinstance(name, str) and name != "" and name == name.strip()
 
 
-def _first_fault(cells: Sequence, where) -> tuple[int, str] | None:
-    """The first cell breaking a panel rule, as (index, reason), or None.
+def _first_row(
+    n: int, *rules: tuple[bool, Callable[[int], str | None]]
+) -> tuple[int, str] | None:
+    """The first of ``n`` rows that breaks a rule, as (row, reason), or None.
 
-    A duplicate's reason names its first occurrence ``j`` as ``where(j)``.
-    A count stays below 2**53, where the float64 array pass is exact.
+    Each rule is ``(passes, reason_at)``: ``passes`` is True only when no
+    row breaks the rule, found from whole columns; otherwise the rows are
+    scanned and ``reason_at(i)`` is row i's fault or None.  The fault is
+    at the first row breaking any rule, and at that row it is the first
+    rule in order: each rule is scanned only over the rows before the
+    earliest fault found so far, where every earlier rule holds.
     """
+    fault = None
+    for passes, reason_at in rules:
+        if passes:
+            continue
+        for i in range(n if fault is None else fault[0]):
+            reason = reason_at(i)
+            if reason is not None:
+                fault = i, reason
+                break
+    return fault
+
+
+def _breaks(check, value, *bounds) -> bool:
+    """Whether ``check(value, ...)``, one of the rules in ``errors``, refuses ``value``."""
+    try:
+        check(value, "", *bounds)
+    except ParameterError:
+        return True
+    return False
+
+
+def _ids_pass(ids: tuple) -> bool:
+    """Whether every id is a plain str, none is empty and none has surrounding whitespace."""
+    return set(map(type, ids)) == {str} and "" not in ids and tuple(map(str.strip, ids)) == ids
+
+
+def _counts_pass(counts: Sequence) -> bool:
+    """Whether every count is a plain int in [0, 2**53)."""
+    return set(map(type, counts)) == {int} and min(counts) >= 0 and max(counts) < 2**53
+
+
+def _populations_pass(populations: Sequence) -> bool:
+    """Whether every population is a plain int or float, positive and finite."""
+    if not set(map(type, populations)) <= {int, float}:
+        return False
+    try:
+        pops = np.array(populations, dtype=float)
+    except OverflowError:  # an int past the float range
+        return False
+    return bool(np.all((pops > 0.0) & (pops < math.inf)))
+
+
+def _first_fault(
+    region_ids: tuple, period_ids: tuple, counts: Sequence, populations: Sequence, where
+) -> tuple[int, str] | None:
+    """The first row breaking a panel rule, as (row, reason), or None.
+
+    The rules, in order: both ids pass ``_id_ok``; the key is unique,
+    and a duplicate names its first occurrence ``j`` as ``where(j)``; the
+    count is a non-negative integer below 2**53, where the float64 array
+    pass is exact; the population is a positive finite number.  Each
+    rule is checked on whole columns first; rows are scanned only when
+    that check does not pass.
+    """
+    n = len(region_ids)
+    ids_pass = _ids_pass(region_ids) and _ids_pass(period_ids)
     first: dict[tuple[str, str], int] = {}
-    for i, c in enumerate(cells):
-        if not isinstance(c, PanelCell):
-            return i, f"must be a PanelCell, got {type(c).__name__}"
-        if not (_id_ok(c.region_id) and _id_ok(c.period_id)):
-            return i, "ids must be non-empty strings without surrounding whitespace"
-        j = first.setdefault((c.region_id, c.period_id), i)
-        if j != i:
-            return i, f"duplicate key, first seen at {where(j)}"
-        try:
-            _integer(c.count, "count", 0, 2**53)
-        except ParameterError:
-            return i, (
-                f"count must be a non-negative integer below 2**53, got {_shown(c.count)}"
-            )
-        try:
-            _real(c.population, "population", 0.0)
-        except ParameterError:
-            return i, f"population must be a positive finite number, got {_shown(c.population)}"
-    return None
+
+    def ids(i):
+        if not (_id_ok(region_ids[i]) and _id_ok(period_ids[i])):
+            return "ids must be non-empty strings without surrounding whitespace"
+        return None
+
+    def duplicate(i):
+        j = first.setdefault((region_ids[i], period_ids[i]), i)
+        return None if j == i else f"duplicate key, first seen at {where(j)}"
+
+    def count(i):
+        if _breaks(_integer, counts[i], 0, 2**53):
+            return f"count must be a non-negative integer below 2**53, got {_shown(counts[i])}"
+        return None
+
+    def population(i):
+        if _breaks(_real, populations[i], 0.0):
+            return f"population must be a positive finite number, got {_shown(populations[i])}"
+        return None
+
+    return _first_row(
+        n,
+        (ids_pass, ids),
+        # Joined keys are cheaper to hash than pairs; two keys that join
+        # alike only send the rule to its row scan.
+        (ids_pass and len(set(map("\x1f".join, zip(region_ids, period_ids)))) == n, duplicate),
+        (_counts_pass(counts), count),
+        (_populations_pass(populations), population),
+    )
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CountPanel:
     """The cells that enter the test: at least one, each valid, keys unique.
 
-    Region and period ids are non-empty strings without surrounding
-    whitespace, so every panel is one that a CSV file can hold.
+    Held as columns in panel order: ``region_ids`` and ``period_ids``
+    (tuples of str), ``counts`` (read-only int64) and ``populations``
+    (read-only float64).  Region and period ids are non-empty strings
+    without surrounding whitespace, so every panel is one that a CSV
+    file can hold.  Two panels are equal when their columns are.
     """
 
-    cells: tuple[PanelCell, ...]
+    region_ids: tuple[str, ...]
+    period_ids: tuple[str, ...]
+    counts: np.ndarray
+    populations: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.cells:
+    def __init__(self, cells):
+        cells = tuple(cells)
+        if not cells:
             raise DataError("panel must contain at least one cell")
-        fault = _first_fault(self.cells, lambda j: f"position {j}")
+        # Columns come from the rows before the first one that is not a cell.
+        rows = len(cells)
+        if set(map(type, cells)) != {PanelCell}:
+            rows = next((i for i, c in enumerate(cells) if not isinstance(c, PanelCell)), rows)
+        columns = [
+            tuple(map(attrgetter(f), cells[:rows]))
+            for f in ("region_id", "period_id", "count", "population")
+        ]
+        fault = _first_fault(*columns, lambda j: f"position {j}")
+        if fault is None and rows < len(cells):
+            fault = rows, f"must be a PanelCell, got {type(cells[rows]).__name__}"
         if fault is not None:
-            c = self.cells[fault[0]]
+            c = cells[fault[0]]
             key = (c.region_id, c.period_id) if isinstance(c, PanelCell) else c
             raise DataError(f"cell {_shown(key)}: {fault[1]}")
+        self._hold(*columns)
+        object.__setattr__(self, "cells", cells)  # the row view is the tuple given
+
+    @classmethod
+    def _from_columns(cls, region_ids, period_ids, counts, populations) -> CountPanel:
+        """The panel of columns that ``_first_fault`` passed, built without a ``PanelCell``."""
+        panel = object.__new__(cls)
+        panel._hold(region_ids, period_ids, counts, populations)
+        return panel
+
+    def _hold(self, region_ids, period_ids, counts, populations) -> None:
+        object.__setattr__(self, "region_ids", tuple(region_ids))
+        object.__setattr__(self, "period_ids", tuple(period_ids))
+        object.__setattr__(self, "counts", _read_only(counts, np.int64))
+        object.__setattr__(self, "populations", _read_only(populations, float))
+
+    @cached_property
+    def cells(self) -> tuple[PanelCell, ...]:
+        """The rows as ``PanelCell``s, with int counts and float populations."""
+        return tuple(
+            map(
+                PanelCell,
+                self.region_ids,
+                self.period_ids,
+                self.counts.tolist(),
+                self.populations.tolist(),
+            )
+        )
 
     @property
     def n(self) -> int:
         """Number of cells entering the test (the exponent in the bounds)."""
-        return len(self.cells)
+        return len(self.region_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, CountPanel):
+            return NotImplemented
+        return (
+            self.region_ids == other.region_ids
+            and self.period_ids == other.period_ids
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.populations, other.populations)
+        )
+
+    def __hash__(self):
+        return hash((self.region_ids, self.period_ids))
 
 
 @dataclass(frozen=True)
@@ -134,16 +276,16 @@ def estimate_lambda(panel: CountPanel) -> float:
     All-zero panels have a pooled rate of zero, which cannot parametrize
     a Poisson null; callers must pass an explicit rate in that case.
     """
-    return _pooled_rate(panel.cells)
+    return _pooled_rate(panel.counts, panel.populations)
 
 
-def _pooled_rate(cells: Sequence[PanelCell]) -> float:
-    """Total count over total population of the given cells."""
-    total_count = sum(c.count for c in cells)
+def _pooled_rate(counts: np.ndarray, populations: np.ndarray) -> float:
+    """Total count over total population of the given rows."""
+    total_count = sum(counts.tolist())  # a Python int: an int64 sum wraps past 2**63
     if total_count == 0:
         raise DataError("all counts are zero; pass an explicit rate instead")
     try:
-        total_population = math.fsum(c.population for c in cells)
+        total_population = math.fsum(populations.tolist())
     except OverflowError:
         raise DataError("total population overflows; pass an explicit rate instead") from None
     return total_count / total_population
@@ -152,37 +294,43 @@ def _pooled_rate(cells: Sequence[PanelCell]) -> float:
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
     """One Poisson(lambda * population) per cell, in panel order."""
     _real(lam, "rate", 0.0)
-    return [Poisson(lam * c.population) for c in panel.cells]
+    return [Poisson(lam * p) for p in panel.populations.tolist()]
 
 
 def _panel_brackets(
-    cells: Sequence[PanelCell], rate: float
+    counts: np.ndarray, populations: np.ndarray, rate: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each cell's Poisson(rate * population) survival brackets, in one array pass.
+    """Each row's Poisson(rate * population) survival brackets, in one array pass.
 
-    Returns what ``pit._survival_brackets`` returns on the cells' null
-    models, bit for bit, without building a model per cell; a mean that
-    is not a finite positive number raises what ``Poisson`` raises.
+    Returns what ``pit._survival_brackets`` returns on the rows' null
+    models, bit for bit, without building a model per row: the float64
+    product ``rate * populations`` is the Python product each model
+    receives.  A mean that is not a finite positive number raises what
+    ``Poisson`` raises.
     """
-    products = [rate * c.population for c in cells]
-    means = np.array(products, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowed mean is refused below
+        means = rate * populations
     bad = ~(np.isfinite(means) & (means > 0.0))
     if bad.any():
-        _real(products[int(np.argmax(bad))], "Poisson mean", 0.0)
-    counts = np.array([c.count for c in cells], dtype=float)
-    sf_left = _poisson_sf(counts - 1.0, means)
-    sf_right = _poisson_sf(counts, means)
+        _real(float(means[int(np.argmax(bad))]), "Poisson mean", 0.0)
+    x = counts.astype(float)
+    sf_left = _poisson_sf(x - 1.0, means)
+    sf_right = _poisson_sf(x, means)
     return tuple(sf_left.tolist()), tuple(sf_right.tolist())
 
 
 def _round_report(
-    cells: Sequence[PanelCell],
+    panel: CountPanel,
+    flagged: int,
     bounds: PValueBounds,
     lam: float,
     alpha: float,
     seed: int | None,
 ) -> EpidemicReport:
-    """Decide one test from its cells' bounds; a seeded coin resolves a randomized branch."""
+    """Decide one test from its bounds; ``flagged`` is the panel row of the bounds' upper argmax.
+
+    A seeded coin resolves a randomized branch.
+    """
     decision = bounds.decide(alpha)
     if decision.branch == "reject":
         rejected: bool | None = True
@@ -193,11 +341,10 @@ def _round_report(
         rejected = bool(coin < decision.rejection_probability)
     else:
         rejected = None
-    flagged = cells[bounds.argmax_upper_cell]
     return EpidemicReport(
         bounds=bounds,
         decision=decision,
-        flagged_cell=(flagged.region_id, flagged.period_id),
+        flagged_cell=(panel.region_ids[flagged], panel.period_ids[flagged]),
         lambda_used=lam,
         alpha=alpha,
         n=bounds.n,
@@ -224,8 +371,8 @@ def epidemic_test(
     if seed is not None:
         _seed(seed)
     lam_used = _real(lam, "rate", 0.0) if lam is not None else estimate_lambda(panel)
-    bounds = _bounds(*_panel_brackets(panel.cells, lam_used))
-    return _round_report(panel.cells, bounds, lam_used, alpha, seed)
+    bounds = _bounds(*_panel_brackets(panel.counts, panel.populations, lam_used))
+    return _round_report(panel, bounds.argmax_upper_cell, bounds, lam_used, alpha, seed)
 
 
 def peel_test(
@@ -268,24 +415,26 @@ def peel_test(
         state = np.random.SeedSequence(_seed(seed)).generate_state(rounds, dtype=np.uint64)
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
-    cells = list(panel.cells)
+    kept = np.arange(panel.n)  # the panel rows still in the test
     scored_at: float | None = None
     for r, round_seed in enumerate(round_seeds):
         if r:  # the previous round rejected: set its flagged cell aside
             flagged = bounds.argmax_upper_cell
-            del cells[flagged]
-            if lam is None and not any(c.count for c in cells):
+            kept = np.delete(kept, flagged)
+            if lam is None and not panel.counts[kept].any():
                 break
-        rate = lam if lam is not None else _pooled_rate(cells)
+        counts, populations = panel.counts[kept], panel.populations[kept]
+        rate = lam if lam is not None else _pooled_rate(counts, populations)
         if rate == scored_at:
             bounds = _bounds(
                 bounds.sf_left[:flagged] + bounds.sf_left[flagged + 1 :],
                 bounds.sf_right[:flagged] + bounds.sf_right[flagged + 1 :],
             )
         else:
-            bounds = _bounds(*_panel_brackets(cells, rate))
+            bounds = _bounds(*_panel_brackets(counts, populations, rate))
             scored_at = rate
-        report = _round_report(cells, bounds, rate, alpha, round_seed)
+        flagged_row = int(kept[bounds.argmax_upper_cell])
+        report = _round_report(panel, flagged_row, bounds, rate, alpha, round_seed)
         reports.append(report)
         if report.rejected is not True:
             break

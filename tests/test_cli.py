@@ -1,5 +1,6 @@
 """Tests for panel ingestion and the command-line front end."""
 
+import csv
 import json
 import math
 import re
@@ -16,7 +17,14 @@ from extreme_sentinel.cli import (
     run,
     write_panel,
 )
-from extreme_sentinel.errors import DataError, PanelFormatError, ParameterError
+from extreme_sentinel.errors import (
+    DataError,
+    PanelFormatError,
+    ParameterError,
+    _integer,
+    _real,
+    _shown,
+)
 from extreme_sentinel.surveillance import (
     CountPanel,
     PanelCell,
@@ -181,6 +189,136 @@ class TestOneRuleSet:
             with pytest.raises(DataError) as built:
                 CountPanel(cells)
             assert str(built.value) == f"cell {(bad[0], bad[1])!r}: {reason}"
+
+
+def reference_rules(cells, where):
+    """The per-cell rule loop, kept as an oracle: the first (index, reason), or None."""
+    first = {}
+    for i, c in enumerate(cells):
+        if not isinstance(c, PanelCell):
+            return i, f"must be a PanelCell, got {type(c).__name__}"
+        if not all(isinstance(x, str) and x and x == x.strip() for x in (c.region_id, c.period_id)):
+            return i, "ids must be non-empty strings without surrounding whitespace"
+        j = first.setdefault((c.region_id, c.period_id), i)
+        if j != i:
+            return i, f"duplicate key, first seen at {where(j)}"
+        try:
+            _integer(c.count, "count", 0, 2**53)
+        except ParameterError:
+            return i, f"count must be a non-negative integer below 2**53, got {_shown(c.count)}"
+        try:
+            _real(c.population, "population", 0.0)
+        except ParameterError:
+            return i, f"population must be a positive finite number, got {_shown(c.population)}"
+    return None
+
+
+def reference_ingest(path):
+    """The per-row reading loop, kept as an oracle: (error message or None, cells)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    cells, lines = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            return f"{path}:{lineno}: expected 4 fields, got {len(row)}", None
+        region, period, count_s, pop_s = (f.strip() for f in row)
+        if re.fullmatch(r"[+-]?[0-9]+", count_s) is None:
+            return f"{path}:{lineno}: count must be an integer, got {count_s!r}", None
+        if not pop_s:
+            return f"{path}:{lineno}: missing population", None
+        if not pop_s.isascii() or "_" in pop_s:
+            return f"{path}:{lineno}: population must be a number, got {pop_s!r}", None
+        try:
+            population = float(pop_s)
+        except ValueError:
+            return f"{path}:{lineno}: population must be a number, got {pop_s!r}", None
+        cells.append(PanelCell(region, period, int(count_s), population))
+        lines.append(lineno)
+    fault = reference_rules(cells, lambda j: f"line {lines[j]}")
+    return (None if fault is None else f"{path}:{lines[fault[0]]}: {fault[1]}"), tuple(cells)
+
+
+# Faults in rule order: the text rules, then the panel rules.
+PLANTED = (
+    "ragged",
+    "count literal",
+    "missing population",
+    "population literal",
+    "ids",
+    "duplicate",
+    "count value",
+    "population value",
+)
+
+
+def plant(kind, rows, at, rng):
+    """Row ``at`` of ``rows`` with one fault of ``kind``; rows are lists of four texts."""
+    row = list(rows[at])
+
+    def pick(*texts):
+        return str(rng.choice(texts))
+
+    if kind == "ragged":
+        return row[: int(rng.integers(1, 4))] if rng.random() < 0.5 else row + ["x"]
+    if kind == "count literal":
+        row[2] = pick("1_0", "two", "1.0", "\uff11", "")
+    elif kind == "missing population":
+        row[3] = pick("", " ")
+    elif kind == "population literal":
+        row[3] = pick("1_000", "ten", "\uff11\uff10")
+    elif kind == "ids":
+        row[int(rng.integers(2))] = pick("", " ")
+    elif kind == "duplicate":
+        row[:2] = rows[int(rng.integers(0, at))][:2]
+    elif kind == "count value":
+        row[2] = pick("-1", "-40", str(2**53), "9" * 30)
+    else:
+        row[3] = pick("0", "-2.5", "inf", "nan")
+    return row
+
+
+class TestRowOrderBeatsRuleOrder:
+    def test_two_faults_match_the_per_row_reference(self, tmp_path):
+        # The later fault breaks an earlier rule: a check that takes the first
+        # row per rule, not per row, names the wrong line.
+        rng = np.random.default_rng(131313)
+        path = tmp_path / "panel.csv"
+        built = 0
+        for trial in range(2000):
+            n = int(rng.integers(4, 25))
+            rows = [
+                [f"R{i}", str(2000 + i % 4), str(rng.integers(0, 20)), repr(rng.uniform(1e3, 1e6))]
+                for i in range(n)
+            ]
+            early, late = sorted(rng.choice(np.arange(1, n), 2, replace=False).tolist())
+            late_kind = int(rng.integers(0, len(PLANTED) - 1))
+            early_kind = int(rng.integers(late_kind + 1, len(PLANTED)))
+            if rng.random() < 0.25:  # sometimes the rule order agrees with the row order
+                early_kind, late_kind = late_kind, early_kind
+            for at, kind in ((early, early_kind), (late, late_kind)):
+                rows[at] = plant(PLANTED[kind], rows, at, rng)
+            text = ["region,period,count,population"]
+            for row in rows:
+                if rng.random() < 0.15:
+                    text.append("")  # a blank line shifts every later line
+                text.append(",".join(row))
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+            expected, cells = reference_ingest(path)
+            assert expected is not None, (trial, rows)
+            with pytest.raises(PanelFormatError) as read:
+                ingest(path)
+            assert str(read.value) == expected, (trial, rows)
+            if cells is not None:  # no text fault: CountPanel names the same cell
+                i, reason = reference_rules(cells, lambda j: f"position {j}")
+                key = (cells[i].region_id, cells[i].period_id)
+                with pytest.raises(DataError) as panel:
+                    CountPanel(cells)
+                assert str(panel.value) == f"cell {_shown(key)}: {reason}"
+                built += 1
+        assert built > 600, built
 
 
 class TestWritePanel:

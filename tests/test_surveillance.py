@@ -144,6 +144,17 @@ class TestEstimateLambda:
         assert estimate_lambda(panel) == 3 / math.fsum((1e308, 7e307))
         assert peel_test(panel)[0].lambda_used == 3 / math.fsum((1e308, 7e307))
 
+    def test_pooled_total_count_is_exact(self):
+        # 1025 counts of 2**53 - 1 sum past 2**63, where an int64 sum wraps.
+        counts = [2**53 - 1] * 1025
+        pops = [float(1e6 + i) for i in range(1025)]
+        panel = CountPanel(
+            tuple(cell(f"R{i}", "1", c, p) for i, (c, p) in enumerate(zip(counts, pops)))
+        )
+        assert sum(counts) > 2**63
+        assert estimate_lambda(panel) == sum(counts) / math.fsum(pops)
+        assert epidemic_test(panel).lambda_used == sum(counts) / math.fsum(pops)
+
 
 class TestNullDistributions:
     def test_mean_is_rate_times_population(self):
@@ -249,24 +260,29 @@ class TestOneBracketPass:
         work = {"passes": [], "sf_left": 0, "CountPanel": 0, "Poisson": 0}
         array_pass = surveillance._panel_brackets
         sf_left = Poisson.sf_left
+        hold = CountPanel._hold  # every way of building a panel fills its columns here
+        post_init = Poisson.__post_init__
 
-        def counting_pass(cells, rate):
-            work["passes"].append(len(cells))
-            return array_pass(cells, rate)
+        def counting_pass(counts, populations, rate):
+            work["passes"].append(len(counts))
+            return array_pass(counts, populations, rate)
 
         def counting_sf_left(self, x):
             work["sf_left"] += 1
             return sf_left(self, x)
 
+        def counting_hold(self, *columns):
+            work["CountPanel"] += 1
+            hold(self, *columns)
+
+        def counting_post_init(self):
+            work["Poisson"] += 1
+            post_init(self)
+
         monkeypatch.setattr(surveillance, "_panel_brackets", counting_pass)
         monkeypatch.setattr(Poisson, "sf_left", counting_sf_left)
-        for cls in (CountPanel, Poisson):
-
-            def counting(self, original=cls.__post_init__, name=cls.__name__):
-                work[name] += 1
-                original(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(CountPanel, "_hold", counting_hold)
+        monkeypatch.setattr(Poisson, "__post_init__", counting_post_init)
         return work
 
     def test_epidemic_test_on_fixture(self, panel, work):
@@ -292,6 +308,54 @@ class TestOneBracketPass:
         assert (work["sf_left"], work["CountPanel"], work["Poisson"]) == (0, 0, 0)
 
 
+class TestColumnPanel:
+    """A panel is columns; its row view is built only when asked for."""
+
+    def test_hot_path_builds_no_row_objects(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1040)
+        pops = np.rint(rng.lognormal(np.log(5e5), 0.6, 20))
+        rows = [
+            f"R{r:02d},W{w:02d},{rng.poisson(2e-5 * pops[r])},{int(pops[r])}"
+            for r in range(20)
+            for w in range(52)
+        ]
+        path = tmp_path / "surveil.csv"
+        path.write_text("region,period,count,population\n" + "\n".join(rows) + "\n")
+        built = []
+        init = PanelCell.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PanelCell, "__init__", counting_init)
+        for source, rate in ((listeriosis_fixture_path(), PUBLISHED_RATE), (path, 2e-5)):
+            panel = ingest(source)
+            for lam in (rate, None):
+                for seed in (7, None):
+                    epidemic_test(panel, lam=lam, alpha=0.01, seed=seed)
+                    peel_test(panel, lam=lam, alpha=0.01, max_rounds=5, seed=seed)
+        assert panel.n == 1040
+        assert built == []
+        assert len(panel.cells) == 1040 and len(built) == 1040  # built on demand
+        assert panel.cells is panel.cells and len(built) == 1040  # and then kept
+
+    def test_columns_and_row_view(self):
+        cells = (cell("A", "1", 3, pop=np.int64(7)), cell("B", "2", np.int64(0), pop=2.5))
+        panel = CountPanel(cells)
+        assert panel.cells is cells  # a panel built from cells keeps the tuple it was given
+        assert panel.region_ids == ("A", "B") and panel.period_ids == ("1", "2")
+        assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [3, 0]
+        assert panel.populations.dtype == np.float64 and panel.populations.tolist() == [7.0, 2.5]
+        for column in (panel.counts, panel.populations):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert panel == CountPanel((cell("A", "1", 3, pop=7.0), cell("B", "2", 0, pop=2.5)))
+        assert panel != CountPanel((cell("A", "1", 3, pop=7.0), cell("B", "2", 1, pop=2.5)))
+        assert panel != CountPanel((cell("B", "2", 0, pop=2.5), cell("A", "1", 3, pop=7.0)))
+        assert hash(panel) == hash(CountPanel(cells))
+
+
 class TestPanelBrackets:
     def test_equals_the_per_model_pass(self):
         # Seeded panels mixing int and float populations, means from 1e-12 to
@@ -313,7 +377,7 @@ class TestPanelBrackets:
             expected = _survival_brackets(
                 null_distributions(panel, rate), [c.count for c in panel.cells]
             )
-            got = surveillance._panel_brackets(panel.cells, rate)
+            got = surveillance._panel_brackets(panel.counts, panel.populations, rate)
             assert got == expected
             assert all(type(v) is float for v in got[0] + got[1])
 
