@@ -11,10 +11,13 @@ survival score.
 The harness and the enumeration work in survival space, on the brackets [1 - F(x), 1 - F(x-)], so
 they reach levels far below the double resolution near 1.  The harness
 keeps one table per discrete cell, built once per call: its sampling
-law's CDF ladder and the null's survival brackets at the ladder's
-points; each trial compares its smallest survival score with
-s = 1 - t.  The enumeration integrates each cell's brackets below the
-levels min 1 - F(x) and min 1 - F(x-).
+law's CDF ladder, the null's survival brackets at the ladder's points,
+and a cut cdf[k* - 1], where k* is the first ladder point whose lower
+bracket falls below s = 1 - t.  A draw at or below the cut lands on a
+point whose score cannot fall below s, so only the draws past it are
+searched and scored; a trial rejects when any cell's score falls below
+s.  The enumeration integrates each cell's brackets below the levels
+min 1 - F(x) and min 1 - F(x-).
 """
 
 from __future__ import annotations
@@ -100,15 +103,33 @@ class SimulationResult:
     n_trials: int
 
 
-def _cell_table(d: NullDistribution, law: NullDistribution):
-    """A discrete law's CDF ladder and the null's survival brackets at its points.
+def _cell_table(d: NullDistribution, law: NullDistribution, s: float):
+    """A discrete law's CDF ladder, the null's survival brackets at its points, and its cut.
+
+    The cut is cdf[k* - 1] for the first ladder index k* whose bracket
+    reaches below s: the search of a uniform u lands at or past k*
+    exactly when u > cdf[k* - 1], and a score is clipped into its
+    bracket, so no draw u <= cut can score below s.  It is -inf when
+    k* == 0 and +inf when no bracket reaches below s.  k* is the first
+    such index, not the start of a monotone tail, so the draws past the
+    cut are a superset of those that can reject.
 
     None when either model is continuous: such a cell has no ladder.
     """
     if d.continuous or law.continuous:
         return None
     pts, cdf = law._ladder
-    return cdf, np.asarray(d.sf_left(pts), dtype=float), np.asarray(d.sf(pts), dtype=float)
+    lefts = np.asarray(d.sf_left(pts), dtype=float)
+    rights = np.asarray(d.sf(pts), dtype=float)
+    # np.clip bounds a score by the smaller of the two brackets from below.
+    below = np.flatnonzero(np.minimum(lefts, rights) < s)
+    if below.size == 0:
+        cut = math.inf
+    elif below[0] == 0:
+        cut = -math.inf
+    else:
+        cut = float(cdf[below[0] - 1])
+    return cdf, lefts, rights, cut
 
 
 def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
@@ -116,13 +137,15 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
 
     Each trial draws one panel (from the template, or with one cell's
     sampling law swapped to the alternative), scores every cell in
-    survival space with fresh randomizers, and rejects when the smallest
-    score 1 - Y falls below s = 1 - t.  A discrete cell searches its
-    sampling law's CDF ladder, the one that law's ``skorokhod_quantile``
-    searches, and reads the null's survival brackets tabulated at the
-    ladder's points once per call; any other cell draws through
+    survival space with fresh randomizers, and rejects when some score
+    1 - Y falls below s = 1 - t.  A discrete cell carries a cut
+    cdf[k* - 1] on its sampling law's CDF ladder, the one that law's
+    ``skorokhod_quantile`` searches: only the draws past the cut can
+    score below s, so only those are searched on the ladder and scored
+    against the null's survival brackets, tabulated at the ladder's
+    points once per call.  Any other cell draws through
     ``skorokhod_quantile`` and evaluates the null's survival brackets at
-    the draws.
+    every draw.
     """
     dists = config.panel_template
     n = len(dists)
@@ -130,7 +153,10 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     laws = list(dists)
     if config.alternative is not None:
         laws[config.alternative.cell_index] = config.alternative.alt_dist
-    tables = [_cell_table(d, law) for d, law in zip(dists, laws)]
+    tables = [_cell_table(d, law, s) for d, law in zip(dists, laws)]
+    # A continuous cell is scored at every draw on its own path, never past a cut.
+    cuts = np.array([math.inf if t is None else t[3] for t in tables])
+    edges = np.zeros(n + 1, dtype=np.intp)
 
     stream = RandomStream(config.seed)
     hits = 0
@@ -139,18 +165,27 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         m = min(_CHUNK, config.n_trials - done)
         u = stream.uniform_open((m, n))
         v = stream.uniform_open((m, n))
-        min_score = np.ones(m)
+        rejected = np.zeros(m, dtype=bool)
+        # Candidates grouped by cell: cell j's are cand[edges[j]:edges[j + 1]].
+        cand = np.flatnonzero(u > cuts)
+        rows, cols = np.divmod(cand, n)
+        order = np.argsort(cols, kind="stable")
+        rows, cand = rows[order], cand[order]
+        np.cumsum(np.bincount(cols, minlength=n), out=edges[1:])
+        u_cand, v_cand = u.ravel()[cand], v.ravel()[cand]
         for j, (d, law, table) in enumerate(zip(dists, laws, tables)):
             if table is None:
                 x = law.skorokhod_quantile(u[:, j])
                 left = np.asarray(d.sf_left(x), dtype=float)
                 right = np.asarray(d.sf(x), dtype=float)
+                rejected |= _survival_scores(left, right, v[:, j]) < s
             else:
-                cdf, lefts, rights = table
-                k = np.minimum(np.searchsorted(cdf, u[:, j], side="left"), cdf.size - 1)
-                left, right = lefts[k], rights[k]
-            np.minimum(min_score, _survival_scores(left, right, v[:, j]), out=min_score)
-        hits += int(np.count_nonzero(min_score < s))
+                lo, hi = edges[j], edges[j + 1]
+                cdf, lefts, rights, _ = table
+                k = np.minimum(np.searchsorted(cdf, u_cand[lo:hi], side="left"), cdf.size - 1)
+                scores = _survival_scores(lefts[k], rights[k], v_cand[lo:hi])
+                rejected[rows[lo:hi][scores < s]] = True
+        hits += int(np.count_nonzero(rejected))
         done += m
     rate = hits / config.n_trials
     se = math.sqrt(rate * (1.0 - rate) / config.n_trials)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from extreme_sentinel import verify
+from extreme_sentinel.cli import ingest
 from extreme_sentinel.distributions import (
     Binomial,
     ContinuousByCdf,
@@ -20,11 +22,13 @@ from extreme_sentinel.errors import (
     SizeError,
 )
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf
-from extreme_sentinel.pit import randomized_pit
-from extreme_sentinel.umptest import power_single_alternative, pvalue_bounds
+from extreme_sentinel.pit import _survival_scores, randomized_pit
+from extreme_sentinel.surveillance import listeriosis_fixture_path, null_distributions
+from extreme_sentinel.umptest import _survival_cut, power_single_alternative, pvalue_bounds
 from extreme_sentinel.verify import (
     Alternative,
     SimulationConfig,
+    SimulationResult,
     enumerate_pvalue_bounds,
     ks_uniformity,
     simulate_size_and_power,
@@ -173,6 +177,148 @@ class TestSimulateSizeAndPower:
     def test_null_never_rejects_at_tiny_alpha(self):
         cfg = SimulationConfig((Poisson(1.0),), 1e-200, 1000, 17)
         assert simulate_size_and_power(cfg).rejection_rate == 0.0
+
+
+def reference_simulate(config):
+    """The harness as a per-cell loop: every draw of every cell searched and scored."""
+    dists = config.panel_template
+    n = len(dists)
+    s = _survival_cut(config.alpha, n)
+    laws = list(dists)
+    if config.alternative is not None:
+        laws[config.alternative.cell_index] = config.alternative.alt_dist
+    stream = RandomStream(config.seed)
+    hits = 0
+    done = 0
+    while done < config.n_trials:
+        m = min(verify._CHUNK, config.n_trials - done)
+        u = stream.uniform_open((m, n))
+        v = stream.uniform_open((m, n))
+        min_score = np.ones(m)
+        for j, (d, law) in enumerate(zip(dists, laws)):
+            if d.continuous or law.continuous:
+                x = law.skorokhod_quantile(u[:, j])
+                left = np.asarray(d.sf_left(x), dtype=float)
+                right = np.asarray(d.sf(x), dtype=float)
+            else:
+                pts, cdf = law._ladder
+                k = np.minimum(np.searchsorted(cdf, u[:, j], side="left"), cdf.size - 1)
+                left = np.asarray(d.sf_left(pts), dtype=float)[k]
+                right = np.asarray(d.sf(pts), dtype=float)[k]
+            np.minimum(min_score, _survival_scores(left, right, v[:, j]), out=min_score)
+        hits += int(np.count_nonzero(min_score < s))
+        done += m
+    rate = hits / config.n_trials
+    se = math.sqrt(rate * (1.0 - rate) / config.n_trials)
+    return SimulationResult(rejection_rate=rate, std_error=se, n_trials=config.n_trials)
+
+
+def random_law(rng):
+    """One model of a random kind: Poisson with a log-normal mean, Binomial,
+    TabulatedDiscrete, Uniform01 or ContinuousByCdf."""
+    # ContinuousByCdf bisects every draw, so it is drawn least often.
+    kind = rng.choice(5, p=(0.3, 0.2, 0.3, 0.15, 0.05))
+    if kind == 0:
+        return Poisson(float(np.exp(rng.normal(0.0, 2.0))))
+    if kind == 1:
+        return Binomial(int(rng.integers(1, 40)), float(rng.uniform(0.01, 0.99)))
+    if kind == 2:
+        k = int(rng.integers(1, 6))
+        support = np.unique(np.round(rng.uniform(-5.0, 30.0, size=k), 1))
+        return TabulatedDiscrete(tuple(support), tuple(rng.dirichlet(np.ones(support.size))))
+    if kind == 3:
+        return Uniform01()
+    c = float(rng.uniform(0.3, 4.0))
+    return ContinuousByCdf(lambda x, c=c: x**c)
+
+
+def random_config(rng):
+    n = int(rng.integers(1, 7))
+    template = tuple(random_law(rng) for _ in range(n))
+    alternative = Alternative(int(rng.integers(n)), random_law(rng)) if rng.random() < 0.5 else None
+    return SimulationConfig(
+        panel_template=template,
+        alpha=float(10.0 ** rng.uniform(-200.0, math.log10(0.5))),
+        n_trials=int(np.exp(rng.uniform(math.log(1000), math.log(45_001)))),
+        seed=int(rng.integers(2**31)),
+        alternative=alternative,
+    )
+
+
+class TestCutMatchesEveryDrawScored:
+    def test_random_configs(self):
+        rng = np.random.default_rng(20141)
+        rates = []
+        for _ in range(300):
+            cfg = random_config(rng)
+            res = simulate_size_and_power(cfg)
+            assert res == reference_simulate(cfg), cfg
+            rates.append(res.rejection_rate)
+        # The sweep must reach trials that reject, not only all-accept runs.
+        assert sum(0.0 < r < 1.0 for r in rates) >= 30
+        assert any(r == 1.0 for r in rates)
+
+    def test_one_point_null_makes_every_draw_a_candidate(self):
+        point = TabulatedDiscrete((0.0,), (1.0,))
+        template = (point, Poisson(2.0))
+        s = _survival_cut(0.05, 2)
+        assert verify._cell_table(point, point, s)[3] == -math.inf
+        cfg = SimulationConfig(template, 0.05, 5000, 3)
+        res = simulate_size_and_power(cfg)
+        assert res == reference_simulate(cfg)
+        assert 0.0 < res.rejection_rate < 1.0
+
+    def test_cell_that_cannot_reject_has_no_cut(self):
+        # Poisson(1)'s brackets stay far above s at alpha 1e-200; the swapped cell rejects.
+        template = (Poisson(1.0), Poisson(1.0))
+        s = _survival_cut(1e-200, 2)
+        assert verify._cell_table(template[0], template[0], s)[3] == math.inf
+        cfg = SimulationConfig(template, 1e-200, 3000, 5, Alternative(1, Poisson(300.0)))
+        res = simulate_size_and_power(cfg)
+        assert res == reference_simulate(cfg)
+        assert res.rejection_rate == 1.0
+
+    def test_chunk_without_candidates(self):
+        template = (Poisson(1.0),)
+        cfg = SimulationConfig(template, 1e-5, 1000, 8)
+        cut = verify._cell_table(template[0], template[0], _survival_cut(1e-5, 1))[3]
+        assert 0.0 < cut < 1.0
+        u = RandomStream(8).uniform_open((1000, 1))
+        assert not np.any(u > cut)
+        assert simulate_size_and_power(cfg) == reference_simulate(cfg)
+
+    def test_one_trial_last_chunk(self):
+        template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
+        for alternative in (None, Alternative(0, Poisson(4.0))):
+            cfg = SimulationConfig(template, 0.1, 20_001, 6, alternative)
+            assert simulate_size_and_power(cfg) == reference_simulate(cfg)
+
+    def test_continuous_law_swap(self):
+        template = (Poisson(1.3), Binomial(10, 0.3), TabulatedDiscrete((0.0, 1.5), (0.4, 0.6)))
+        swap = Alternative(1, ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0))
+        cfg = SimulationConfig(template, 0.1, 4000, 9, swap)
+        assert verify._cell_table(template[1], swap.alt_dist, 0.5) is None
+        res = simulate_size_and_power(cfg)
+        assert res == reference_simulate(cfg)
+        assert 0.0 < res.rejection_rate < 1.0
+
+
+class TestFixtureTemplateFrozen:
+    """The benchmark-scale runs on the bundled panel, frozen from the harness
+    that searched and scored every draw."""
+
+    @pytest.fixture(scope="class")
+    def template(self):
+        return tuple(null_distributions(ingest(listeriosis_fixture_path()), 9.703e-7))
+
+    def test_size(self, template):
+        res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 123))
+        assert res == SimulationResult(0.0494, 0.0009691196004621927, 50_000)
+
+    def test_power(self, template):
+        swap = Alternative(5, Poisson(8 * template[5].mean))
+        res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 456, swap))
+        assert res == SimulationResult(0.90858, 0.0012888939723654537, 50_000)
 
 
 def assert_relative_match(exact, analytic):
