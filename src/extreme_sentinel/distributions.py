@@ -89,6 +89,13 @@ def _ret(x, values):
     return np.asarray(values, dtype=float)
 
 
+def _read_only(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 def _array_call(fn, xs: np.ndarray):
     """Evaluate fn on the array xs in one call; return (callable used, values).
 

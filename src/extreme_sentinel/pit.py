@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import NullDistribution, RandomStream, _check_open_unit
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 
 __all__ = ["ExtremenessVector", "randomized_pit", "extremeness_panel"]
 
@@ -43,16 +43,27 @@ class ExtremenessVector:
 
 def _survival_brackets(
     dists: Sequence[NullDistribution], observations: Sequence[float]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each cell's 1 - F(x-) and 1 - F(x), in panel order: the one bracket pass."""
-    if len(dists) == 0:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's 1 - F(x-) and 1 - F(x), as float64 arrays in panel order.
+
+    The one bracket pass, and the one check of the panel's shape: both
+    arguments have a length, they match, every model is a
+    ``NullDistribution`` and every observation is one value.
+    """
+    try:
+        n, n_obs = len(dists), len(observations)
+    except TypeError:
+        raise ShapeError("models and observations must be sequences with a length") from None
+    if n == 0:
         raise ShapeError("panel must contain at least one cell")
-    if len(dists) != len(observations):
-        raise ShapeError(
-            f"got {len(dists)} distributions but {len(observations)} observations"
-        )
-    pairs = [(float(d.sf_left(x)), float(d.sf(x))) for d, x in zip(dists, observations)]
-    sf_left, sf_right = zip(*pairs)
+    if n != n_obs:
+        raise ShapeError(f"got {n} distributions but {n_obs} observations")
+    if not all(isinstance(d, NullDistribution) for d in dists):
+        raise ParameterError("panel models must hold NullDistribution instances")
+    if any(isinstance(x, (list, tuple)) or np.ndim(x) for x in observations):
+        raise ShapeError("observations must hold one value per cell")
+    pairs = [(d.sf_left(x), d.sf(x)) for d, x in zip(dists, observations)]
+    sf_left, sf_right = np.array(pairs, dtype=float).T
     return sf_left, sf_right
 
 
@@ -92,7 +103,7 @@ def extremeness_panel(
     """
     sf_left, sf_right = _survival_brackets(dists, observations)
     us = _check_open_unit(np.atleast_1d(stream.uniform_open(len(sf_left))), "randomizer u")
-    scores = _survival_scores(np.array(sf_left), np.array(sf_right), us)
+    scores = _survival_scores(sf_left, sf_right, us)
     return ExtremenessVector(
         survival=tuple(float(v) for v in scores),
         randomizers_used=tuple(float(v) for v in us),

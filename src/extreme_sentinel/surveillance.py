@@ -12,8 +12,9 @@ single cell was generated by a dominating alternative instead.  A test
 scores the panel in one array pass over its count and population
 columns, and no model is built per cell.  The peel analysis repeats the
 test with the flagged cell removed until nothing more stands out; its
-state is the indices of the kept rows and their survival brackets, so a
-round at an unchanged rate only drops one cell.  ``_first_fault`` holds
+state is the indices of the kept rows: a fixed rate scores the panel
+once and each round indexes those brackets by the kept rows, while a
+pooled rate scores each round's kept rows.  ``_first_fault`` holds
 the one set of panel rules, applied to whole columns, for both
 ``CountPanel`` and ``cli.ingest``.
 """
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Poisson, RandomStream, _poisson_sf
+from .distributions import Poisson, RandomStream, _poisson_sf, _read_only
 from .errors import DataError, ParameterError, _integer, _real, _seed, _shown
 from .umptest import PValueBounds, TestDecision, _bounds
 from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
@@ -162,12 +163,6 @@ def _first_fault(
     )
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    column = np.array(values, dtype=dtype)
-    column.flags.writeable = False
-    return column
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class CountPanel:
     """The cells that enter the test: at least one, each valid, keys unique.
@@ -217,7 +212,7 @@ class CountPanel:
         object.__setattr__(self, "region_ids", tuple(region_ids))
         object.__setattr__(self, "period_ids", tuple(period_ids))
         object.__setattr__(self, "counts", _read_only(counts, np.int64))
-        object.__setattr__(self, "populations", _read_only(populations, float))
+        object.__setattr__(self, "populations", _read_only(populations))
 
     @cached_property
     def cells(self) -> tuple[PanelCell, ...]:
@@ -299,7 +294,7 @@ def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
 
 def _panel_brackets(
     counts: np.ndarray, populations: np.ndarray, rate: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's Poisson(rate * population) survival brackets, in one array pass.
 
     Returns what ``pit._survival_brackets`` returns on the rows' null
@@ -314,9 +309,7 @@ def _panel_brackets(
     if bad.any():
         _real(float(means[int(np.argmax(bad))]), "Poisson mean", 0.0)
     x = counts.astype(float)
-    sf_left = _poisson_sf(x - 1.0, means)
-    sf_right = _poisson_sf(x, means)
-    return tuple(sf_left.tolist()), tuple(sf_right.tolist())
+    return _poisson_sf(x - 1.0, means), _poisson_sf(x, means)
 
 
 def _round_report(
@@ -392,14 +385,13 @@ def peel_test(
     estimate, and no cell of an all-zero panel can stand out.
 
     A cell's survival bracket depends only on its count and on the rate
-    times its population, so the brackets are computed, in one array
-    pass over the surviving cells, only in a round whose rate differs
-    from the one they were computed at: at a fixed rate the panel is
-    scored once, and later rounds drop the flagged cell from the kept
-    brackets.  A pooled rate moves as cells leave, so each such round
-    scores the surviving cells again.  Round r reports exactly what
-    ``epidemic_test`` reports on the panel without rounds 1..r-1's
-    flagged cells.  No other library code drops a cell from a panel.
+    times its population.  A fixed rate scores the panel once, in one
+    array pass, and each round takes its kept rows' brackets from that
+    pass; a pooled rate moves as cells leave, so it scores each round's
+    cells.  The peel's only state is the indices of its kept rows.
+    Round r reports exactly what ``epidemic_test`` reports on the panel
+    without rounds 1..r-1's flagged cells.  No other library code drops
+    a cell from a panel.
 
     Per-round coin seeds are derived from ``seed`` by seed splitting, and
     each report carries its own derived seed so the round can be replayed
@@ -416,23 +408,20 @@ def peel_test(
         round_seeds = [int(s) for s in state]
     reports: list[EpidemicReport] = []
     kept = np.arange(panel.n)  # the panel rows still in the test
-    scored_at: float | None = None
+    if lam is not None:  # a fixed rate: every round reads this one pass
+        sf_left, sf_right = _panel_brackets(panel.counts, panel.populations, lam)
     for r, round_seed in enumerate(round_seeds):
         if r:  # the previous round rejected: set its flagged cell aside
-            flagged = bounds.argmax_upper_cell
-            kept = np.delete(kept, flagged)
+            kept = np.delete(kept, bounds.argmax_upper_cell)
             if lam is None and not panel.counts[kept].any():
                 break
-        counts, populations = panel.counts[kept], panel.populations[kept]
-        rate = lam if lam is not None else _pooled_rate(counts, populations)
-        if rate == scored_at:
-            bounds = _bounds(
-                bounds.sf_left[:flagged] + bounds.sf_left[flagged + 1 :],
-                bounds.sf_right[:flagged] + bounds.sf_right[flagged + 1 :],
-            )
-        else:
+        if lam is None:  # a pooled rate: score the kept rows at their own rate
+            counts, populations = panel.counts[kept], panel.populations[kept]
+            rate = _pooled_rate(counts, populations)
             bounds = _bounds(*_panel_brackets(counts, populations, rate))
-            scored_at = rate
+        else:
+            rate = lam
+            bounds = _bounds(sf_left[kept], sf_right[kept])
         flagged_row = int(kept[bounds.argmax_upper_cell])
         report = _round_report(panel, flagged_row, bounds, rate, alpha, round_seed)
         reports.append(report)

@@ -20,19 +20,20 @@ and integrating out the randomizers gives the deterministic form
 ``phi_expected``; the bracket structure of the scores also yields sharp
 p-value bounds that need no randomizer at all.  ``pvalue_bounds`` keeps
 the survival brackets 1 - F(x-), 1 - F(x) of the one bracket pass in
-``pit``; ``PValueBounds.decide`` splits on them against s, so the split
-agrees with the bounds at any alpha.
+``pit``, held as read-only float64 arrays; ``PValueBounds.decide``
+splits on those arrays against s, so the split agrees with the bounds
+at any alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import NullDistribution
+from .distributions import NullDistribution, _read_only
 from .errors import ContractError, DomainError, _integer, _real
 from .pit import ExtremenessVector, _survival_brackets
 
@@ -84,7 +85,7 @@ class TestDecision:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PValueBounds:
     """Sharp bracket for the randomized test's p-value, and the cell brackets.
 
@@ -92,7 +93,9 @@ class PValueBounds:
     the lower bound 1 - m_high^n; m_low is the largest left limit
     F_i(x_i-) and drives the upper bound 1 - m_low^n.  Argmax indices tie
     to the lowest cell.  ``sf_left`` and ``sf_right`` hold each cell's
-    1 - F(x-) and 1 - F(x) in panel order; ``decide`` reads the same ones.
+    1 - F(x-) and 1 - F(x) in panel order, as read-only float64 arrays
+    whatever sequence they were given as; ``decide`` reads the same ones.
+    Two bounds are equal when every field is; the hash reads the scalars.
     """
 
     lower: float
@@ -100,8 +103,24 @@ class PValueBounds:
     n: int
     argmax_upper_cell: int  # attains m_high = max_i F_i(x_i)
     argmax_lower_cell: int  # attains m_low = max_i F_i(x_i-)
-    sf_left: tuple[float, ...]
-    sf_right: tuple[float, ...]
+    sf_left: np.ndarray
+    sf_right: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "sf_left", _read_only(self.sf_left))
+        object.__setattr__(self, "sf_right", _read_only(self.sf_right))
+
+    def __eq__(self, other):
+        if not isinstance(other, PValueBounds):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.lower, self.upper, self.n, self.argmax_upper_cell, self.argmax_lower_cell)
+        )
 
     def decide(self, alpha: float) -> TestDecision:
         """Deterministic case split of the randomized test, given the counts.
@@ -120,7 +139,7 @@ class PValueBounds:
         n = self.n
         t = threshold(alpha, n)
         s = _survival_cut(alpha, n)
-        sf_left, sf_right = np.array(self.sf_left), np.array(self.sf_right)
+        sf_left, sf_right = self.sf_left, self.sf_right
         m_stat = 1.0 - float(np.min(sf_left))
         if np.any((sf_right < s) & (sf_left <= s)):
             return TestDecision(1.0, t, s, "reject", (), m_stat, alpha, n)
@@ -165,7 +184,7 @@ def pvalue_bounds(
     return _bounds(*_survival_brackets(dists, observations))
 
 
-def _bounds(sf_left: tuple[float, ...], sf_right: tuple[float, ...]) -> PValueBounds:
+def _bounds(sf_left: np.ndarray, sf_right: np.ndarray) -> PValueBounds:
     """``PValueBounds`` of cells whose survival brackets are already known."""
     n = len(sf_left)
     i_high = int(np.argmin(sf_right))  # max cdf, ties to lowest index

@@ -231,7 +231,11 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
     It compares in survival space, at the levels min sf and min sf_left,
     so bounds far below the double resolution near 1 are enumerated too.
     """
-    if len(dists) == 0 or len(dists) != len(observations):
+    try:
+        matching = len(dists) == len(observations) != 0
+    except TypeError:  # no length: a generator or a bare value
+        matching = False
+    if not matching:
         raise ShapeError("need matching non-empty models and observations")
     if len(dists) > 4:
         raise SizeError("exact enumeration is limited to panels of at most 4 cells")

@@ -12,7 +12,7 @@ from extreme_sentinel.distributions import (
     TabulatedDiscrete,
     Uniform01,
 )
-from extreme_sentinel.errors import DomainError, ShapeError
+from extreme_sentinel.errors import DomainError, ParameterError, ShapeError
 from extreme_sentinel.pit import ExtremenessVector, extremeness_panel, randomized_pit
 
 KS_CRIT_1PCT = 1.628
@@ -115,3 +115,9 @@ class TestExtremenessPanel:
             extremeness_panel([Poisson(1.0)], [0, 1], RandomStream(1))
         with pytest.raises(ShapeError):
             extremeness_panel([], [], RandomStream(1))
+        with pytest.raises(ShapeError):
+            extremeness_panel([Poisson(1.0)], 3, RandomStream(1))
+        with pytest.raises(ShapeError):
+            extremeness_panel([Poisson(1.0)], [[1, 2]], RandomStream(1))
+        with pytest.raises(ParameterError, match="must hold NullDistribution instances"):
+            extremeness_panel([1.0], [0], RandomStream(1))

@@ -378,8 +378,9 @@ class TestPanelBrackets:
                 null_distributions(panel, rate), [c.count for c in panel.cells]
             )
             got = surveillance._panel_brackets(panel.counts, panel.populations, rate)
-            assert got == expected
-            assert all(type(v) is float for v in got[0] + got[1])
+            for g, e in zip(got, expected, strict=True):
+                assert np.array_equal(g, e)
+                assert g.dtype == e.dtype == np.float64
 
     def test_mean_out_of_range_raises_what_poisson_raises(self):
         # 1e300 * 1e10 overflows to inf; 1e-300 * 1e-30 underflows to 0.

@@ -12,7 +12,7 @@ from extreme_sentinel.distributions import (
     TabulatedDiscrete,
     Uniform01,
 )
-from extreme_sentinel.errors import ContractError, DomainError, ShapeError
+from extreme_sentinel.errors import ContractError, DomainError, ParameterError, ShapeError
 from extreme_sentinel.pit import extremeness_panel
 from extreme_sentinel.umptest import (
     PValueBounds,
@@ -127,6 +127,10 @@ class TestPhiExpected:
             phi_expected([], [], 0.05)
         with pytest.raises(ShapeError):
             phi_expected([Poisson(1.0)], [0, 1], 0.05)
+        with pytest.raises(ShapeError):
+            phi_expected([Poisson(1.0)], [[1, 2]], 0.05)
+        with pytest.raises(ParameterError, match="must hold NullDistribution instances"):
+            phi_expected([Poisson(1.0), "Poisson"], [0, 1], 0.05)
 
 
 class TestPValueBounds:
@@ -179,9 +183,9 @@ class TestPValueBounds:
         dists = [Poisson(1.0), Binomial(10, 0.3), Uniform01()]
         obs = [3, 0, 0.25]
         b = pvalue_bounds(dists, obs)
-        assert b.sf_left == tuple(d.sf_left(x) for d, x in zip(dists, obs))
-        assert b.sf_right == tuple(d.sf(x) for d, x in zip(dists, obs))
-        assert all(type(v) is float for v in b.sf_left + b.sf_right)
+        assert np.array_equal(b.sf_left, [d.sf_left(x) for d, x in zip(dists, obs)])
+        assert np.array_equal(b.sf_right, [d.sf(x) for d, x in zip(dists, obs)])
+        assert b.sf_left.dtype == b.sf_right.dtype == np.float64
         for alpha in (0.5, 0.05, 1e-9):
             assert b.decide(alpha) == phi_expected(dists, obs, alpha)
         with pytest.raises(DomainError):
@@ -190,6 +194,21 @@ class TestPValueBounds:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             pvalue_bounds([], [])
+        # Arguments without a length, and observations that are not one value per cell.
+        for dists, obs in (
+            ([Poisson(1.0)], 3),
+            ((Poisson(1.0) for _ in range(1)), [0]),
+            ([Poisson(1.0)], [[1, 2]]),
+            ([Poisson(1.0)], np.array([[1, 2]])),
+            ([Poisson(1.0), Poisson(2.0)], [1, [2, 3]]),
+        ):
+            with pytest.raises(ShapeError):
+                pvalue_bounds(dists, obs)
+        with pytest.raises(ParameterError, match="must hold NullDistribution instances"):
+            pvalue_bounds([1.0], [0])
+        # A bad value keeps its own message.
+        with pytest.raises(DomainError, match="evaluation point must be real numbers"):
+            pvalue_bounds([Poisson(1.0)], ["x"])
 
 
 def _deep_tail_panel(rng):
@@ -308,7 +327,12 @@ class TestPowerSingleAlternative:
 
 
 def test_decision_types_are_frozen_dataclasses():
+    from dataclasses import replace
+
     from extreme_sentinel import umptest
+    from extreme_sentinel.cli import ingest
+    from extreme_sentinel.surveillance import epidemic_test, listeriosis_fixture_path, peel_test
+    from extreme_sentinel.verify import enumerate_pvalue_bounds
 
     d = phi_expected([Poisson(1.0)], [0], 0.05)
     assert isinstance(d, umptest.TestDecision)
@@ -316,3 +340,35 @@ def test_decision_types_are_frozen_dataclasses():
         d.alpha = 0.1
     b = pvalue_bounds([Poisson(1.0)], [0])
     assert isinstance(b, PValueBounds)
+
+    # The brackets are read-only float64 arrays, whichever layer built the bounds.
+    panel = ingest(listeriosis_fixture_path())
+    peels = [peel_test(panel, lam=lam, alpha=0.01, seed=7) for lam in (9.703e-7, None)]
+    assert [len(p) for p in peels] == [2, 2]
+    every = [
+        b,
+        enumerate_pvalue_bounds([Poisson(1.0), Binomial(5, 0.3)], [3, 2]),
+        epidemic_test(panel, alpha=0.01).bounds,
+        *(r.bounds for p in peels for r in p),
+    ]
+    for bounds in every:
+        for sf in (bounds.sf_left, bounds.sf_right):
+            assert type(sf) is np.ndarray and sf.dtype == np.float64 and sf.shape == (bounds.n,)
+            with pytest.raises(ValueError):
+                sf[0] = 0.5
+
+    # Bounds built from tuples hold the same arrays, and compare and hash alike.
+    scalars = (b.lower, b.upper, b.n, b.argmax_upper_cell, b.argmax_lower_cell)
+    from_tuples = PValueBounds(*scalars, tuple(b.sf_left.tolist()), tuple(b.sf_right.tolist()))
+    assert type(from_tuples.sf_left) is np.ndarray and not from_tuples.sf_left.flags.writeable
+    assert from_tuples == b and hash(from_tuples) == hash(b)
+
+    # Two identical calls give equal reports with equal hashes; one ulp apart is unequal.
+    report, again = (epidemic_test(panel, lam=9.703e-7, alpha=0.01, seed=7) for _ in range(2))
+    assert report == again and hash(report) == hash(again)
+    assert peel_test(panel, alpha=0.01, seed=7) == peels[1]
+    for side in ("sf_left", "sf_right"):
+        nudged = getattr(report.bounds, side).copy()
+        nudged[3] = np.nextafter(nudged[3], 1.0)
+        other = replace(report, bounds=replace(report.bounds, **{side: nudged}))
+        assert other != report and other.bounds != report.bounds

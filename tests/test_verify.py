@@ -444,6 +444,14 @@ class TestEnumeratePValueBounds:
             enumerate_pvalue_bounds([], [])
         with pytest.raises(ShapeError):
             enumerate_pvalue_bounds([Poisson(1.0)], [0, 1])
+        with pytest.raises(ShapeError):
+            enumerate_pvalue_bounds([Poisson(1.0)], 3)
+        with pytest.raises(ShapeError):
+            enumerate_pvalue_bounds((Poisson(1.0) for _ in range(1)), [0])
+        with pytest.raises(ShapeError):
+            enumerate_pvalue_bounds([Poisson(1.0)], [[1, 2]])
+        with pytest.raises(ParameterError, match="must hold NullDistribution instances"):
+            enumerate_pvalue_bounds([1.0], [0])
 
 
 class TestKsUniformity:
