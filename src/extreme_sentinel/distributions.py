@@ -13,7 +13,10 @@ quantities close to 1 keep full relative precision instead of dying in
 1 - cdf cancellation.
 
 All numeric methods accept scalars or arrays and mirror the numpy ufunc
-convention: scalar in, float out.
+convention: scalar in, float out.  Array calls on the integer-support
+models (``Poisson``, ``Binomial``) evaluate F once per integer of their
+range and gather, so scoring many draws costs one special-function call
+per distinct value, not per draw.
 """
 
 from __future__ import annotations
@@ -216,15 +219,43 @@ def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = 
     return pts[keep], cdf[keep]
 
 
+# Every integer of magnitude below 2**53 is a float, so a range inside it
+# can be rebuilt exactly from its low end.
+_EXACT_INTEGERS = 2.0**53
+
+
+def _on_integers(fn, k):
+    """fn(k) for integer-valued, finite k, evaluated once per integer of k's range.
+
+    An array whose range max - min + 1 holds fewer integers than it has
+    entries, so that some entry repeats, with both ends inside +-2**53
+    where every integer is a float, gets one call on that range and a
+    gather; every other input, a ladder's distinct points among them, is
+    passed to fn as it is.  Both paths hand fn the same float values, so
+    the results agree bit for bit.
+    """
+    if np.ndim(k) and k.size:
+        lo, hi = k.min(), k.max()
+        if -_EXACT_INTEGERS < lo and hi < _EXACT_INTEGERS and hi - lo + 1.0 < k.size:
+            table = fn(lo + np.arange(hi - lo + 1.0))
+            return table[(k - lo).astype(np.intp)]
+    return fn(k)
+
+
 class _IntegerSupport(_Discrete):
-    """Shared left-limit plumbing for models supported on 0, 1, 2, ..."""
+    """Shared left-limit plumbing for models supported on 0, 1, 2, ...
+
+    Each subclass provides ``_cdf_at`` and ``_sf_at``: F(k) and 1 - F(k)
+    at integer-valued k, elementwise.  Its ``cdf`` and ``sf`` stay on the
+    subclass itself, where ``perfbench/tests/test_tracer.py`` looks them up.
+    """
 
     def cdf_left(self, x):
         # F(x-) = F(ceil(x) - 1): steps down only at integer support points.
-        return self.cdf(np.ceil(_check_finite(x)) - 1.0)
+        return _ret(x, _on_integers(self._cdf_at, np.ceil(_check_finite(x)) - 1.0))
 
     def sf_left(self, x):
-        return self.sf(np.ceil(_check_finite(x)) - 1.0)
+        return _ret(x, _on_integers(self._sf_at, np.ceil(_check_finite(x)) - 1.0))
 
 
 def _poisson_sf(k, mean):
@@ -242,12 +273,16 @@ class Poisson(_IntegerSupport):
         _real(self.mean, "Poisson mean", 0.0)
 
     def cdf(self, x):
-        k = np.floor(_check_finite(x))
-        vals = special.gammaincc(np.maximum(k, 0.0) + 1.0, self.mean)
-        return _ret(x, np.where(k < 0.0, 0.0, vals))
+        return _ret(x, _on_integers(self._cdf_at, np.floor(_check_finite(x))))
 
     def sf(self, x):
-        return _ret(x, _poisson_sf(np.floor(_check_finite(x)), self.mean))
+        return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
+
+    def _cdf_at(self, k):
+        return np.where(k < 0.0, 0.0, special.gammaincc(np.maximum(k, 0.0) + 1.0, self.mean))
+
+    def _sf_at(self, k):
+        return _poisson_sf(k, self.mean)
 
     def mass(self, x):
         return _ret(x, np.exp(self._log_mass(x)))
@@ -276,12 +311,16 @@ class Binomial(_IntegerSupport):
         _real(self.success_prob, "success_prob", 0.0, 1.0, closed=True)
 
     def cdf(self, x):
-        k = np.floor(_check_finite(x))
-        return _ret(x, stats.binom.cdf(k, self.trials, self.success_prob))
+        return _ret(x, _on_integers(self._cdf_at, np.floor(_check_finite(x))))
 
     def sf(self, x):
-        k = np.floor(_check_finite(x))
-        return _ret(x, stats.binom.sf(k, self.trials, self.success_prob))
+        return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
+
+    def _cdf_at(self, k):
+        return stats.binom.cdf(k, self.trials, self.success_prob)
+
+    def _sf_at(self, k):
+        return stats.binom.sf(k, self.trials, self.success_prob)
 
     def mass(self, x):
         return _ret(x, stats.binom.pmf(_check_finite(x), self.trials, self.success_prob))

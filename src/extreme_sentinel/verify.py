@@ -192,6 +192,11 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(rejection_rate=rate, std_error=se, n_trials=config.n_trials)
 
 
+def _unit(p: float) -> float:
+    """p clamped to [0, 1], with +0.0 for every zero: -expm1(0.0) is -0.0."""
+    return 0.0 if p <= 0.0 else min(p, 1.0)
+
+
 def _cell_exceedances(dist: NullDistribution, levels) -> list[float]:
     """P(1 - index < s) for one null cell at each level s, by bracket integration.
 
@@ -203,7 +208,7 @@ def _cell_exceedances(dist: NullDistribution, levels) -> list[float]:
     below every positive level, so each level is enumerated.
     """
     if dist.continuous:
-        return [min(max(s, 0.0), 1.0) for s in levels]
+        return [_unit(s) for s in levels]
     pts = discrete_probe_points(dist)
     floor = min((s for s in levels if s > 0.0), default=0.0)
     # A tabulated ladder ends at sf == 0; an integer one extends by unit steps.
@@ -252,8 +257,8 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
 
     lower, upper = map(one_minus_product, zip(*(_cell_exceedances(d, levels) for d in dists)))
     return PValueBounds(
-        lower=min(max(lower, 0.0), 1.0),
-        upper=min(max(upper, 0.0), 1.0),
+        lower=_unit(lower),
+        upper=_unit(upper),
         n=len(dists),
         argmax_upper_cell=i_high,
         argmax_lower_cell=i_low,

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extreme_sentinel import distributions
 from extreme_sentinel.distributions import (
     Binomial,
     ContinuousByCdf,
@@ -20,6 +21,7 @@ from extreme_sentinel.distributions import (
     Uniform01,
 )
 from extreme_sentinel.errors import DomainError, ParameterError
+from extreme_sentinel.pit import randomized_pit
 
 KS_CRIT_1PCT = 1.628  # asymptotic 1% critical coefficient, stat < 1.628/sqrt(N)
 
@@ -349,3 +351,63 @@ def test_ladder_widens_below_a_loose_first_window():
     for omega in (1e-300, 1e-200, 1e-133, 1e-16, 0.5):
         # The sup-form inverse is the first support point with F >= omega.
         assert dist.skorokhod_quantile(omega) == support[np.argmax(cdf >= omega)]
+
+
+INTEGER_MODELS = (Poisson(3.7), Poisson(250.0), Binomial(40, 0.3), Binomial(7, 1.0))
+BRACKET_METHODS = ("cdf", "sf", "cdf_left", "sf_left")
+
+
+def integer_support_points(rng, dist):
+    """Arrays for the four bracket methods: dense draws and every edge of the range rule."""
+    draws = np.asarray(dist.sample(RandomStream(int(rng.integers(2**32))), 120))
+    edges = np.array([2.0**53, -(2.0**53), 2.0**53 - 1.0, 2.0**60, -(2.0**60), 1e300, -1e300])
+    return [
+        draws,
+        draws - 5.0,  # negative entries
+        draws + rng.uniform(-1.0, 1.0, draws.size),  # non-integer entries
+        draws.reshape(12, 10),
+        np.empty(0),
+        np.empty((0, 3)),
+        np.array([-0.0, 0.0, -0.5, 0.5, -1.0]),
+        np.array([0.0, 1e6, 3.0]),  # a sparse range: one call on the points
+        np.concatenate([draws, rng.choice(edges, 5)]),
+        np.concatenate([draws, [2.0**53 - 2.0]]),
+        draws + (2.0**53 - 100.0),
+        draws - (2.0**53 - 100.0),
+    ]
+
+
+@pytest.mark.parametrize("dist", INTEGER_MODELS, ids=repr)
+def test_integer_support_arrays_match_scalar_calls_bit_for_bit(dist):
+    rng = np.random.default_rng(404)
+    for _ in range(3):
+        for x in integer_support_points(rng, dist):
+            for method in BRACKET_METHODS:
+                fn = getattr(dist, method)
+                got = np.asarray(fn(x))
+                want = np.array([fn(float(v)) for v in x.flat], dtype=float).reshape(x.shape)
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (method, x)
+
+
+@pytest.mark.parametrize(
+    "dist, owner, name",
+    [
+        (Poisson(3.7), distributions.special, "gammaincc"),
+        (Binomial(40, 0.3), distributions.stats.binom, "cdf"),
+    ],
+    ids=["Poisson", "Binomial"],
+)
+def test_randomized_pit_evaluates_each_integer_once(monkeypatch, dist, owner, name):
+    stream = RandomStream(1)
+    x = np.asarray(dist.sample(stream, 20_000))
+    u = stream.uniform_open(20_000)
+    inner, points = getattr(owner, name), []
+
+    def counted(k, *args):
+        points.append(np.size(k))
+        return inner(k, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    randomized_pit(dist, x, u)
+    assert 0 < sum(points) <= 2 * (x.max() - x.min() + 2)

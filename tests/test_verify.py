@@ -338,6 +338,13 @@ class TestEnumeratePValueBounds:
         assert b.upper == pytest.approx(0.2, abs=1e-12)
         assert b.argmax_upper_cell == 0 and b.argmax_lower_cell == 0
 
+    def test_zero_bounds_are_positive_zero(self):
+        # F(40) rounds to 1, so sf is 0 and 1 - prod(1 - 0) is -expm1(0.0) = -0.0.
+        dists, obs = [ContinuousByCdf(lambda x: -np.expm1(-x), 0.0, 60.0)], [40.0]
+        for b in (enumerate_pvalue_bounds(dists, obs), pvalue_bounds(dists, obs)):
+            assert b.lower == b.upper == 0.0
+            assert math.copysign(1.0, b.lower) == math.copysign(1.0, b.upper) == 1.0
+
     def test_two_zero_counts(self):
         b = enumerate_pvalue_bounds([Poisson(1.0), Poisson(1.0)], [0, 0])
         assert b.lower == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
