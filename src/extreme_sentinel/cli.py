@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DataError,
     ExtremeSentinelError,
     PanelFormatError,
     ParameterError,
@@ -34,6 +35,7 @@ from .errors import (
 from .surveillance import (
     CountPanel,
     EpidemicReport,
+    _check_panel,
     _first_fault,
     _first_row,
     epidemic_test,
@@ -125,10 +127,10 @@ def ingest(input_path) -> CountPanel:
 
     A non-reporting area is left out of the file, not given zero rows.
     The rows are read into columns, and each rule is checked on a whole
-    column at once.  The text rules come first, the panel rules of
-    ``surveillance._first_fault`` second, so a bad literal is reported
-    before any bad value; errors name the line of the first bad row.
-    No ``PanelCell`` is built.
+    column at once.  The text rules come first, then ``CountPanel``'s
+    panel rules, so a bad literal is reported before any bad value.
+    Errors name the line of the first bad row: the panel rules run again,
+    naming lines, only when the panel refuses the columns.
     """
     path = Path(input_path)
     try:
@@ -171,16 +173,18 @@ def ingest(input_path) -> CountPanel:
         ),
     ) or short
     if fault is None:
-        fault = _first_fault(
-            region_ids, period_ids, counts, populations, lambda j: f"line {lines[j]}"
-        )
-    if fault is not None:
-        raise PanelFormatError(f"{path}:{lines[fault[0]]}: {fault[1]}")
-    return CountPanel._from_columns(region_ids, period_ids, counts, populations)
+        try:
+            return CountPanel(region_ids, period_ids, counts, populations)
+        except DataError:
+            fault = _first_fault(
+                region_ids, period_ids, counts, populations, lambda j: f"line {lines[j]}"
+            )
+    raise PanelFormatError(f"{path}:{lines[fault[0]]}: {fault[1]}")
 
 
 def write_panel(panel: CountPanel, output_path) -> None:
-    """Inverse of ingest: ``ingest`` of the written file returns equal cells."""
+    """Inverse of ingest: ``ingest`` of the written file returns an equal panel."""
+    _check_panel(panel)
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)

@@ -117,14 +117,14 @@ def _array_call(fn, xs: np.ndarray):
 
 def _check_open_unit(omega, what: str = "omega") -> np.ndarray:
     om = _array(omega, what, DomainError)
-    if not np.all((om > 0.0) & (om < 1.0)):
+    if not ((om > 0.0) & (om < 1.0)).all():
         raise DomainError(f"{what} must lie strictly inside (0, 1)")
     return om
 
 
 def _check_finite(x) -> np.ndarray:
     xa = _array(x, "evaluation point", DomainError)
-    if not np.all(np.isfinite(xa)):
+    if not np.isfinite(xa).all():
         raise DomainError("evaluation point must be finite")
     return xa
 

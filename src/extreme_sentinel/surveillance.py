@@ -2,30 +2,29 @@
 
 A panel holds observed case counts per (region, period) cell together
 with the population at risk: exactly the cells that enter the test, so a
-non-reporting area is left out of the panel.  It holds them as columns:
-region ids and period ids as tuples of strings, counts and populations
-as read-only numpy arrays.  ``CountPanel.cells`` is a row view of
-``PanelCell`` objects, built only when asked for; a panel built from
-cells keeps the tuple it was given.  Under the null hypothesis every
-cell is Poisson with mean lambda * population; the test asks whether a
-single cell was generated by a dominating alternative instead.  A test
+non-reporting area is left out of the panel.  A panel is built from
+its four columns and holds them: region ids and period ids as tuples
+of strings, counts and populations as read-only numpy arrays.
+``CountPanel.cells`` is a row view of ``PanelCell`` objects, built only
+when asked for.  Under the null hypothesis every cell is Poisson with
+mean lambda * population; the test asks whether a single cell was
+generated by a dominating alternative instead.  A test
 scores the panel in one array pass over its count and population
 columns, and no model is built per cell.  The peel analysis repeats the
 test with the flagged cell removed until nothing more stands out; its
 state is the indices of the kept rows: a fixed rate scores the panel
 once and each round indexes those brackets by the kept rows, while a
 pooled rate scores each round's kept rows.  ``_first_fault`` holds
-the one set of panel rules, applied to whole columns, for both
-``CountPanel`` and ``cli.ingest``.
+the one set of panel rules, applied to whole columns; ``CountPanel``
+runs it once on every panel, ``cli.ingest``'s included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -163,15 +162,25 @@ def _first_fault(
     )
 
 
-@dataclass(frozen=True, init=False, eq=False)
+def _column(values, name: str) -> tuple:
+    """``values`` as a tuple, an ndarray read through ``tolist``; raises DataError if not iterable."""
+    try:
+        return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    except TypeError:
+        raise DataError(f"{name} must be a column of values, got {_shown(values)}") from None
+
+
+@dataclass(frozen=True, eq=False)
 class CountPanel:
     """The cells that enter the test: at least one, each valid, keys unique.
 
-    Held as columns in panel order: ``region_ids`` and ``period_ids``
-    (tuples of str), ``counts`` (read-only int64) and ``populations``
-    (read-only float64).  Region and period ids are non-empty strings
-    without surrounding whitespace, so every panel is one that a CSV
-    file can hold.  Two panels are equal when their columns are.
+    Built from its four columns in panel order, each an iterable (an
+    ndarray is read through ``tolist``), and held as ``region_ids`` and
+    ``period_ids`` (tuples of str), ``counts`` (read-only int64) and
+    ``populations`` (read-only float64).  Region and period ids are
+    non-empty strings without surrounding whitespace, so every panel is
+    one that a CSV file can hold.  Two panels are equal when their
+    columns are.
     """
 
     region_ids: tuple[str, ...]
@@ -179,53 +188,28 @@ class CountPanel:
     counts: np.ndarray
     populations: np.ndarray
 
-    def __init__(self, cells):
-        cells = tuple(cells)
-        if not cells:
+    def __post_init__(self):
+        columns = [_column(getattr(self, f.name), f.name) for f in fields(self)]
+        sizes = [len(c) for c in columns]
+        if len(set(sizes)) > 1:
+            raise DataError(f"columns must have equal lengths, got {sizes}")
+        if not sizes[0]:
             raise DataError("panel must contain at least one cell")
-        # Columns come from the rows before the first one that is not a cell.
-        rows = len(cells)
-        if set(map(type, cells)) != {PanelCell}:
-            rows = next((i for i, c in enumerate(cells) if not isinstance(c, PanelCell)), rows)
-        columns = [
-            tuple(map(attrgetter(f), cells[:rows]))
-            for f in ("region_id", "period_id", "count", "population")
-        ]
         fault = _first_fault(*columns, lambda j: f"position {j}")
-        if fault is None and rows < len(cells):
-            fault = rows, f"must be a PanelCell, got {type(cells[rows]).__name__}"
         if fault is not None:
-            c = cells[fault[0]]
-            key = (c.region_id, c.period_id) if isinstance(c, PanelCell) else c
-            raise DataError(f"cell {_shown(key)}: {fault[1]}")
-        self._hold(*columns)
-        object.__setattr__(self, "cells", cells)  # the row view is the tuple given
-
-    @classmethod
-    def _from_columns(cls, region_ids, period_ids, counts, populations) -> CountPanel:
-        """The panel of columns that ``_first_fault`` passed, built without a ``PanelCell``."""
-        panel = object.__new__(cls)
-        panel._hold(region_ids, period_ids, counts, populations)
-        return panel
-
-    def _hold(self, region_ids, period_ids, counts, populations) -> None:
-        object.__setattr__(self, "region_ids", tuple(region_ids))
-        object.__setattr__(self, "period_ids", tuple(period_ids))
+            i, reason = fault
+            raise DataError(f"cell {_shown((columns[0][i], columns[1][i]))}: {reason}")
+        region_ids, period_ids, counts, populations = columns
+        object.__setattr__(self, "region_ids", region_ids)
+        object.__setattr__(self, "period_ids", period_ids)
         object.__setattr__(self, "counts", _read_only(counts, np.int64))
         object.__setattr__(self, "populations", _read_only(populations))
 
     @cached_property
     def cells(self) -> tuple[PanelCell, ...]:
-        """The rows as ``PanelCell``s, with int counts and float populations."""
-        return tuple(
-            map(
-                PanelCell,
-                self.region_ids,
-                self.period_ids,
-                self.counts.tolist(),
-                self.populations.tolist(),
-            )
-        )
+        """The rows as ``PanelCell``s, with int counts and float populations, built on first use."""
+        columns = (self.region_ids, self.period_ids, self.counts.tolist(), self.populations.tolist())
+        return tuple(map(PanelCell, *columns))
 
     @property
     def n(self) -> int:
@@ -244,6 +228,12 @@ class CountPanel:
 
     def __hash__(self):
         return hash((self.region_ids, self.period_ids))
+
+
+def _check_panel(panel) -> None:
+    """Raise ParameterError unless ``panel`` is a ``CountPanel``."""
+    if not isinstance(panel, CountPanel):
+        raise ParameterError(f"panel must be a CountPanel, got {type(panel).__name__}")
 
 
 @dataclass(frozen=True)
@@ -271,6 +261,7 @@ def estimate_lambda(panel: CountPanel) -> float:
     All-zero panels have a pooled rate of zero, which cannot parametrize
     a Poisson null; callers must pass an explicit rate in that case.
     """
+    _check_panel(panel)
     return _pooled_rate(panel.counts, panel.populations)
 
 
@@ -288,6 +279,7 @@ def _pooled_rate(counts: np.ndarray, populations: np.ndarray) -> float:
 
 def null_distributions(panel: CountPanel, lam: float) -> list[Poisson]:
     """One Poisson(lambda * population) per cell, in panel order."""
+    _check_panel(panel)
     _real(lam, "rate", 0.0)
     return [Poisson(lam * p) for p in panel.populations.tolist()]
 
@@ -361,6 +353,7 @@ def epidemic_test(
     cell is the one attaining the upper maximum of the p-value bounds,
     i.e. the most extreme observation.
     """
+    _check_panel(panel)
     if seed is not None:
         _seed(seed)
     lam_used = _real(lam, "rate", 0.0) if lam is not None else estimate_lambda(panel)
@@ -397,6 +390,7 @@ def peel_test(
     each report carries its own derived seed so the round can be replayed
     in isolation.
     """
+    _check_panel(panel)
     if lam is not None:
         lam = _real(lam, "rate", 0.0)
     # Each round sets one cell aside, so no peel outlasts the panel's cells.

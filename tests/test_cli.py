@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from panel_rows import panel_of
 
 from extreme_sentinel.cli import (
     ENV_SEED,
@@ -25,11 +26,7 @@ from extreme_sentinel.errors import (
     _real,
     _shown,
 )
-from extreme_sentinel.surveillance import (
-    CountPanel,
-    PanelCell,
-    listeriosis_fixture_path,
-)
+from extreme_sentinel.surveillance import listeriosis_fixture_path
 
 FIXTURE = str(listeriosis_fixture_path())
 
@@ -49,7 +46,7 @@ class TestIngest:
     def test_fixture(self):
         panel = ingest(FIXTURE)
         assert panel.n == 40
-        assert sum(c.count for c in panel.cells) == 35
+        assert sum(panel.counts.tolist()) == 35
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(PanelFormatError):
@@ -103,7 +100,7 @@ class TestIngest:
 
     def test_signed_count_accepted(self, tmp_path):
         body = "region,period,count,population\nA,1,+3,10\n"
-        assert ingest(write_csv(tmp_path, body)).cells[0].count == 3
+        assert ingest(write_csv(tmp_path, body)).counts.tolist() == [3]
 
     def test_nonpositive_population(self, tmp_path):
         body = "region,period,count,population\nA,1,0,0\n"
@@ -185,36 +182,36 @@ class TestOneRuleSet:
             if dup:
                 assert reason.endswith(f"line {lines[first]}")
                 reason = reason.replace(f"line {lines[first]}", f"position {first}")
-            cells = tuple(PanelCell(r, p, int(c), float(pop)) for r, p, c, pop in rows)
             with pytest.raises(DataError) as built:
-                CountPanel(cells)
+                panel_of((r, p, int(c), float(pop)) for r, p, c, pop in rows)
             assert str(built.value) == f"cell {(bad[0], bad[1])!r}: {reason}"
 
 
-def reference_rules(cells, where):
-    """The per-cell rule loop, kept as an oracle: the first (index, reason), or None."""
+def reference_rules(rows, where):
+    """The per-row rule loop, kept as an oracle: the first (index, reason), or None.
+
+    ``rows`` are (region, period, count, population) tuples.
+    """
     first = {}
-    for i, c in enumerate(cells):
-        if not isinstance(c, PanelCell):
-            return i, f"must be a PanelCell, got {type(c).__name__}"
-        if not all(isinstance(x, str) and x and x == x.strip() for x in (c.region_id, c.period_id)):
+    for i, (region, period, count, population) in enumerate(rows):
+        if not all(isinstance(x, str) and x and x == x.strip() for x in (region, period)):
             return i, "ids must be non-empty strings without surrounding whitespace"
-        j = first.setdefault((c.region_id, c.period_id), i)
+        j = first.setdefault((region, period), i)
         if j != i:
             return i, f"duplicate key, first seen at {where(j)}"
         try:
-            _integer(c.count, "count", 0, 2**53)
+            _integer(count, "count", 0, 2**53)
         except ParameterError:
-            return i, f"count must be a non-negative integer below 2**53, got {_shown(c.count)}"
+            return i, f"count must be a non-negative integer below 2**53, got {_shown(count)}"
         try:
-            _real(c.population, "population", 0.0)
+            _real(population, "population", 0.0)
         except ParameterError:
-            return i, f"population must be a positive finite number, got {_shown(c.population)}"
+            return i, f"population must be a positive finite number, got {_shown(population)}"
     return None
 
 
 def reference_ingest(path):
-    """The per-row reading loop, kept as an oracle: (error message or None, cells)."""
+    """The per-row reading loop, kept as an oracle: (error message or None, cell rows)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     cells, lines = [], []
@@ -234,7 +231,7 @@ def reference_ingest(path):
             population = float(pop_s)
         except ValueError:
             return f"{path}:{lineno}: population must be a number, got {pop_s!r}", None
-        cells.append(PanelCell(region, period, int(count_s), population))
+        cells.append((region, period, int(count_s), population))
         lines.append(lineno)
     fault = reference_rules(cells, lambda j: f"line {lines[j]}")
     return (None if fault is None else f"{path}:{lines[fault[0]]}: {fault[1]}"), tuple(cells)
@@ -313,9 +310,9 @@ class TestRowOrderBeatsRuleOrder:
             assert str(read.value) == expected, (trial, rows)
             if cells is not None:  # no text fault: CountPanel names the same cell
                 i, reason = reference_rules(cells, lambda j: f"position {j}")
-                key = (cells[i].region_id, cells[i].period_id)
+                key = cells[i][:2]
                 with pytest.raises(DataError) as panel:
-                    CountPanel(cells)
+                    panel_of(cells)
                 assert str(panel.value) == f"cell {_shown(key)}: {reason}"
                 built += 1
         assert built > 600, built
@@ -331,7 +328,7 @@ class TestWritePanel:
     def test_round_trip_fractional_population(self, tmp_path):
         out = tmp_path / "frac.csv"
         for pop in (123456.78, np.float64(123456.78), np.float32(1.5), np.int64(7)):
-            panel = CountPanel((PanelCell("A", "1", 2, pop),))
+            panel = panel_of((("A", "1", 2, pop),))
             write_panel(panel, out)
             assert ingest(out) == panel
 

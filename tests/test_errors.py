@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from panel_rows import panel_of
 
 from extreme_sentinel.distributions import Binomial, Poisson, RandomStream, TabulatedDiscrete
 from extreme_sentinel.errors import DataError, DomainError, ParameterError, _array
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, mlr_check
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
-from extreme_sentinel.surveillance import CountPanel, PanelCell, epidemic_test
+from extreme_sentinel.surveillance import CountPanel, epidemic_test
 from extreme_sentinel.umptest import pvalue_bounds, threshold
 from extreme_sentinel.verify import ks_uniformity
 
@@ -73,7 +74,7 @@ def test_huge_integers_raise_the_sites_error():
     past_float, past_repr = 10**400, -(10**5000)
 
     def panel(count=3, population=1e6):
-        return CountPanel((PanelCell("A", "1", count, population),))
+        return panel_of((("A", "1", count, population),))
 
     probes = [
         (ParameterError, "Poisson mean", lambda: Poisson(past_float)),
@@ -81,7 +82,7 @@ def test_huge_integers_raise_the_sites_error():
         (ParameterError, "trials", lambda: Binomial(past_repr, 0.5)),
         (DataError, "population", lambda: panel(population=past_float)),
         (DataError, "count must be a non-negative", lambda: panel(count=past_repr)),
-        (DataError, "must be a PanelCell", lambda: CountPanel((past_repr,))),
+        (DataError, "must be a column", lambda: CountPanel(("A",), ("1",), past_repr, (1e6,))),
         (DomainError, "panel size", lambda: threshold(0.05, past_repr)),
         (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf([past_float])),
         (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf(past_repr)),
@@ -96,8 +97,8 @@ def test_counts_stop_below_two_to_the_53():
     # Every integer below 2**53 is exact in the float64 array pass.
     for count in (2**53, 2**53 + 1, 10**400):
         with pytest.raises(DataError, match="count must be a non-negative integer below 2"):
-            CountPanel((PanelCell("A", "1", count, 1e6),))
-    report = epidemic_test(CountPanel((PanelCell("A", "1", 2**53 - 1, 1e6),)), lam=1e-6)
+            panel_of((("A", "1", count, 1e6),))
+    report = epidemic_test(panel_of((("A", "1", 2**53 - 1, 1e6),)), lam=1e-6)
     assert report.bounds.upper == 0.0 and report.rejected is True
 
 

@@ -1,15 +1,15 @@
 """Tests for count-panel surveillance: estimation, testing, peeling."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from panel_rows import panel_of
 
-from extreme_sentinel import surveillance
+from extreme_sentinel import cli, surveillance
 from extreme_sentinel.cli import ingest, write_panel
 from extreme_sentinel.distributions import Poisson, RandomStream
-from extreme_sentinel.errors import DataError, ParameterError
+from extreme_sentinel.errors import DataError, PanelFormatError, ParameterError
 from extreme_sentinel.pit import _survival_brackets
 from extreme_sentinel.surveillance import (
     CountPanel,
@@ -25,15 +25,33 @@ PUBLISHED_RATE = 9.703e-7
 
 
 def cell(region, period, count, pop=1_000_000.0):
-    return PanelCell(region, period, count, pop)
+    return (region, period, count, pop)
+
+
+def columns(panel):
+    return (panel.region_ids, panel.period_ids, panel.counts, panel.populations)
 
 
 def fixture_panel():
     return ingest(listeriosis_fixture_path())
 
 
+def surveil_csv(tmp_path):
+    """A 20-region, 52-week panel CSV of Poisson counts: 1040 cells."""
+    rng = np.random.default_rng(1040)
+    pops = np.rint(rng.lognormal(np.log(5e5), 0.6, 20))
+    rows = [
+        f"R{r:02d},W{w:02d},{rng.poisson(2e-5 * pops[r])},{int(pops[r])}"
+        for r in range(20)
+        for w in range(52)
+    ]
+    path = tmp_path / "surveil.csv"
+    path.write_text("region,period,count,population\n" + "\n".join(rows) + "\n")
+    return path
+
+
 def spiked_cells(rng):
-    """The cells of a small random panel with a few planted spikes, and a rate near its own.
+    """The rows of a small random panel with a few planted spikes, and a rate near its own.
 
     About one cell in ten is left out, as a non-reporting area is, so the
     cells may run out; the rest keep their names.
@@ -63,66 +81,101 @@ def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
     fail to reject hard, and a rejecting last round needs a reason to stop.
     """
 
-    def key(c):
-        return (c.region_id, c.period_id)
+    def others(panel, flagged):
+        return [key != flagged for key in zip(panel.region_ids, panel.period_ids)]
 
     working = panel
     for i, r in enumerate(reports):
         if i:
-            flagged = reports[i - 1].flagged_cell
-            working = CountPanel(tuple(c for c in working.cells if key(c) != flagged))
+            keep = others(working, reports[i - 1].flagged_cell)
+            working = CountPanel(*(np.asarray(c)[keep] for c in columns(working)))
         assert epidemic_test(working, lam=lam, alpha=alpha, seed=r.seed) == r
     assert all(r.rejected is True for r in reports[:-1])
     if reports[-1].rejected is True and len(reports) < max_rounds:
         # The last round's flagged cell is set aside: nothing, or only zeros, is left.
-        left = [c for c in working.cells if key(c) != reports[-1].flagged_cell]
-        assert not left or (lam is None and not any(c.count for c in left))
+        left = others(working, reports[-1].flagged_cell)
+        assert not any(left) or (lam is None and not working.counts[left].any())
 
 
 class TestCountPanel:
     def test_uniqueness_enforced(self):
         with pytest.raises(DataError):
-            CountPanel((cell("A", "1", 0), cell("A", "1", 2)))
+            panel_of((cell("A", "1", 0), cell("A", "1", 2)))
 
     def test_count_validation(self):
         with pytest.raises(DataError):
-            CountPanel((cell("A", "1", -1),))
+            panel_of((cell("A", "1", -1),))
         with pytest.raises(DataError):
-            CountPanel((cell("A", "1", 1.5),))
+            panel_of((cell("A", "1", 1.5),))
         with pytest.raises(DataError):
-            CountPanel((cell("A", "1", True),))
+            panel_of((cell("A", "1", True),))
         for count in ("1", None, math.nan, math.inf):
             with pytest.raises(DataError):
-                CountPanel((cell("A", "1", count),))
+                panel_of((cell("A", "1", count),))
         for pop in (True, "x", None, math.nan, math.inf):
             with pytest.raises(DataError):
-                CountPanel((cell("A", "1", 0, pop=pop),))
+                panel_of((cell("A", "1", 0, pop=pop),))
 
     def test_population_required_only_when_included(self):
         # Every cell enters the test, so every cell needs a positive population.
         for pop in (0.0, -1.0):
             with pytest.raises(DataError, match="population"):
-                CountPanel((cell("A", "1", 0, pop=pop),))
+                panel_of((cell("A", "1", 0, pop=pop),))
             with pytest.raises(DataError, match="population"):
-                CountPanel((cell("A", "1", 0, pop=pop), cell("B", "1", 2)))
+                panel_of((cell("A", "1", 0, pop=pop), cell("B", "1", 2)))
 
     def test_empty_panel_rejected(self):
-        for cells in ((), []):
+        for empty in ((), [], np.array([]), iter(())):
             with pytest.raises(DataError, match="at least one cell"):
-                CountPanel(cells)
+                CountPanel(empty, (), [], np.array([], dtype=np.int64))
 
-    def test_cells_must_be_panel_cells(self):
-        with pytest.raises(DataError):
-            CountPanel((("A", "1", 0, 1.0),))
+    def test_columns_must_be_iterable_and_equally_long(self):
+        good = (("A", "B"), ("1", "1"), (0, 2), (1.0, 2.0))
+        for i, name in enumerate(("region_ids", "period_ids", "counts", "populations")):
+            for bad in (5, None, np.float64(2.0), np.array(2)):
+                with pytest.raises(DataError, match=f"^{name} must be a column of values"):
+                    CountPanel(*good[:i], bad, *good[i + 1 :])
+            with pytest.raises(DataError, match=r"^columns must have equal lengths"):
+                CountPanel(*good[:i], good[i][:1], *good[i + 1 :])
+            with pytest.raises(DataError, match=r"^columns must have equal lengths"):
+                CountPanel(*good[:i], np.asarray(good[i] * 2), *good[i + 1 :])
+
+    def test_array_counts_are_refused_as_lists_are(self):
+        for counts in ([True, False], [1.0, 2.0], [0.0, 2.5]):
+            with pytest.raises(DataError) as as_list:
+                CountPanel(("A", "B"), ("1", "1"), counts, (1.0, 2.0))
+            with pytest.raises(DataError) as as_array:
+                CountPanel(("A", "B"), ("1", "1"), np.array(counts), (1.0, 2.0))
+            assert str(as_array.value) == str(as_list.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, out: estimate_lambda(p),
+        lambda p, out: null_distributions(p, 1e-6),
+        lambda p, out: epidemic_test(p, lam=1e-6),
+        lambda p, out: peel_test(p, lam=1e-6),
+        write_panel,
+    ],
+    ids=["estimate_lambda", "null_distributions", "epidemic_test", "peel_test", "write_panel"],
+)
+def test_a_panel_argument_must_be_a_count_panel(call, tmp_path):
+    rows = (cell("A", "1", 3),)
+    out = tmp_path / "panel.csv"
+    for not_a_panel in ("x", None, rows, [PanelCell(*rows[0])], columns(panel_of(rows))):
+        with pytest.raises(ParameterError, match="^panel must be a CountPanel, got "):
+            call(not_a_panel, out)
+    assert not out.exists()
 
 
 class TestEstimateLambda:
     def test_single_cell(self):
-        panel = CountPanel((cell("A", "1", 5, pop=1e6),))
+        panel = panel_of((cell("A", "1", 5, pop=1e6),))
         assert estimate_lambda(panel) == pytest.approx(5e-6, rel=1e-15)
 
     def test_pooled(self):
-        panel = CountPanel((cell("A", "1", 3, pop=1e6), cell("B", "1", 1, pop=1e6)))
+        panel = panel_of((cell("A", "1", 3, pop=1e6), cell("B", "1", 1, pop=1e6)))
         assert estimate_lambda(panel) == pytest.approx(2e-6, rel=1e-15)
 
     def test_fixture_near_reported_rate(self):
@@ -131,16 +184,16 @@ class TestEstimateLambda:
 
     def test_errors(self):
         with pytest.raises(DataError):
-            estimate_lambda(CountPanel((cell("A", "1", 0),)))
+            estimate_lambda(panel_of((cell("A", "1", 0),)))
 
     def test_total_population_overflow_asks_for_a_rate(self):
-        panel = CountPanel((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=1e308)))
+        panel = panel_of((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=1e308)))
         for call in (estimate_lambda, epidemic_test, peel_test):
             with pytest.raises(DataError, match="total population overflows.*explicit rate"):
                 call(panel)
         assert epidemic_test(panel, lam=1e-308).n == 2
         # Below the overflow the pooled rate is still total count over fsum.
-        panel = CountPanel((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=7e307)))
+        panel = panel_of((cell("A", "1", 1, pop=1e308), cell("B", "1", 2, pop=7e307)))
         assert estimate_lambda(panel) == 3 / math.fsum((1e308, 7e307))
         assert peel_test(panel)[0].lambda_used == 3 / math.fsum((1e308, 7e307))
 
@@ -148,9 +201,7 @@ class TestEstimateLambda:
         # 1025 counts of 2**53 - 1 sum past 2**63, where an int64 sum wraps.
         counts = [2**53 - 1] * 1025
         pops = [float(1e6 + i) for i in range(1025)]
-        panel = CountPanel(
-            tuple(cell(f"R{i}", "1", c, p) for i, (c, p) in enumerate(zip(counts, pops)))
-        )
+        panel = panel_of(cell(f"R{i}", "1", c, p) for i, (c, p) in enumerate(zip(counts, pops)))
         assert sum(counts) > 2**63
         assert estimate_lambda(panel) == sum(counts) / math.fsum(pops)
         assert epidemic_test(panel).lambda_used == sum(counts) / math.fsum(pops)
@@ -158,22 +209,18 @@ class TestEstimateLambda:
 
 class TestNullDistributions:
     def test_mean_is_rate_times_population(self):
-        panel = CountPanel((cell("A", "1", 0, pop=1e6),))
+        panel = panel_of((cell("A", "1", 0, pop=1e6),))
         (dist,) = null_distributions(panel, 1e-6)
         assert dist.mean == pytest.approx(1.0, rel=1e-15)
 
     def test_fixture_bergamo_2010_mean(self):
         panel = fixture_panel()
         dists = null_distributions(panel, PUBLISHED_RATE)
-        idx = [
-            i
-            for i, c in enumerate(panel.cells)
-            if (c.region_id, c.period_id) == ("BG", "2010")
-        ][0]
+        idx = list(zip(panel.region_ids, panel.period_ids)).index(("BG", "2010"))
         assert dists[idx].mean == pytest.approx(1.066, abs=5e-3)
 
     def test_rate_validation(self):
-        panel = CountPanel((cell("A", "1", 0),))
+        panel = panel_of((cell("A", "1", 0),))
         for lam in (0.0, -1e-6, math.inf, math.nan, True, "1e-6", None):
             with pytest.raises(ParameterError):
                 null_distributions(panel, lam)
@@ -186,7 +233,7 @@ class TestNullDistributions:
 
 class TestEpidemicTest:
     def test_single_quiet_cell_accepts(self):
-        panel = CountPanel((cell("A", "1", 0, pop=1e6),))
+        panel = panel_of((cell("A", "1", 0, pop=1e6),))
         report = epidemic_test(panel, lam=1e-6, alpha=0.05)
         assert report.bounds.lower == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
         assert report.bounds.upper == 1.0
@@ -195,7 +242,7 @@ class TestEpidemicTest:
         assert report.n == 1 and report.lambda_used == 1e-6
 
     def test_single_loud_cell_rejects(self):
-        panel = CountPanel((cell("A", "1", 10, pop=1e6),))
+        panel = panel_of((cell("A", "1", 10, pop=1e6),))
         report = epidemic_test(panel, lam=1e-6, alpha=0.05)
         assert report.decision.branch == "reject"
         assert report.rejected is True
@@ -211,7 +258,7 @@ class TestEpidemicTest:
         assert report.n == 40
 
     def test_randomized_branch_seed_resolution(self):
-        panel = CountPanel((cell("A", "1", 0, pop=10_000.0),))
+        panel = panel_of((cell("A", "1", 0, pop=10_000.0),))
         report = epidemic_test(panel, lam=1e-6, alpha=0.05)  # mean 0.01
         assert report.decision.branch == "randomized"
         assert report.rejected is None and report.seed is None
@@ -222,7 +269,7 @@ class TestEpidemicTest:
             assert resolved.rejected is (coin < phi)
             assert resolved.seed == seed
         # A bad seed fails on every branch, not only where the coin is drawn.
-        loud = CountPanel((cell("A", "1", 10, pop=1e6),))
+        loud = panel_of((cell("A", "1", 10, pop=1e6),))
         for seed in (-1, 2.5, True, "7"):
             for p in (panel, loud):
                 with pytest.raises(ParameterError):
@@ -241,8 +288,8 @@ class TestEpidemicTest:
         panel = fixture_panel()
         rng = np.random.default_rng(404)
         for _ in range(5):
-            order = rng.permutation(len(panel.cells))
-            shuffled = CountPanel(tuple(panel.cells[i] for i in order))
+            order = rng.permutation(panel.n)
+            shuffled = CountPanel(*(np.asarray(c)[order] for c in columns(panel)))
             report = epidemic_test(shuffled, lam=PUBLISHED_RATE, alpha=0.01)
             assert report.flagged_cell == ("BG", "2010")
 
@@ -260,7 +307,7 @@ class TestOneBracketPass:
         work = {"passes": [], "sf_left": 0, "CountPanel": 0, "Poisson": 0}
         array_pass = surveillance._panel_brackets
         sf_left = Poisson.sf_left
-        hold = CountPanel._hold  # every way of building a panel fills its columns here
+        panel_post_init = CountPanel.__post_init__
         post_init = Poisson.__post_init__
 
         def counting_pass(counts, populations, rate):
@@ -271,9 +318,9 @@ class TestOneBracketPass:
             work["sf_left"] += 1
             return sf_left(self, x)
 
-        def counting_hold(self, *columns):
+        def counting_panel_post_init(self):
             work["CountPanel"] += 1
-            hold(self, *columns)
+            panel_post_init(self)
 
         def counting_post_init(self):
             work["Poisson"] += 1
@@ -281,7 +328,7 @@ class TestOneBracketPass:
 
         monkeypatch.setattr(surveillance, "_panel_brackets", counting_pass)
         monkeypatch.setattr(Poisson, "sf_left", counting_sf_left)
-        monkeypatch.setattr(CountPanel, "_hold", counting_hold)
+        monkeypatch.setattr(CountPanel, "__post_init__", counting_panel_post_init)
         monkeypatch.setattr(Poisson, "__post_init__", counting_post_init)
         return work
 
@@ -309,18 +356,35 @@ class TestOneBracketPass:
 
 
 class TestColumnPanel:
-    """A panel is columns; its row view is built only when asked for."""
+    """A panel is built from its columns; its row view is built only when asked for."""
+
+    @staticmethod
+    def column_kinds(panel):
+        """The panel's columns as lists, as tuples, as ndarrays, and as the panel holds them."""
+        lists = [
+            list(panel.region_ids),
+            list(panel.period_ids),
+            panel.counts.tolist(),
+            panel.populations.tolist(),
+        ]
+        return {
+            "list": lists,
+            "tuple": [tuple(c) for c in lists],
+            "ndarray": [np.asarray(c) for c in lists],
+            "held": list(columns(panel)),
+        }
+
+    def panels(self, tmp_path):
+        """The fixture, a 1040-cell surveil panel and random spiked panels."""
+        yield fixture_panel()
+        yield ingest(surveil_csv(tmp_path))
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            rows, _ = spiked_cells(rng)
+            if rows:
+                yield panel_of(rows)
 
     def test_hot_path_builds_no_row_objects(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(1040)
-        pops = np.rint(rng.lognormal(np.log(5e5), 0.6, 20))
-        rows = [
-            f"R{r:02d},W{w:02d},{rng.poisson(2e-5 * pops[r])},{int(pops[r])}"
-            for r in range(20)
-            for w in range(52)
-        ]
-        path = tmp_path / "surveil.csv"
-        path.write_text("region,period,count,population\n" + "\n".join(rows) + "\n")
         built = []
         init = PanelCell.__init__
 
@@ -329,7 +393,10 @@ class TestColumnPanel:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PanelCell, "__init__", counting_init)
-        for source, rate in ((listeriosis_fixture_path(), PUBLISHED_RATE), (path, 2e-5)):
+        for source, rate in (
+            (listeriosis_fixture_path(), PUBLISHED_RATE),
+            (surveil_csv(tmp_path), 2e-5),
+        ):
             panel = ingest(source)
             for lam in (rate, None):
                 for seed in (7, None):
@@ -341,19 +408,70 @@ class TestColumnPanel:
         assert panel.cells is panel.cells and len(built) == 1040  # and then kept
 
     def test_columns_and_row_view(self):
-        cells = (cell("A", "1", 3, pop=np.int64(7)), cell("B", "2", np.int64(0), pop=2.5))
-        panel = CountPanel(cells)
-        assert panel.cells is cells  # a panel built from cells keeps the tuple it was given
+        panel = CountPanel(["A", "B"], ("1", "2"), (3, np.int64(0)), np.array([7, 2.5]))
         assert panel.region_ids == ("A", "B") and panel.period_ids == ("1", "2")
         assert panel.counts.dtype == np.int64 and panel.counts.tolist() == [3, 0]
         assert panel.populations.dtype == np.float64 and panel.populations.tolist() == [7.0, 2.5]
         for column in (panel.counts, panel.populations):
             with pytest.raises(ValueError):
                 column[0] = 1
-        assert panel == CountPanel((cell("A", "1", 3, pop=7.0), cell("B", "2", 0, pop=2.5)))
-        assert panel != CountPanel((cell("A", "1", 3, pop=7.0), cell("B", "2", 1, pop=2.5)))
-        assert panel != CountPanel((cell("B", "2", 0, pop=2.5), cell("A", "1", 3, pop=7.0)))
-        assert hash(panel) == hash(CountPanel(cells))
+        assert panel.cells == (PanelCell("A", "1", 3, 7.0), PanelCell("B", "2", 0, 2.5))
+        assert type(panel.cells[1].count) is int and type(panel.cells[0].population) is float
+        same = panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 0, pop=2.5)))
+        assert panel == same and hash(panel) == hash(same)
+        assert panel != panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 1, pop=2.5)))
+        assert panel != panel_of((cell("B", "2", 0, pop=2.5), cell("A", "1", 3, pop=7.0)))
+
+    def test_columns_round_trip(self, tmp_path):
+        seen = 0
+        for panel in self.panels(tmp_path):
+            for kind, cols in self.column_kinds(panel).items():
+                assert CountPanel(*cols) == panel, kind
+            seen += 1
+        assert seen > 30
+
+    def test_valid_columns_scan_no_row(self, tmp_path, monkeypatch):
+        # Every rule passes on whole columns, so no rule scans its rows.
+        id_ok_calls, rule_passes = [], []
+        id_ok, first_row = surveillance._id_ok, surveillance._first_row
+
+        def counting_id_ok(name):
+            id_ok_calls.append(name)
+            return id_ok(name)
+
+        def recording_first_row(n, *rules):
+            rule_passes.extend(passes for passes, _ in rules)
+            return first_row(n, *rules)
+
+        monkeypatch.setattr(surveillance, "_id_ok", counting_id_ok)
+        monkeypatch.setattr(surveillance, "_first_row", recording_first_row)
+        for panel in self.panels(tmp_path):
+            for cols in self.column_kinds(panel).values():
+                CountPanel(*cols)
+        assert rule_passes and all(rule_passes)
+        assert id_ok_calls == []
+
+    def test_valid_ingest_runs_the_panel_rules_once(self, tmp_path, monkeypatch):
+        calls = []
+        first_fault = surveillance._first_fault
+
+        def counting_first_fault(*args):
+            calls.append(args[-1](0))  # where the rules name row 0
+            return first_fault(*args)
+
+        monkeypatch.setattr(surveillance, "_first_fault", counting_first_fault)
+        monkeypatch.setattr(cli, "_first_fault", counting_first_fault)
+        for source in (listeriosis_fixture_path(), surveil_csv(tmp_path)):
+            calls.clear()
+            ingest(source)
+            assert calls == ["position 0"]
+        # Only a refused file runs the rules again, to name its lines.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("region,period,count,population\nA,1,0,10\nA,1,2,10\n")
+        calls.clear()
+        with pytest.raises(PanelFormatError, match=r":3: duplicate key, first seen at line 2$"):
+            ingest(bad)
+        assert calls == ["position 0", "line 2"]
 
 
 class TestPanelBrackets:
@@ -373,9 +491,9 @@ class TestPanelBrackets:
                 kind = int(rng.integers(3))
                 count = (0, int(rng.poisson(rate * pop)), int(rng.integers(0, 10**6 + 1)))[kind]
                 cells.append(cell(f"R{i}", "1", count, pop))
-            panel = CountPanel(tuple(cells))
+            panel = panel_of(cells)
             expected = _survival_brackets(
-                null_distributions(panel, rate), [c.count for c in panel.cells]
+                null_distributions(panel, rate), panel.counts.tolist()
             )
             got = surveillance._panel_brackets(panel.counts, panel.populations, rate)
             for g, e in zip(got, expected, strict=True):
@@ -384,8 +502,8 @@ class TestPanelBrackets:
 
     def test_mean_out_of_range_raises_what_poisson_raises(self):
         # 1e300 * 1e10 overflows to inf; 1e-300 * 1e-30 underflows to 0.
-        panel = CountPanel((cell("A", "1", 0), cell("B", "1", 3, pop=1e10)))
-        tiny = CountPanel((cell("A", "1", 0, pop=1e-30),))
+        panel = panel_of((cell("A", "1", 0), cell("B", "1", 3, pop=1e10)))
+        tiny = panel_of((cell("A", "1", 0, pop=1e-30),))
         for p, lam, got in ((panel, 1e300, "inf"), (tiny, 1e-300, "0.0")):
             msg = f"Poisson mean must be a finite real number in (0.0, inf), got {got}"
             for run in (epidemic_test, peel_test):
@@ -406,29 +524,29 @@ class TestPeelTest:
     def test_fixture_reestimates_rate_each_round(self):
         panel = fixture_panel()
         reports = peel_test(panel, alpha=0.01, max_rounds=5)
-        total_count = sum(c.count for c in panel.cells)
-        total_pop = sum(c.population for c in panel.cells)
+        total_count = sum(panel.counts.tolist())
+        total_pop = sum(panel.populations.tolist())
         assert reports[0].lambda_used == pytest.approx(total_count / total_pop, rel=1e-12)
-        bg2010 = [c for c in panel.cells if (c.region_id, c.period_id) == ("BG", "2010")][0]
-        lam2 = (total_count - bg2010.count) / (total_pop - bg2010.population)
+        bg2010 = list(zip(panel.region_ids, panel.period_ids)).index(("BG", "2010"))
+        lam2 = (total_count - panel.counts[bg2010]) / (total_pop - panel.populations[bg2010])
         assert len(reports) >= 2
         assert reports[1].lambda_used == pytest.approx(lam2, rel=1e-12)
 
     def test_all_zero_panel_single_accepting_report(self):
-        panel = CountPanel(tuple(cell(f"R{i}", "1", 0) for i in range(5)))
+        panel = panel_of(cell(f"R{i}", "1", 0) for i in range(5))
         reports = peel_test(panel, lam=1e-6, alpha=0.05)
         assert len(reports) == 1
         assert reports[0].rejected is False
 
     def test_pooled_rate_stops_at_an_all_zero_remainder(self):
-        panel = CountPanel((cell("A", "1", 15), cell("B", "1", 0), cell("C", "1", 0)))
+        panel = panel_of((cell("A", "1", 15), cell("B", "1", 0), cell("C", "1", 0)))
         reports = peel_test(panel, alpha=0.5)
         assert len(reports) == 1
         assert reports[0].rejected is True
         assert reports[0].flagged_cell == ("A", "1")
 
     def test_pooled_rate_all_zero_first_round_is_an_error(self):
-        panel = CountPanel((cell("A", "1", 0), cell("B", "1", 0)))
+        panel = panel_of((cell("A", "1", 0), cell("B", "1", 0)))
         with pytest.raises(DataError):
             peel_test(panel, alpha=0.5)
 
@@ -436,7 +554,7 @@ class TestPeelTest:
         cells = [cell(f"R{i}", "1", 0) for i in range(8)]
         cells[2] = cell("R2", "1", 15)
         cells[6] = cell("R6", "1", 15)
-        panel = CountPanel(tuple(cells))
+        panel = panel_of(cells)
         reports = peel_test(panel, lam=1e-6, alpha=0.01, max_rounds=5)
         assert [r.rejected for r in reports] == [True, True, False]
         assert {reports[0].flagged_cell, reports[1].flagged_cell} == {
@@ -445,7 +563,7 @@ class TestPeelTest:
         }
 
     def test_round_cap(self):
-        panel = CountPanel((cell("A", "1", 15), cell("B", "1", 15), cell("C", "1", 15)))
+        panel = panel_of((cell("A", "1", 15), cell("B", "1", 15), cell("C", "1", 15)))
         reports = peel_test(panel, lam=1e-6, alpha=0.05, max_rounds=2)
         assert len(reports) == 2
         assert all(r.rejected for r in reports)
@@ -467,14 +585,14 @@ class TestPeelTest:
         assert asked and max(asked) <= panel.n
         assert got == expected
 
-        spikes = CountPanel(tuple(cell(f"R{i}", "1", 15) for i in range(3)))
+        spikes = panel_of(cell(f"R{i}", "1", 15) for i in range(3))
         reports = peel_test(spikes, lam=1e-6, alpha=0.05, max_rounds=10**4, seed=7)
         assert [r.rejected for r in reports] == [True, True, True]
         assert max(asked) <= panel.n
 
     def test_round_seeds_are_replayable(self):
         # A panel that stays on the randomized branch: coin flips per round.
-        panel = CountPanel(tuple(cell(f"R{i}", "1", 0, pop=10_000.0) for i in range(3)))
+        panel = panel_of(cell(f"R{i}", "1", 0, pop=10_000.0) for i in range(3))
         reports = peel_test(panel, lam=1e-6, alpha=0.5, max_rounds=3, seed=909)
         assert all(r.seed is not None for r in reports)
         assert_rounds_replay(panel, reports, lam=1e-6, alpha=0.5, max_rounds=3)
@@ -497,9 +615,9 @@ class TestPeelTest:
             drawn_seeds = [int(rng.integers(2**31)) for _ in range(2)]  # one per rate
             if not cells:
                 with pytest.raises(DataError):
-                    CountPanel(cells)
+                    panel_of(cells)
                 continue
-            panel = CountPanel(cells)
+            panel = panel_of(cells)
             for lam, drawn in zip((rate, None), drawn_seeds):
                 for seed in (drawn, None):
                     try:
@@ -515,7 +633,7 @@ class TestPeelTest:
         assert multi_round >= 300, multi_round
 
     def test_max_rounds_validation(self):
-        panel = CountPanel((cell("A", "1", 1),))
+        panel = panel_of((cell("A", "1", 1),))
         for max_rounds in (0, True, 2.0, "5", None, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 peel_test(panel, lam=1e-6, max_rounds=max_rounds)
@@ -536,13 +654,12 @@ class TestPanelCsv:
             if not cells:
                 continue
             fractional = tuple(
-                replace(c, population=c.population * float(rng.uniform(0.5, 1.5)))
-                for c in cells
+                (r, p, c, pop * float(rng.uniform(0.5, 1.5))) for r, p, c, pop in cells
             )
-            fractional_seen += sum(not c.population.is_integer() for c in fractional)
-            for panel in (CountPanel(cells), CountPanel(fractional)):
+            fractional_seen += sum(not row[3].is_integer() for row in fractional)
+            for panel in (panel_of(cells), panel_of(fractional)):
                 write_panel(panel, out)
-                assert ingest(out).cells == panel.cells
+                assert ingest(out) == panel
         assert fractional_seen > 1000
 
 
@@ -552,11 +669,11 @@ class TestPanelCsv:
         for bad in (5, np.int64(5), None, "", " A", "A ", "\tA", "A\n", "\u00a0A"):
             for region, period in ((bad, "1"), ("A", bad)):
                 with pytest.raises(DataError, match=r"cell \(.*ids must be non-empty strings"):
-                    CountPanel((cell("B", "1", 0), cell(region, period, 1)))
+                    panel_of((cell("B", "1", 0), cell(region, period, 1)))
         ids = ("A", "Val d'Aosta", "a,b", 'say "hi"', "two words", "x\ny", "Città", "0")
-        panel = CountPanel(tuple(cell(r, p, 1) for r in ids for p in ids))
+        panel = panel_of(cell(r, p, 1) for r in ids for p in ids)
         write_panel(panel, out)
-        assert ingest(out).cells == panel.cells
+        assert ingest(out) == panel
 
 
 class TestFixtureFile:
@@ -567,11 +684,10 @@ class TestFixtureFile:
     def test_shape_and_totals(self):
         panel = fixture_panel()
         assert panel.n == 40
-        assert len(panel.cells) == 40
-        assert sum(c.count for c in panel.cells) == 35
-        regions = sorted({c.region_id for c in panel.cells})
+        assert sum(panel.counts.tolist()) == 35
+        regions = sorted(set(panel.region_ids))
         assert regions == ["BG", "BS", "CO", "CR", "LC", "LO", "MB", "MI", "PV", "VA"]
-        periods = sorted({c.period_id for c in panel.cells})
+        periods = sorted(set(panel.period_ids))
         assert periods == ["2008", "2009", "2010", "2011"]
 
     def test_desk_scale_calibration(self):
