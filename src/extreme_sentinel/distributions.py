@@ -17,6 +17,9 @@ convention: scalar in, float out.  Array calls on the integer-support
 models (``Poisson``, ``Binomial``) evaluate F once per integer of their
 range and gather, so scoring many draws costs one special-function call
 per distinct value, not per draw.
+
+Only ``Binomial`` uses ``scipy.stats``, and it imports it on its first
+call, so importing the package loads ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, ParameterError, _array, _integer, _real, _seed
 
@@ -299,6 +302,15 @@ class Poisson(_IntegerSupport):
         return _integer_ladder(self, self.mean, math.sqrt(self.mean))
 
 
+@cache
+def _binom():
+    """``scipy.stats.binom``, imported on first use: only ``Binomial`` needs
+    ``scipy.stats``, which costs more to import than the rest of the package."""
+    from scipy.stats import binom
+
+    return binom
+
+
 @dataclass(frozen=True)
 class Binomial(_IntegerSupport):
     """Binomial model on {0, ..., trials}."""
@@ -317,16 +329,16 @@ class Binomial(_IntegerSupport):
         return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
 
     def _cdf_at(self, k):
-        return stats.binom.cdf(k, self.trials, self.success_prob)
+        return _binom().cdf(k, self.trials, self.success_prob)
 
     def _sf_at(self, k):
-        return stats.binom.sf(k, self.trials, self.success_prob)
+        return _binom().sf(k, self.trials, self.success_prob)
 
     def mass(self, x):
-        return _ret(x, stats.binom.pmf(_check_finite(x), self.trials, self.success_prob))
+        return _ret(x, _binom().pmf(_check_finite(x), self.trials, self.success_prob))
 
     def _log_mass(self, x):
-        return stats.binom.logpmf(_check_finite(x), self.trials, self.success_prob)
+        return _binom().logpmf(_check_finite(x), self.trials, self.success_prob)
 
     @cached_property
     def _ladder(self):

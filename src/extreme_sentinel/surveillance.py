@@ -198,7 +198,7 @@ class CountPanel:
         fault = _first_fault(*columns, lambda j: f"position {j}")
         if fault is not None:
             i, reason = fault
-            raise DataError(f"cell {_shown((columns[0][i], columns[1][i]))}: {reason}")
+            raise DataError(f"cell ({_shown(columns[0][i])}, {_shown(columns[1][i])}): {reason}")
         region_ids, period_ids, counts, populations = columns
         object.__setattr__(self, "region_ids", region_ids)
         object.__setattr__(self, "period_ids", period_ids)

@@ -83,6 +83,8 @@ def test_huge_integers_raise_the_sites_error():
         (DataError, "population", lambda: panel(population=past_float)),
         (DataError, "count must be a non-negative", lambda: panel(count=past_repr)),
         (DataError, "must be a column", lambda: CountPanel(("A",), ("1",), past_repr, (1e6,))),
+        (DataError, "ids must be", lambda: CountPanel((past_repr,), ("1",), (3,), (1e6,))),
+        (DataError, "ids must be", lambda: CountPanel(("A",), (past_repr,), (3,), (1e6,))),
         (DomainError, "panel size", lambda: threshold(0.05, past_repr)),
         (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf([past_float])),
         (DomainError, "must be real numbers", lambda: Poisson(1.0).cdf(past_repr)),

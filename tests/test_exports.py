@@ -1,11 +1,17 @@
-"""The package namespace re-exports exactly the library's public names."""
+"""The package namespace re-exports exactly the library's public names,
+and importing it loads no more of scipy than the CLI needs."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import extreme_sentinel
 from extreme_sentinel import errors
+from extreme_sentinel.cli import ENV_SEED
 
 
 def test_every_export_resolves():
@@ -26,3 +32,34 @@ def test_exports_are_the_library_modules_public_names():
     )
     assert len(extreme_sentinel.__all__) == len(set(extreme_sentinel.__all__))
     assert set(extreme_sentinel.__all__) == expected
+
+
+COLD_START = """
+import sys
+
+from extreme_sentinel import Binomial, cli, listeriosis_fixture_path
+
+fixture = str(listeriosis_fixture_path())
+for args, status in (
+    (["--mode", "test"], 2),
+    (["--mode", "peel", "--seed", "7"], 2),
+    (["--mode", "simulate-null", "--seed", "1", "--trials", "1000"], 0),
+):
+    assert cli.main(["--input", fixture, *args]) == status, args
+assert "scipy.stats" not in sys.modules
+value = Binomial(10, 0.3).cdf(3.0)
+assert "scipy.stats" in sys.modules
+from scipy.stats import binom
+
+assert value == binom.cdf(3, 10, 0.3), value
+"""
+
+
+def test_scipy_stats_loads_on_the_first_binomial_call():
+    # A fresh interpreter: this test session has long since imported scipy.stats.
+    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -99,8 +99,9 @@ def assert_rounds_replay(panel, reports, *, lam, alpha, max_rounds):
 
 class TestCountPanel:
     def test_uniqueness_enforced(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             panel_of((cell("A", "1", 0), cell("A", "1", 2)))
+        assert str(info.value) == "cell ('A', '1'): duplicate key, first seen at position 0"
 
     def test_count_validation(self):
         with pytest.raises(DataError):
@@ -668,8 +669,10 @@ class TestPanelCsv:
         out = tmp_path / "panel.csv"
         for bad in (5, np.int64(5), None, "", " A", "A ", "\tA", "A\n", "\u00a0A"):
             for region, period in ((bad, "1"), ("A", bad)):
-                with pytest.raises(DataError, match=r"cell \(.*ids must be non-empty strings"):
+                with pytest.raises(DataError, match="ids must be non-empty strings") as info:
                     panel_of((cell("B", "1", 0), cell(region, period, 1)))
+                # The cell is named as the repr of its key.
+                assert str(info.value).startswith(f"cell {(region, period)!r}: ")
         ids = ("A", "Val d'Aosta", "a,b", 'say "hi"', "two words", "x\ny", "Città", "0")
         panel = panel_of(cell(r, p, 1) for r in ids for p in ids)
         write_panel(panel, out)
