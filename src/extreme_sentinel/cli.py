@@ -37,7 +37,6 @@ from .surveillance import (
     EpidemicReport,
     _check_panel,
     _first_fault,
-    _first_row,
     epidemic_test,
     estimate_lambda,
     null_distributions,
@@ -113,32 +112,52 @@ def _numbers(texts: tuple[str, ...], kind: type) -> list | None:
     return None
 
 
-def _literal_fault(text: str, kind: type, reason: str) -> str | None:
-    """``reason`` about ``text`` when _ascii_number refuses it as ``kind``."""
+def _path(value, what: str) -> Path:
+    """``Path(value)`` for a str or an os.PathLike naming a str path; raises ParameterError."""
+    if isinstance(value, (str, os.PathLike)) and isinstance(os.fspath(value), str):
+        return Path(value)
+    raise ParameterError(f"{what} must be a str or os.PathLike, got {type(value).__name__}")
+
+
+def _text_fault(count: str, population: str) -> str | None:
+    """The first text rule a row's stripped count and population break, in order, or None."""
     try:
-        _ascii_number(text, kind)
+        _ascii_number(count, int)
     except ValueError:
-        return f"{reason}, got {text!r}"
+        return f"count must be an integer, got {count!r}"
+    if not population:
+        return "missing population"
+    try:
+        _ascii_number(population, float)
+    except ValueError:
+        return f"population must be a number, got {population!r}"
     return None
 
 
 def ingest(input_path) -> CountPanel:
-    """Read a panel CSV; every row is a cell that enters the test.
+    """Read a UTF-8 panel CSV; every row is a cell that enters the test.
 
     A non-reporting area is left out of the file, not given zero rows.
-    The rows are read into columns, and each rule is checked on a whole
-    column at once.  The text rules come first, then ``CountPanel``'s
-    panel rules, so a bad literal is reported before any bad value.
-    Errors name the line of the first bad row: the panel rules run again,
-    naming lines, only when the panel refuses the columns.
+    The rows are read into columns.  The text rules come first: when
+    both numeric columns read as numbers there is no text fault,
+    otherwise one scan checks each row's count literal, then a missing
+    population, then the population literal.  ``CountPanel``'s panel
+    rules come next, so a bad literal is reported before any bad value.
+    Errors name the line of the first bad row: the panel rules run
+    again, naming lines, only when the panel refuses the columns.
     """
-    path = Path(input_path)
+    path = _path(input_path, "input path")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             # A tuple of strings leaves the garbage collector's watch; a list does not.
-            rows = list(map(tuple, csv.reader(fh)))
+            rows = list(map(tuple, reader))
     except OSError as exc:
         raise PanelFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise PanelFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise PanelFormatError(f"{path}:1: empty file, expected header {','.join(HEADER)}")
     if tuple(f.strip() for f in rows[0]) != HEADER:
@@ -146,7 +165,7 @@ def ingest(input_path) -> CountPanel:
             f"{path}:1: expected header {','.join(HEADER)}, got {','.join(rows[0])!r}"
         )
     body, lines = rows[1:], range(2, len(rows) + 1)
-    short = None  # the first row without four fields, and its fault
+    fault = None  # the first bad row and its reason
     if set(map(len, body)) != {4}:
         lines = [line for line, row in zip(lines, body) if row]  # blank lines are skipped
         body = [row for row in body if row]
@@ -154,24 +173,17 @@ def ingest(input_path) -> CountPanel:
             raise PanelFormatError(f"{path}: no data rows after the header")
         i = next((i for i, row in enumerate(body) if len(row) != 4), None)
         if i is not None:  # columns come from the rows before it
-            short = i, f"expected 4 fields, got {len(body[i])}"
+            fault = i, f"expected 4 fields, got {len(body[i])}"
             body = body[:i]
     region_ids, period_ids, count_texts, pop_texts = (
         tuple(map(str.strip, map(itemgetter(k), body))) for k in range(4)
     )
     counts, populations = _numbers(count_texts, int), _numbers(pop_texts, float)
-    fault = _first_row(
-        len(body),
-        (
-            counts is not None,
-            lambda i: _literal_fault(count_texts[i], int, "count must be an integer"),
-        ),
-        ("" not in pop_texts, lambda i: None if pop_texts[i] else "missing population"),
-        (
-            populations is not None,
-            lambda i: _literal_fault(pop_texts[i], float, "population must be a number"),
-        ),
-    ) or short
+    if counts is None or populations is None:
+        for i, reason in enumerate(map(_text_fault, count_texts, pop_texts)):
+            if reason is not None:
+                fault = i, reason
+                break
     if fault is None:
         try:
             return CountPanel(region_ids, period_ids, counts, populations)
@@ -183,9 +195,13 @@ def ingest(input_path) -> CountPanel:
 
 
 def write_panel(panel: CountPanel, output_path) -> None:
-    """Inverse of ingest: ``ingest`` of the written file returns an equal panel."""
+    """Inverse of ingest: ``ingest`` of the written file returns an equal panel.
+
+    ``output_path`` is a str or an os.PathLike; anything else raises ParameterError.
+    """
     _check_panel(panel)
-    with open(output_path, "w", newline="", encoding="utf-8") as fh:
+    path = _path(output_path, "output path")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
         for row in zip(

@@ -15,8 +15,9 @@ test with the flagged cell removed until nothing more stands out; its
 state is the indices of the kept rows: a fixed rate scores the panel
 once and each round indexes those brackets by the kept rows, while a
 pooled rate scores each round's kept rows.  ``_first_fault`` holds
-the one set of panel rules, applied to whole columns; ``CountPanel``
-runs it once on every panel, ``cli.ingest``'s included.
+the one set of panel rules: a gate of whole-column checks, then, only
+when the gate fails, one row scan that names the first bad row.
+``CountPanel`` runs it once on every panel, ``cli.ingest``'s included.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,30 +61,6 @@ class PanelCell:
 def _id_ok(name) -> bool:
     """A region or period id: a non-empty string without surrounding whitespace."""
     return isinstance(name, str) and name != "" and name == name.strip()
-
-
-def _first_row(
-    n: int, *rules: tuple[bool, Callable[[int], str | None]]
-) -> tuple[int, str] | None:
-    """The first of ``n`` rows that breaks a rule, as (row, reason), or None.
-
-    Each rule is ``(passes, reason_at)``: ``passes`` is True only when no
-    row breaks the rule, found from whole columns; otherwise the rows are
-    scanned and ``reason_at(i)`` is row i's fault or None.  The fault is
-    at the first row breaking any rule, and at that row it is the first
-    rule in order: each rule is scanned only over the rows before the
-    earliest fault found so far, where every earlier rule holds.
-    """
-    fault = None
-    for passes, reason_at in rules:
-        if passes:
-            continue
-        for i in range(n if fault is None else fault[0]):
-            reason = reason_at(i)
-            if reason is not None:
-                fault = i, reason
-                break
-    return fault
 
 
 def _breaks(check, value, *bounds) -> bool:
@@ -124,42 +101,35 @@ def _first_fault(
     The rules, in order: both ids pass ``_id_ok``; the key is unique,
     and a duplicate names its first occurrence ``j`` as ``where(j)``; the
     count is a non-negative integer below 2**53, where the float64 array
-    pass is exact; the population is a positive finite number.  Each
-    rule is checked on whole columns first; rows are scanned only when
-    that check does not pass.
+    pass is exact; the population is a positive finite number.  Every
+    rule is checked on whole columns first, and a panel passing them all
+    scans no row.  Otherwise one scan applies the rules row by row, in
+    order, so the fault is the first bad row's first broken rule.
     """
-    n = len(region_ids)
-    ids_pass = _ids_pass(region_ids) and _ids_pass(period_ids)
-    first: dict[tuple[str, str], int] = {}
-
-    def ids(i):
-        if not (_id_ok(region_ids[i]) and _id_ok(period_ids[i])):
-            return "ids must be non-empty strings without surrounding whitespace"
-        return None
-
-    def duplicate(i):
-        j = first.setdefault((region_ids[i], period_ids[i]), i)
-        return None if j == i else f"duplicate key, first seen at {where(j)}"
-
-    def count(i):
-        if _breaks(_integer, counts[i], 0, 2**53):
-            return f"count must be a non-negative integer below 2**53, got {_shown(counts[i])}"
-        return None
-
-    def population(i):
-        if _breaks(_real, populations[i], 0.0):
-            return f"population must be a positive finite number, got {_shown(populations[i])}"
-        return None
-
-    return _first_row(
-        n,
-        (ids_pass, ids),
+    if (
+        _ids_pass(region_ids)
+        and _ids_pass(period_ids)
         # Joined keys are cheaper to hash than pairs; two keys that join
-        # alike only send the rule to its row scan.
-        (ids_pass and len(set(map("\x1f".join, zip(region_ids, period_ids)))) == n, duplicate),
-        (_counts_pass(counts), count),
-        (_populations_pass(populations), population),
-    )
+        # alike only send the panel to the row scan.
+        and len(set(map("\x1f".join, zip(region_ids, period_ids)))) == len(region_ids)
+        and _counts_pass(counts)
+        and _populations_pass(populations)
+    ):
+        return None
+    first: dict[tuple[str, str], int] = {}
+    for i, (region, period, count, population) in enumerate(
+        zip(region_ids, period_ids, counts, populations)
+    ):
+        if not (_id_ok(region) and _id_ok(period)):
+            return i, "ids must be non-empty strings without surrounding whitespace"
+        j = first.setdefault((region, period), i)
+        if j != i:
+            return i, f"duplicate key, first seen at {where(j)}"
+        if _breaks(_integer, count, 0, 2**53):
+            return i, f"count must be a non-negative integer below 2**53, got {_shown(count)}"
+        if _breaks(_real, population, 0.0):
+            return i, f"population must be a positive finite number, got {_shown(population)}"
+    return None
 
 
 def _column(values, name: str) -> tuple:

@@ -5,8 +5,9 @@ functions they validate: a vectorized Monte Carlo harness for size and
 power of the randomized test, an exact enumeration of the p-value bounds
 over small product supports, and a one-sample Kolmogorov-Smirnov
 uniformity check.  They share with the test only its definitions: the
-observed cells' survival brackets, the cut s = 1 - t and the clamped
-survival score.
+observed cells' survival brackets, the cut s = 1 - t, the clamped
+survival score and, through ``umptest._bounds``, the cells attaining
+the smallest brackets, ties to the lowest cell.
 
 The harness and the enumeration work in survival space, on the brackets [1 - F(x), 1 - F(x-)], so
 they reach levels far below the double resolution near 1.  The harness
@@ -23,7 +24,7 @@ min 1 - F(x) and min 1 - F(x-).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .monotone import discrete_probe_points
 from .pit import _survival_brackets, _survival_scores
-from .umptest import PValueBounds, _survival_cut
+from .umptest import PValueBounds, _bounds, _survival_cut
 
 __all__ = [
     "Alternative",
@@ -235,6 +236,8 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
     the randomizers integrated out analytically; no Monte Carlo error.
     It compares in survival space, at the levels min sf and min sf_left,
     so bounds far below the double resolution near 1 are enumerated too.
+    The levels, the cells attaining them and the brackets come from the
+    test's ``_bounds``; only the two bounds are the enumeration's own.
     """
     try:
         matching = len(dists) == len(observations) != 0
@@ -244,10 +247,11 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
         raise ShapeError("need matching non-empty models and observations")
     if len(dists) > 4:
         raise SizeError("exact enumeration is limited to panels of at most 4 cells")
-    sf_left, sf_right = _survival_brackets(dists, observations)
-    i_high = int(np.argmin(sf_right))
-    i_low = int(np.argmin(sf_left))
-    levels = (sf_right[i_high], sf_left[i_low])
+    bounds = _bounds(*_survival_brackets(dists, observations))
+    levels = (
+        bounds.sf_right[bounds.argmax_upper_cell],
+        bounds.sf_left[bounds.argmax_lower_cell],
+    )
 
     def one_minus_product(exceedances):
         # P(max > y) = 1 - prod(1 - e_i); a certain cell makes it exactly 1.
@@ -256,15 +260,7 @@ def enumerate_pvalue_bounds(dists, observations) -> PValueBounds:
         return -math.expm1(math.fsum(math.log1p(-e) for e in exceedances))
 
     lower, upper = map(one_minus_product, zip(*(_cell_exceedances(d, levels) for d in dists)))
-    return PValueBounds(
-        lower=_unit(lower),
-        upper=_unit(upper),
-        n=len(dists),
-        argmax_upper_cell=i_high,
-        argmax_lower_cell=i_low,
-        sf_left=sf_left,
-        sf_right=sf_right,
-    )
+    return replace(bounds, lower=_unit(lower), upper=_unit(upper))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -123,6 +124,37 @@ class TestIngest:
         body = "region,period,count,population\nA,1,0,10\nA,1,0,10\nB,1,0,\n"
         with pytest.raises(PanelFormatError, match=":4:.*missing population"):
             ingest(write_csv(tmp_path, body))
+
+    def test_undecodable_bytes_exit_one(self, capsys, tmp_path):
+        # Bytes that are not UTF-8 once escaped as a raw UnicodeDecodeError.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"region,period,count,population\nA\xff,1,0,10\n")
+        with pytest.raises(PanelFormatError, match="not UTF-8 text") as read:
+            ingest(path)
+        assert str(read.value).startswith(f"{path}: ")
+        code, out, err = run_main(capsys, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
+
+    def test_oversized_field_names_its_line(self, capsys, tmp_path):
+        # A field past the csv module's 131072-character limit once escaped as _csv.Error.
+        body = f"region,period,count,population\nA,1,0,10\nB,{'9' * 200_000},0,10\n"
+        path = write_csv(tmp_path, body)
+        with pytest.raises(PanelFormatError, match=rf"^{re.escape(path)}:3: field larger"):
+            ingest(path)
+        code, out, err = run_main(capsys, "--input", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:3: field larger") and "Traceback" not in err
+
+    def test_path_that_is_not_a_path(self, capsys, tmp_path):
+        # bytes and ints are refused too: open() reads an int as a file descriptor.
+        write_csv(tmp_path, "region,period,count,population\nA,1,0,10\n")
+        for value in (None, 0, 3, str(tmp_path / "panel.csv").encode()):
+            with pytest.raises(ParameterError, match="input path must be a str or os.PathLike"):
+                ingest(value)
+            assert run(RunConfig(input_path=value)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: input path must be") and "Traceback" not in err
 
 
 # One planted fault per CSV: (kind, how its reason starts).
@@ -331,6 +363,23 @@ class TestWritePanel:
             panel = panel_of((("A", "1", 2, pop),))
             write_panel(panel, out)
             assert ingest(out) == panel
+
+    def test_output_path_that_is_not_a_path(self, tmp_path):
+        # An int once named a file descriptor: the panel was written to it and it was closed.
+        panel = ingest(FIXTURE)
+        read_end, write_end = os.pipe()
+        try:
+            for value in (None, write_end, str(tmp_path / "out.csv").encode()):
+                with pytest.raises(ParameterError, match="output path must be a str or os.PathLike"):
+                    write_panel(panel, value)
+            os.fstat(write_end)  # still open
+            os.set_blocking(read_end, False)
+            with pytest.raises(BlockingIOError):
+                os.read(read_end, 1)  # and nothing was written to it
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert not (tmp_path / "out.csv").exists()
 
 
 def run_main(capsys, *args):

@@ -432,25 +432,26 @@ class TestColumnPanel:
         assert seen > 30
 
     def test_valid_columns_scan_no_row(self, tmp_path, monkeypatch):
-        # Every rule passes on whole columns, so no rule scans its rows.
-        id_ok_calls, rule_passes = [], []
-        id_ok, first_row = surveillance._id_ok, surveillance._first_row
+        # Every rule passes on whole columns, so no row is checked by itself.
+        row_checks = []
+        for name in ("_id_ok", "_breaks"):
+            check = getattr(surveillance, name)
 
-        def counting_id_ok(name):
-            id_ok_calls.append(name)
-            return id_ok(name)
+            def counting(*args, _name=name, _check=check):
+                row_checks.append(_name)
+                return _check(*args)
 
-        def recording_first_row(n, *rules):
-            rule_passes.extend(passes for passes, _ in rules)
-            return first_row(n, *rules)
-
-        monkeypatch.setattr(surveillance, "_id_ok", counting_id_ok)
-        monkeypatch.setattr(surveillance, "_first_row", recording_first_row)
+            monkeypatch.setattr(surveillance, name, counting)
+        built = 0
         for panel in self.panels(tmp_path):
             for cols in self.column_kinds(panel).values():
                 CountPanel(*cols)
-        assert rule_passes and all(rule_passes)
-        assert id_ok_calls == []
+                built += 1
+        assert built > 120 and row_checks == []
+        # A panel that fails the column gate reaches the row checks.
+        with pytest.raises(DataError, match="count must be"):
+            CountPanel(["A"], ["1"], [-1], [10.0])
+        assert row_checks == ["_id_ok", "_id_ok", "_breaks"]
 
     def test_valid_ingest_runs_the_panel_rules_once(self, tmp_path, monkeypatch):
         calls = []
