@@ -12,7 +12,9 @@ name of its ``RunConfig`` field, and an absent flag is left to the field.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import os
 import re
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,13 +98,21 @@ def _ascii_number(text: str, kind: type):
     return kind(text)
 
 
-def _numbers(texts: tuple[str, ...], kind: type) -> list | None:
-    """``[kind(t) for t in texts]`` when _ascii_number reads every text, else None.
+def _numbers(texts: Sequence[str], kind: type) -> np.ndarray | list | None:
+    """The column read as ``kind`` when _ascii_number reads every text, else None.
 
-    One check covers the column: its text is ASCII without '_'.  That is
-    _ascii_number's whole float rule, and for stripped text its int rule
-    too, as int() reads no other such text than a sign and digits.
+    A column of ASCII digits below 10**15, so exact in int64 and float64,
+    is read by numpy in one call into an int64 (kind int) or float64
+    (kind float) array.  Any other column is read value by value, after
+    one check of the whole column: its text is ASCII without '_'.  That
+    is _ascii_number's whole float rule, and for stripped text its int
+    rule too, as int() reads no other such text than a sign and digits.
     """
+    framed = f",{','.join(texts)},".encode()
+    if framed.translate(None, b"0123456789") == b"," * (len(texts) + 1) and b",," not in framed:
+        values = np.fromstring(framed[1:-1], dtype=np.int64, sep=",")  # saturates past 2**63
+        if values.max() < 10**15:
+            return values if kind is int else values.astype(np.float64)
     joined = "".join(texts)
     if joined.isascii() and "_" not in joined:
         try:
@@ -134,26 +144,19 @@ def _text_fault(count: str, population: str) -> str | None:
     return None
 
 
-def ingest(input_path) -> CountPanel:
-    """Read a UTF-8 panel CSV; every row is a cell that enters the test.
+def _csv_columns(path: Path, data: bytes) -> tuple[tuple, Sequence[int], tuple | None]:
+    """The file's stripped text columns as ``csv.reader`` reads them, their lines, any ragged row.
 
-    A non-reporting area is left out of the file, not given zero rows.
-    The rows are read into columns.  The text rules come first: when
-    both numeric columns read as numbers there is no text fault,
-    otherwise one scan checks each row's count literal, then a missing
-    population, then the population literal.  ``CountPanel``'s panel
-    rules come next, so a bad literal is reported before any bad value.
-    Errors name the line of the first bad row: the panel rules run
-    again, naming lines, only when the panel refuses the columns.
+    The ragged row is the first row without four fields, as (row,
+    reason), or None; the columns hold the rows before it.  Blank lines
+    are skipped.  A file that cannot be read, or whose header is wrong,
+    raises PanelFormatError.
     """
-    path = _path(input_path, "input path")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             # A tuple of strings leaves the garbage collector's watch; a list does not.
             rows = list(map(tuple, reader))
-    except OSError as exc:
-        raise PanelFormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
@@ -175,9 +178,70 @@ def ingest(input_path) -> CountPanel:
         if i is not None:  # columns come from the rows before it
             fault = i, f"expected 4 fields, got {len(body[i])}"
             body = body[:i]
-    region_ids, period_ids, count_texts, pop_texts = (
-        tuple(map(str.strip, map(itemgetter(k), body))) for k in range(4)
-    )
+    columns = tuple(tuple(map(str.strip, map(itemgetter(k), body))) for k in range(4))
+    return columns, lines, fault
+
+
+# Deleting the bytes a field may hold as it is, and flagging every other
+# byte but ',' and '\n' as '!', leaves ',,,\n' per line of a plain file.
+_ORDINARY = bytes(b for b in range(128) if b not in b',\n"\r\0' and not chr(b).isspace())
+_FLAGGED = bytes(b if b in b",\n" else ord("!") for b in range(256))
+
+
+def _plain_columns(data: bytes) -> list[list[str]] | None:
+    """The four columns of a plain file, by one split, or None when ``data`` is not plain.
+
+    A plain file is ASCII and ends in a newline.  It holds no quote,
+    carriage return, NUL or other byte that ``str.strip`` removes, four
+    fields on every line, so no blank line, and no line longer than
+    ``csv.field_size_limit()``.  Its header is exact and at least one row
+    follows.  On such a file ``csv.reader`` reads these same fields, and
+    stripping them changes none.
+    """
+    shape = data.translate(_FLAGGED, _ORDINARY)
+    if not data.endswith(b"\n") or shape != b",,,\n" * data.count(b"\n"):
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit:  # no field is longer than its line
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+        if np.diff(ends, prepend=-1).max() > limit + 1:
+            return None
+    fields = data.decode("ascii").replace("\n", ",").split(",")
+    if tuple(fields[:4]) != HEADER or len(fields) < 9:
+        return None
+    return [fields[k:-1:4] for k in range(4, 8)]
+
+
+def ingest(input_path) -> CountPanel:
+    """Read a UTF-8 panel CSV; every row is a cell that enters the test.
+
+    A non-reporting area is left out of the file, not given zero rows.
+    A leading byte-order mark is dropped.  A plain file (ASCII, ending
+    in a newline, no quote, carriage return, NUL, tab or other byte that
+    ``str.strip`` removes, exactly four fields on every line, so no blank
+    line, and no field past the csv limit) is cut into its four columns
+    by one split, with no strip pass; any other file is read by
+    ``csv.reader`` and its fields are stripped.  A count or population
+    column of plain digits is read in bulk, any other value by value.
+    The text rules come first: when both numeric columns read as
+    numbers there is no text fault, otherwise one scan checks each row's
+    count literal, then a missing population, then the population
+    literal.  ``CountPanel``'s panel rules come next, so a bad literal
+    is reported before any bad value.  Errors name the line of the first
+    bad row: the panel rules run again, naming lines, only when the
+    panel refuses the columns.
+    """
+    path = _path(input_path, "input path")
+    try:
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise PanelFormatError(f"{path}: {exc.strerror or exc}") from exc
+    columns = _plain_columns(data)
+    if columns is None:
+        columns, lines, fault = _csv_columns(path, data)
+    else:  # a plain file has no blank line
+        lines, fault = range(2, len(columns[0]) + 2), None
+    region_ids, period_ids, count_texts, pop_texts = columns
     counts, populations = _numbers(count_texts, int), _numbers(pop_texts, float)
     if counts is None or populations is None:
         for i, reason in enumerate(map(_text_fault, count_texts, pop_texts)):

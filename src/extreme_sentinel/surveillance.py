@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -77,45 +76,51 @@ def _ids_pass(ids: tuple) -> bool:
     return set(map(type, ids)) == {str} and "" not in ids and tuple(map(str.strip, ids)) == ids
 
 
-def _counts_pass(counts: Sequence) -> bool:
-    """Whether every count is a plain int in [0, 2**53)."""
+def _counts_pass(counts) -> bool:
+    """Whether every count is a plain int in [0, 2**53), or the column an int64 array of them."""
+    if isinstance(counts, np.ndarray):
+        return bool(counts.min() >= 0 and counts.max() < 2**53)
     return set(map(type, counts)) == {int} and min(counts) >= 0 and max(counts) < 2**53
 
 
-def _populations_pass(populations: Sequence) -> bool:
-    """Whether every population is a plain int or float, positive and finite."""
-    if not set(map(type, populations)) <= {int, float}:
-        return False
-    try:
-        pops = np.array(populations, dtype=float)
-    except OverflowError:  # an int past the float range
-        return False
-    return bool(np.all((pops > 0.0) & (pops < math.inf)))
+def _populations_pass(populations) -> bool:
+    """Whether every population is a positive finite int or float, or a float64 column of them."""
+    if not isinstance(populations, np.ndarray):
+        if not set(map(type, populations)) <= {int, float}:
+            return False
+        try:
+            populations = np.array(populations, dtype=float)
+        except OverflowError:  # an int past the float range
+            return False
+    return bool(np.all((populations > 0.0) & (populations < math.inf)))
 
 
 def _first_fault(
-    region_ids: tuple, period_ids: tuple, counts: Sequence, populations: Sequence, where
+    region_ids: tuple, period_ids: tuple, counts, populations, where
 ) -> tuple[int, str] | None:
     """The first row breaking a panel rule, as (row, reason), or None.
 
-    The rules, in order: both ids pass ``_id_ok``; the key is unique,
-    and a duplicate names its first occurrence ``j`` as ``where(j)``; the
-    count is a non-negative integer below 2**53, where the float64 array
-    pass is exact; the population is a positive finite number.  Every
-    rule is checked on whole columns first, and a panel passing them all
-    scans no row.  Otherwise one scan applies the rules row by row, in
-    order, so the fault is the first bad row's first broken rule.
+    ``counts`` is a sequence or an int64 array, ``populations`` a
+    sequence or a float64 array.  The rules, in order: both ids pass
+    ``_id_ok``; the key is unique, and a duplicate names its first
+    occurrence ``j`` as ``where(j)``; the count is a non-negative integer
+    below 2**53, where the float64 array pass is exact; the population
+    is a positive finite number.  Every rule is checked on whole columns
+    first, and a panel passing them all scans no row.  Otherwise one
+    scan applies the rules row by row, in order, to the rows' Python
+    values, so the fault is the first bad row's first broken rule.
     """
     if (
         _ids_pass(region_ids)
         and _ids_pass(period_ids)
-        # Joined keys are cheaper to hash than pairs; two keys that join
-        # alike only send the panel to the row scan.
-        and len(set(map("\x1f".join, zip(region_ids, period_ids)))) == len(region_ids)
+        and len(set(zip(region_ids, period_ids))) == len(region_ids)
         and _counts_pass(counts)
         and _populations_pass(populations)
     ):
         return None
+    counts, populations = (
+        c.tolist() if isinstance(c, np.ndarray) else c for c in (counts, populations)
+    )
     first: dict[tuple[str, str], int] = {}
     for i, (region, period, count, population) in enumerate(
         zip(region_ids, period_ids, counts, populations)
@@ -132,8 +137,17 @@ def _first_fault(
     return None
 
 
-def _column(values, name: str) -> tuple:
-    """``values`` as a tuple, an ndarray read through ``tolist``; raises DataError if not iterable."""
+def _column(values, name: str, dtype=None) -> tuple | np.ndarray:
+    """``values`` as a tuple, an ndarray read through ``tolist``; raises DataError if not iterable.
+
+    A 1-d ndarray of ``dtype``, when one is given, is returned as it is.
+    """
+    if (
+        dtype is not None
+        and isinstance(values, np.ndarray)
+        and (values.dtype, values.ndim) == (dtype, 1)
+    ):
+        return values
     try:
         return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
     except TypeError:
@@ -144,10 +158,12 @@ def _column(values, name: str) -> tuple:
 class CountPanel:
     """The cells that enter the test: at least one, each valid, keys unique.
 
-    Built from its four columns in panel order, each an iterable (an
-    ndarray is read through ``tolist``), and held as ``region_ids`` and
-    ``period_ids`` (tuples of str), ``counts`` (read-only int64) and
-    ``populations`` (read-only float64).  Region and period ids are
+    Built from its four columns in panel order, each an iterable, and
+    held as ``region_ids`` and ``period_ids`` (tuples of str), ``counts``
+    (read-only int64) and ``populations`` (read-only float64).  A 1-d
+    int64 count column and a 1-d float64 population column are checked
+    as they are and held as read-only copies; any other ndarray is read
+    through ``tolist``.  Region and period ids are
     non-empty strings without surrounding whitespace, so every panel is
     one that a CSV file can hold.  Two panels are equal when their
     columns are.
@@ -159,7 +175,10 @@ class CountPanel:
     populations: np.ndarray
 
     def __post_init__(self):
-        columns = [_column(getattr(self, f.name), f.name) for f in fields(self)]
+        columns = [
+            _column(getattr(self, f.name), f.name, dtype)
+            for f, dtype in zip(fields(self), (None, None, np.int64, np.float64))
+        ]
         sizes = [len(c) for c in columns]
         if len(set(sizes)) > 1:
             raise DataError(f"columns must have equal lengths, got {sizes}")

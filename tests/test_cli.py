@@ -5,13 +5,16 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from panel_rows import panel_of
+from panel_rows import panel_of, surveil_csv
 
+from extreme_sentinel import cli
 from extreme_sentinel.cli import (
     ENV_SEED,
+    HEADER,
     RunConfig,
     _fmt_sig2,
     ingest,
@@ -146,6 +149,18 @@ class TestIngest:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:3: field larger") and "Traceback" not in err
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # Spreadsheet programs often start a UTF-8 file with one; it once broke the header.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(FIXTURE).read_bytes())
+        assert ingest(path) == ingest(FIXTURE)
+        args = ("--alpha", "0.01", "--lambda", "9.703e-7", "--format", "json")
+        assert run_main(capsys, "--input", str(path), *args) == run_main(
+            capsys, "--input", FIXTURE, *args
+        )
+        path.write_bytes(b"\xef\xbb\xbfregion,period,count,population\r\nA,1,0,10\r\n")
+        assert ingest(path) == panel_of([("A", "1", 0, 10.0)])
+
     def test_path_that_is_not_a_path(self, capsys, tmp_path):
         # bytes and ints are refused too: open() reads an int as a file descriptor.
         write_csv(tmp_path, "region,period,count,population\nA,1,0,10\n")
@@ -243,9 +258,16 @@ def reference_rules(rows, where):
 
 
 def reference_ingest(path):
-    """The per-row reading loop, kept as an oracle: (error message or None, cell rows)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    """The per-row reading loop, kept as an oracle: (error message or None, cell rows).
+
+    A leading byte-order mark is dropped, and a csv error names the reader's line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            return f"{path}:{reader.line_num}: {exc}", None
     cells, lines = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -348,6 +370,140 @@ class TestRowOrderBeatsRuleOrder:
                 assert str(panel.value) == f"cell {_shown(key)}: {reason}"
                 built += 1
         assert built > 600, built
+
+
+# Each CSV form the dialect differential writes, and whether a file in it is plain.
+DIALECT_FORMS = {
+    "plain": True,
+    "byte-order mark": True,
+    "signed counts": True,
+    "leading zeros": True,
+    "16-digit counts": True,
+    "decimal populations": True,
+    "exponent populations": True,
+    "crlf": False,
+    "lone cr": False,
+    "quoted": False,
+    "blank lines": False,
+    "no final newline": False,
+    "padded": False,
+    "nul": False,
+    "non-ascii id": False,
+    "oversized field": False,
+}
+
+
+def dialect_csv(path, forms, rng):
+    """Write a random panel in each of ``forms`` to ``path``, each form present at least once."""
+    n = int(rng.integers(1, 25))
+    rows = [
+        [f"R{i}", str(2000 + i % 4), str(rng.integers(0, 30)), str(rng.integers(1000, 10**6))]
+        for i in range(n)
+    ]
+
+    def some():
+        """Row 0, and each other row with probability 1/2."""
+        return [row for j, row in enumerate(rows) if j == 0 or rng.random() < 0.5]
+
+    if "signed counts" in forms:
+        for row in some():
+            row[2] = str(rng.choice(["+", "+", "+", "-"])) + row[2]  # '-0' passes
+    if "leading zeros" in forms:
+        for row in some():
+            row[2], row[3] = "0" * int(rng.integers(1, 4)) + row[2], "00" + row[3]
+    if "16-digit counts" in forms:  # about one in nine reaches 2**53
+        rows[int(rng.integers(n))][2] = str(rng.integers(10**15, 10**16))
+    if "decimal populations" in forms:
+        for row in some():
+            row[3] = f"{rng.uniform(1e3, 1e6):.{int(rng.integers(1, 4))}f}"
+    if "exponent populations" in forms:
+        for row in some():
+            row[3] = f"{rng.uniform(1, 9):.3f}{rng.choice(['e', 'E', 'e+'])}{rng.integers(3, 7)}"
+    if "nul" in forms:
+        rows[int(rng.integers(n))][0] += "\x00"
+    if "non-ascii id" in forms:
+        k = int(rng.integers(n))
+        rows[k][0] = f"Citt\u00e0{k}"
+    if "oversized field" in forms:  # at, just past or far past the csv limit
+        limit = csv.field_size_limit()
+        rows[int(rng.integers(n))][0] = "x" * (limit + int(rng.choice([0, 1, 1000])))
+    lines = [list(HEADER)] + rows
+    if "padded" in forms:
+        pads = ["", "", " ", "\t", "  ", " \t"]
+        lines = [
+            [str(rng.choice(pads)) + f + str(rng.choice(pads)) for f in line] for line in lines
+        ]
+        lines[-1][-1] += " "
+    if "quoted" in forms:  # the header's first field, and a field holding ',' or '"', always
+        lines[int(rng.integers(1, n + 1))][0] = str(rng.choice(['a,b', 'say "hi"', "R,0"]))
+        lines = [
+            [
+                '"' + f.replace('"', '""') + '"'
+                if (i, j) == (0, 0) or rng.random() < 0.5 or "," in f or '"' in f
+                else f
+                for j, f in enumerate(line)
+            ]
+            for i, line in enumerate(lines)
+        ]
+    text = [",".join(line) for line in lines]
+    if "blank lines" in forms:
+        for _ in range(int(rng.integers(1, 4))):
+            text.insert(int(rng.integers(1, len(text) + 1)), "")
+    end = "\r\n" if "crlf" in forms else "\r" if "lone cr" in forms else "\n"
+    body = end.join(text) + ("" if "no final newline" in forms else end)
+    if "byte-order mark" in forms:
+        body = "\ufeff" + body
+    path.write_bytes(body.encode("utf-8"))
+
+
+class TestDialects:
+    def test_every_form_matches_the_per_row_reference(self, tmp_path):
+        rng = np.random.default_rng(2020)
+        path = tmp_path / "panel.csv"
+        names = list(DIALECT_FORMS)
+        outcomes = {"panel": 0, "error": 0}
+        for trial in range(960):
+            forms = {names[trial % len(names)]}
+            forms.update(rng.choice(names, int(rng.integers(0, 3)), replace=False).tolist())
+            dialect_csv(path, forms, rng)
+            expected, cells = reference_ingest(path)
+            if expected is None:
+                assert ingest(path) == panel_of(cells), (trial, forms)
+                outcomes["panel"] += 1
+            else:
+                with pytest.raises(PanelFormatError) as read:
+                    ingest(path)
+                assert str(read.value) == expected, (trial, forms)
+                outcomes["error"] += 1
+        assert min(outcomes.values()) > 150, outcomes
+
+    def test_only_files_that_are_not_plain_reach_the_csv_reader(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reader(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli.csv, "reader", reader)
+        assert ingest(FIXTURE).n == 40
+        assert ingest(surveil_csv(tmp_path)).n == 1040
+        rng = np.random.default_rng(77)
+        path = tmp_path / "panel.csv"
+        for form, plain in DIALECT_FORMS.items():
+            for _ in range(5):
+                dialect_csv(path, {form}, rng)
+                try:
+                    ingest(path)
+                    reached = False
+                except Reached:
+                    reached = True
+                except PanelFormatError:  # a plain file may still hold a bad value
+                    reached = False
+                assert reached is not plain, form
+        for body in (b"", b"region,period,count,population\n", b"area,year,cases,pop\nA,1,0,10\n"):
+            path.write_bytes(body)
+            with pytest.raises(Reached):
+                ingest(path)
 
 
 class TestWritePanel:

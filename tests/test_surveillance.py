@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from panel_rows import panel_of
+from panel_rows import panel_of, surveil_csv
 
 from extreme_sentinel import cli, surveillance
 from extreme_sentinel.cli import ingest, write_panel
@@ -34,20 +34,6 @@ def columns(panel):
 
 def fixture_panel():
     return ingest(listeriosis_fixture_path())
-
-
-def surveil_csv(tmp_path):
-    """A 20-region, 52-week panel CSV of Poisson counts: 1040 cells."""
-    rng = np.random.default_rng(1040)
-    pops = np.rint(rng.lognormal(np.log(5e5), 0.6, 20))
-    rows = [
-        f"R{r:02d},W{w:02d},{rng.poisson(2e-5 * pops[r])},{int(pops[r])}"
-        for r in range(20)
-        for w in range(52)
-    ]
-    path = tmp_path / "surveil.csv"
-    path.write_text("region,period,count,population\n" + "\n".join(rows) + "\n")
-    return path
 
 
 def spiked_cells(rng):
@@ -147,6 +133,28 @@ class TestCountPanel:
                 CountPanel(("A", "B"), ("1", "1"), counts, (1.0, 2.0))
             with pytest.raises(DataError) as as_array:
                 CountPanel(("A", "B"), ("1", "1"), np.array(counts), (1.0, 2.0))
+            assert str(as_array.value) == str(as_list.value)
+
+
+    def test_int64_and_float64_columns_are_checked_as_arrays(self):
+        # They are held as read-only copies, and every fault reads as it does from lists.
+        counts, pops = np.array([3, 0]), np.array([7.0, 2.5])
+        panel = CountPanel(("A", "B"), ("1", "2"), counts, pops)
+        counts[0], pops[0] = 9, 1.0
+        assert panel == panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 0, pop=2.5)))
+        assert not (panel.counts.flags.writeable or panel.populations.flags.writeable)
+        for bad_counts, bad_pops in (
+            ([-1, 2], [1.0, 2.0]),
+            ([0, 2**53], [1.0, 2.0]),
+            ([5, -3], [-1.0, 1.0]),
+            ([0, 2], [0.0, 1.0]),
+            ([0, 1], [1.0, math.nan]),
+            ([0, 1], [math.inf, 1.0]),
+        ):
+            with pytest.raises(DataError) as as_list:
+                CountPanel(("A", "B"), ("1", "2"), bad_counts, bad_pops)
+            with pytest.raises(DataError) as as_array:
+                CountPanel(("A", "B"), ("1", "2"), np.array(bad_counts), np.array(bad_pops))
             assert str(as_array.value) == str(as_list.value)
 
 
