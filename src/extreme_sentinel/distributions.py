@@ -76,11 +76,21 @@ class RandomStream:
         else:
             size = _integer(size, "size", 0)
         u = self._gen.random(size)
-        mask = u == 0.0
-        while mask.any():
-            u[mask] = self._gen.random(int(mask.sum()))
+        # The zero mask is built only for a block that holds a 0.0.
+        while not u.all():
             mask = u == 0.0
+            u[mask] = self._gen.random(int(mask.sum()))
         return u
+
+    def _generator_at(self, offset: int) -> np.random.Generator:
+        """A new generator whose draws are this stream's from draw ``offset`` of its seed on.
+
+        Draw i is the i-th double the seeded PCG64 yields, counted before any
+        redraw of a 0.0 by :meth:`uniform_open`; this stream is not moved.
+        """
+        bits = np.random.PCG64(self._seq)
+        bits.advance(offset)
+        return np.random.Generator(bits)
 
     def spawn(self, n: int) -> list["RandomStream"]:
         """Derive n independent child streams (seed splitting)."""
@@ -199,19 +209,28 @@ class _Continuous(NullDistribution):
         return _ret(x, np.zeros_like(_check_finite(x)))
 
 
-def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = math.inf):
-    """Ladder on the integers [lo, hi] with F(lo - 1) == 0 and F(hi) == 1.0.
+def _ladder_window(mean, sd, top=math.inf):
+    """The first window [lo, hi] of an integer ladder, as integer-valued floats.
 
     Chernoff bounds the tail 40 standard deviations below the mean by
     about exp(-800), so F has underflowed to 0 there, and the tail 10
-    above by about exp(-50), so F has rounded to 1.  The window keeps
-    O(sd) points; the loops widen it where a bound is loose.
+    above by about exp(-50), so F has rounded to 1.  Scalars or arrays.
     """
-    lo = max(math.floor(mean - 40.0 * sd - 40.0), 0)
-    hi = math.ceil(min(mean + 10.0 * sd + 40.0, top))
-    step = max(hi - lo, 1)
-    while lo > 0 and dist.cdf(lo - 1.0) > 0.0:
-        lo = max(lo - step, 0)
+    lo = np.maximum(np.floor(mean - 40.0 * sd - 40.0), 0.0)
+    hi = np.ceil(np.minimum(mean + 10.0 * sd + 40.0, top))
+    return lo, hi
+
+
+def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = math.inf):
+    """Ladder on the integers [lo, hi] with F(lo - 1) == 0 and F(hi) == 1.0.
+
+    The window from ``_ladder_window`` keeps O(sd) points; the loops
+    widen it where a bound is loose.
+    """
+    lo, hi = _ladder_window(mean, sd, top)
+    step = max(hi - lo, 1.0)
+    while lo > 0.0 and dist.cdf(lo - 1.0) > 0.0:
+        lo = max(lo - step, 0.0)
     while dist.cdf(hi) < 1.0:
         hi += step
     pts = np.arange(lo, hi + 1, dtype=float)
@@ -261,6 +280,11 @@ class _IntegerSupport(_Discrete):
         return _ret(x, _on_integers(self._sf_at, np.ceil(_check_finite(x)) - 1.0))
 
 
+def _poisson_cdf(k, mean):
+    """P(X <= k) for X ~ Poisson(mean): integer-valued k and positive means, broadcast."""
+    return np.where(k < 0.0, 0.0, special.gammaincc(np.maximum(k, 0.0) + 1.0, mean))
+
+
 def _poisson_sf(k, mean):
     """P(X > k) for X ~ Poisson(mean): integer-valued k and positive means, broadcast."""
     return np.where(k < 0.0, 1.0, special.gammainc(np.maximum(k, 0.0) + 1.0, mean))
@@ -282,7 +306,7 @@ class Poisson(_IntegerSupport):
         return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
 
     def _cdf_at(self, k):
-        return np.where(k < 0.0, 0.0, special.gammaincc(np.maximum(k, 0.0) + 1.0, self.mean))
+        return _poisson_cdf(k, self.mean)
 
     def _sf_at(self, k):
         return _poisson_sf(k, self.mean)

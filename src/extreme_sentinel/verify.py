@@ -17,18 +17,44 @@ and a cut cdf[k* - 1], where k* is the first ladder point whose lower
 bracket falls below s = 1 - t.  A draw at or below the cut lands on a
 point whose score cannot fall below s, so only the draws past it are
 searched and scored; a trial rejects when any cell's score falls below
-s.  The enumeration integrates each cell's brackets below the levels
+s.  Cells whose null and law are both Poisson get their tables in one
+array pass, and the tables are concatenated so that one search covers
+every candidate of a block, each on its own cell's ladder.
+
+The harness draws what ``RandomStream(seed)`` would: each chunk of at
+most ``_CHUNK`` trials takes its whole u block, then its whole v block.
+Each chunk is cut into row pieces of about ``_PIECE_CELLS`` cells, and a
+piece's PCG64 starts at the seed and is advanced to its u rows, then to
+its v rows, so the pieces can run in any order.  They run on one worker
+thread per CPU the process may use (``os.sched_getaffinity``, else
+``os.cpu_count()``), at most one per piece, and inline when there is one
+piece.  Workers fill reused blocks and run numpy on plain arrays only;
+every model method, and every ``cdf_fn`` of a continuous cell, runs on
+the calling thread.  ``uniform_open`` redraws a 0.0, which moves the
+rest of the stream, so a call whose pieces draw a 0.0 is run again chunk
+by chunk through ``uniform_open``: a result does not depend on the
+number of CPUs, bit for bit.
+
+The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import NullDistribution, RandomStream
+from .distributions import (
+    NullDistribution,
+    Poisson,
+    RandomStream,
+    _ladder_window,
+    _poisson_cdf,
+    _poisson_sf,
+)
 from .errors import (
     ContractError,
     DomainError,
@@ -59,6 +85,9 @@ __all__ = [
 KS_CRITICAL_SCALE = 1.628
 
 _CHUNK = 20_000
+
+# Cells of uniforms per piece of a chunk, in each of its u and v blocks.
+_PIECE_CELLS = 2**18
 
 _MAX_SUPPORT = 200_000
 
@@ -133,6 +162,156 @@ def _cell_table(d: NullDistribution, law: NullDistribution, s: float):
     return cdf, lefts, rights, cut
 
 
+def _poisson_tables(null_means, law_means, s: float):
+    """``_cell_table`` of many Poisson null/law pairs, in one array pass.
+
+    Each law's window is the one ``_integer_ladder`` picks, widened by
+    the same two loops, so every table is bit for bit the per-cell one;
+    the ladders take one ``gammaincc`` call and each bracket one
+    ``gammainc`` call.  Returns the ladders' CDFs, the null's survival
+    brackets and the cut of each pair, with pair i's table at
+    ``[edges[i]:edges[i + 1]]`` of the concatenated arrays.
+    """
+    null_means = np.asarray(null_means, dtype=float)
+    mean = np.asarray(law_means, dtype=float)
+    lo, hi = _ladder_window(mean, np.sqrt(mean))
+    step = np.maximum(hi - lo, 1.0)
+    i = np.flatnonzero(lo > 0.0)
+    while i.size:
+        i = i[_poisson_cdf(lo[i] - 1.0, mean[i]) > 0.0]
+        lo[i] = np.maximum(lo[i] - step[i], 0.0)
+        i = i[lo[i] > 0.0]
+    i = np.arange(mean.size)
+    while i.size:
+        i = i[_poisson_cdf(hi[i], mean[i]) < 1.0]
+        hi[i] += step[i]
+    sizes = (hi - lo + 1.0).astype(np.intp)
+    pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
+    cdf = _poisson_cdf(pts, np.repeat(mean, sizes))
+    # Keep each ladder's points from its first F > 0 to its first F == 1.0.
+    # F rises along a window, so counts give the indices searchsorted gives.
+    starts = np.cumsum(sizes) - sizes
+    first = starts + _segment_counts(cdf <= 0.0, starts)
+    sizes = starts + _segment_counts(cdf < 1.0, starts) + 1 - first
+    keep = _ranges(sizes) + np.repeat(first, sizes)
+    pts, cdf = pts[keep], cdf[keep]
+    nulls = np.repeat(null_means, sizes)
+    lefts = _poisson_sf(pts - 1.0, nulls)
+    rights = _poisson_sf(pts, nulls)
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    starts = edges[:-1]
+    # Each ladder's first index whose bracket reaches below s, past its end if none.
+    below = np.minimum.reduceat(
+        np.where(np.minimum(lefts, rights) < s, np.arange(pts.size), pts.size), starts
+    )
+    cuts = np.where(below == starts, -math.inf, cdf[np.maximum(below, 1) - 1])
+    cuts[below >= edges[1:]] = math.inf
+    return cdf, lefts, rights, edges, cuts
+
+
+def _ranges(sizes):
+    """0, 1, ..., sizes[0] - 1, 0, 1, ..., sizes[1] - 1, ... as one array."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _segment_counts(flags, starts):
+    """The count of true flags in each segment that starts at ``starts``."""
+    return np.add.reduceat(flags.astype(np.intp), starts)
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """The discrete cells' tables of one call, concatenated.
+
+    Cell j's ladder is segment ``seg[j]``: its keys are (seg[j], cdf) as
+    complex numbers, so ``keys`` is sorted in the lexicographic order
+    numpy gives complex values, and one ``searchsorted`` of (seg[j], u)
+    bisects cell j's own segment.  ``last[j]`` is the segment's last
+    index, the clamp of the search.  A continuous cell has cut +inf: no
+    draw of it is a candidate, and the calling thread scores it.
+    """
+
+    keys: np.ndarray
+    lefts: np.ndarray
+    rights: np.ndarray
+    cuts: np.ndarray
+    seg: np.ndarray
+    last: np.ndarray
+    s: float
+
+    @classmethod
+    def build(cls, dists, laws, s: float) -> "_Tables":
+        n = len(dists)
+        pair = [type(d) is Poisson and type(law) is Poisson for d, law in zip(dists, laws)]
+        pois = [j for j in range(n) if pair[j]]
+        other = [
+            j for j in range(n)
+            if not (pair[j] or dists[j].continuous or laws[j].continuous)
+        ]
+        cuts = np.full(n, math.inf)
+        parts, sizes = [], []
+        if pois:
+            cdf, left, right, edges, cuts[pois] = _poisson_tables(
+                [dists[j].mean for j in pois], [laws[j].mean for j in pois], s
+            )
+            parts.append((cdf, left, right))
+            sizes.extend(np.diff(edges))
+        for j in other:
+            cdf, left, right, cuts[j] = _cell_table(dists[j], laws[j], s)
+            parts.append((cdf, left, right))
+            sizes.append(cdf.size)
+        empty = np.empty(0)
+        cdf, lefts, rights = (np.concatenate(col) for col in zip((empty,) * 3, *parts))
+        order = pois + other
+        seg = np.zeros(n)
+        seg[order] = np.arange(len(order))
+        last = np.zeros(n, dtype=np.intp)
+        last[order] = np.cumsum(sizes, dtype=np.intp) - 1
+        keys = np.empty(cdf.size, dtype=complex)
+        keys.real = np.repeat(np.arange(len(order)), np.asarray(sizes, dtype=np.intp))
+        keys.imag = cdf
+        return cls(keys, lefts, rights, cuts, seg, last, s)
+
+    def reject_rows(self, u, v) -> np.ndarray:
+        """Rows of the blocks u, v (trials by cells) in which a discrete cell scores below s."""
+        cand = np.flatnonzero(u > self.cuts)
+        rows, cols = np.divmod(cand, u.shape[1])
+        query = np.empty(cand.size, dtype=complex)
+        query.real = self.seg[cols]
+        query.imag = u.ravel()[cand]
+        k = np.minimum(np.searchsorted(self.keys, query, side="left"), self.last[cols])
+        scores = _survival_scores(self.lefts[k], self.rights[k], v.ravel()[cand])
+        rejected = np.zeros(u.shape[0], dtype=bool)
+        rejected[rows[scores < self.s]] = True
+        return rejected
+
+
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Uniform blocks that finished pieces gave back, for the next piece or call.
+# A piece overwrites the part it reads; list.pop and list.append are atomic.
+_SPARE: list[np.ndarray] = []
+
+
+def _buffer(size: int) -> np.ndarray:
+    """A spare float block of at least ``size`` cells; give it back to ``_SPARE``.
+
+    Kept blocks are not faulted in again on every call, as fresh ones
+    may be when the allocator hands their pages back to the system.
+    """
+    try:
+        block = _SPARE.pop()
+    except IndexError:
+        return np.empty(size)
+    return block if block.size >= size else np.empty(size)
+
+
 def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     """Monte Carlo rejection rate of the hard-decision test.
 
@@ -147,6 +326,9 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     points once per call.  Any other cell draws through
     ``skorokhod_quantile`` and evaluates the null's survival brackets at
     every draw.
+
+    The draws are cut into row pieces on worker threads as the module
+    docstring describes; the result is the same on any number of CPUs.
     """
     dists = config.panel_template
     n = len(dists)
@@ -154,43 +336,67 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     laws = list(dists)
     if config.alternative is not None:
         laws[config.alternative.cell_index] = config.alternative.alt_dist
-    tables = [_cell_table(d, law, s) for d, law in zip(dists, laws)]
-    # A continuous cell is scored at every draw on its own path, never past a cut.
-    cuts = np.array([math.inf if t is None else t[3] for t in tables])
-    edges = np.zeros(n + 1, dtype=np.intp)
+    tables = _Tables.build(dists, laws, s)
+    cont = [j for j in range(n) if dists[j].continuous or laws[j].continuous]
+    trials = config.n_trials
+    chunks = [(t, min(_CHUNK, trials - t)) for t in range(0, trials, _CHUNK)]
+    rejected = np.zeros(trials, dtype=bool)
+    # The continuous cells' draws, cell by trial, scored by the calling thread.
+    u_cont = np.empty((len(cont), trials))
+    v_cont = np.empty((len(cont), trials))
+
+    # Pieces write disjoint trials of these arrays.
+    def score(t, u, v):
+        rejected[t : t + u.shape[0]] = tables.reject_rows(u, v)
+        u_cont[:, t : t + u.shape[0]] = u[:, cont].T
+        v_cont[:, t : t + u.shape[0]] = v[:, cont].T
 
     stream = RandomStream(config.seed)
-    hits = 0
-    done = 0
-    while done < config.n_trials:
-        m = min(_CHUNK, config.n_trials - done)
-        u = stream.uniform_open((m, n))
-        v = stream.uniform_open((m, n))
-        rejected = np.zeros(m, dtype=bool)
-        # Candidates grouped by cell: cell j's are cand[edges[j]:edges[j + 1]].
-        cand = np.flatnonzero(u > cuts)
-        rows, cols = np.divmod(cand, n)
-        order = np.argsort(cols, kind="stable")
-        rows, cand = rows[order], cand[order]
-        np.cumsum(np.bincount(cols, minlength=n), out=edges[1:])
-        u_cand, v_cand = u.ravel()[cand], v.ravel()[cand]
-        for j, (d, law, table) in enumerate(zip(dists, laws, tables)):
-            if table is None:
-                x = law.skorokhod_quantile(u[:, j])
-                left = np.asarray(d.sf_left(x), dtype=float)
-                right = np.asarray(d.sf(x), dtype=float)
-                rejected |= _survival_scores(left, right, v[:, j]) < s
-            else:
-                lo, hi = edges[j], edges[j + 1]
-                cdf, lefts, rights, _ = table
-                k = np.minimum(np.searchsorted(cdf, u_cand[lo:hi], side="left"), cdf.size - 1)
-                scores = _survival_scores(lefts[k], rights[k], v_cand[lo:hi])
-                rejected[rows[lo:hi][scores < s]] = True
-        hits += int(np.count_nonzero(rejected))
-        done += m
-    rate = hits / config.n_trials
-    se = math.sqrt(rate * (1.0 - rate) / config.n_trials)
-    return SimulationResult(rejection_rate=rate, std_error=se, n_trials=config.n_trials)
+    rows = max(_PIECE_CELLS // n, 1)
+    pieces = []
+    for t, m in chunks:
+        for r in range(0, m, rows):
+            k = min(rows, m - r)
+            # The chunk's u block starts 2tn draws in; the piece's v rows
+            # start (m - k)n draws after its u rows end.
+            pieces.append((stream._generator_at((2 * t + r) * n), t + r, k, (m - k) * n))
+
+    def run(piece) -> bool:
+        gen, t, k, skip = piece
+        block = _buffer(2 * rows * n)
+        try:
+            u, v = block[: k * n], block[k * n : 2 * k * n]
+            gen.random(out=u)
+            gen.bit_generator.advance(skip)
+            gen.random(out=v)
+            # uniform_open would redraw a 0.0 and so move the rest of the stream.
+            if block[: 2 * k * n].min() == 0.0:
+                return False
+            score(t, u.reshape(k, n), v.reshape(k, n))
+            return True
+        finally:
+            _SPARE.append(block)
+
+    workers = min(_workers(), len(pieces))
+    if workers == 1:
+        drawn = all(map(run, pieces))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            drawn = all(list(pool.map(run, pieces)))
+    if not drawn:
+        for t, m in chunks:
+            score(t, stream.uniform_open((m, n)), stream.uniform_open((m, n)))
+    for t, m in chunks:
+        for i, j in enumerate(cont):
+            x = laws[j].skorokhod_quantile(u_cont[i, t : t + m])
+            left = np.asarray(dists[j].sf_left(x), dtype=float)
+            right = np.asarray(dists[j].sf(x), dtype=float)
+            rejected[t : t + m] |= _survival_scores(left, right, v_cont[i, t : t + m]) < s
+    rate = int(np.count_nonzero(rejected)) / trials
+    se = math.sqrt(rate * (1.0 - rate) / trials)
+    return SimulationResult(rejection_rate=rate, std_error=se, n_trials=trials)
 
 
 def _unit(p: float) -> float:

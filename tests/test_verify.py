@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo harness, exact enumeration, and KS check."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from extreme_sentinel import verify
+from extreme_sentinel import distributions, verify
 from extreme_sentinel.cli import ingest
 from extreme_sentinel.distributions import (
     Binomial,
@@ -319,6 +321,159 @@ class TestFixtureTemplateFrozen:
         swap = Alternative(5, Poisson(8 * template[5].mean))
         res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 456, swap))
         assert res == SimulationResult(0.90858, 0.0012888939723654537, 50_000)
+
+
+class TestPieces:
+    """The same stream cut into row pieces that run on worker threads."""
+
+    def test_random_configs_in_pieces(self, monkeypatch):
+        rng = np.random.default_rng(20141)
+        short = 0
+        for _ in range(300):
+            cfg = random_config(rng)
+            # Five pieces of a chunk and a short sixth, unless its rows divide.
+            n, rows = len(cfg.panel_template), min(cfg.n_trials, verify._CHUNK) // 5 - 1
+            monkeypatch.setattr(verify, "_PIECE_CELLS", n * rows)
+            short += cfg.n_trials % verify._CHUNK % rows != 0
+            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg
+        assert short >= 290
+
+    def test_pieces_of_three_rows(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 12)
+        template = (
+            Poisson(1.3),
+            Binomial(10, 0.3),
+            TabulatedDiscrete((0.0, 1.5, 2.0), (0.2, 0.3, 0.5)),
+            ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0),
+        )
+        cfg = SimulationConfig(template, 0.1, 2000, 21, Alternative(0, Poisson(4.0)))
+        res = simulate_size_and_power(cfg)
+        assert res == reference_simulate(cfg)
+        assert 0.0 < res.rejection_rate < 1.0
+
+    def test_more_workers_than_cpus_with_a_short_switch_interval(self, monkeypatch):
+        # Pieces share the result arrays and the spare blocks: a lost or
+        # crossed write would move the rate.
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 40)
+        monkeypatch.setattr(verify, "_workers", lambda: 8)
+        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01())
+        cfg = SimulationConfig(template, 0.2, 6000, 13, Alternative(2, Poisson(3.0)))
+        expected = reference_simulate(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert simulate_size_and_power(cfg) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_zero_draw_reruns_the_call_through_uniform_open(self, monkeypatch):
+        template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
+        cfg = SimulationConfig(template, 0.1, 25_000, 4, Alternative(0, Poisson(4.0)))
+        expected = reference_simulate(cfg)
+        # The first piece of the second chunk finds a 0.0 in its v block.
+        zeroed = 2 * verify._CHUNK * len(template)
+        at = RandomStream._generator_at
+
+        class ZeroInV:
+            def __init__(self, gen):
+                self.gen, self.bit_generator, self.blocks = gen, gen.bit_generator, 0
+
+            def random(self, out):
+                self.gen.random(out=out)
+                self.blocks += 1
+                if self.blocks == 2:
+                    out[out.size // 2] = 0.0
+                return out
+
+        def generator_at(stream, offset):
+            gen = at(stream, offset)
+            return ZeroInV(gen) if offset == zeroed else gen
+
+        blocks = []
+        uniform_open = RandomStream.uniform_open
+
+        def counted(stream, size=None):
+            blocks.append(size)
+            return uniform_open(stream, size)
+
+        monkeypatch.setattr(RandomStream, "_generator_at", generator_at)
+        monkeypatch.setattr(RandomStream, "uniform_open", counted)
+        assert simulate_size_and_power(cfg) == expected
+        # Both chunks were drawn again, u block then v block.
+        assert blocks == [(20_000, 3), (20_000, 3), (5000, 3), (5000, 3)]
+
+    def test_model_methods_run_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 64)
+        callers = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                callers.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return call
+
+        for cls in (Poisson, Binomial, ContinuousByCdf):
+            for name in ("cdf", "sf", "cdf_left", "sf_left", "mass", "skorokhod_quantile"):
+                monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
+        template = (
+            Poisson(1.3),
+            Binomial(10, 0.3),
+            ContinuousByCdf(recorded(lambda x: (x / 8.0) ** 2), 0.0, 8.0),
+            Poisson(2.0),
+        )
+        pieces = set()
+        reject_rows = verify._Tables.reject_rows
+
+        def recorded_rows(tables, u, v):
+            pieces.add(threading.get_ident())
+            return reject_rows(tables, u, v)
+
+        monkeypatch.setattr(verify._Tables, "reject_rows", recorded_rows)
+        callers.clear()
+        for alternative in (None, Alternative(3, Poisson(6.0)), Alternative(0, Binomial(8, 0.5))):
+            pieces.clear()
+            simulate_size_and_power(SimulationConfig(template, 0.1, 3000, 8, alternative))
+            # The pieces ran on the workers, or inline on one CPU.
+            inline = verify._workers() == 1
+            assert (threading.get_ident() in pieces) == inline
+            assert len(pieces) <= verify._workers()
+        assert callers and set(callers) == {threading.get_ident()}
+
+
+class TestOnePassPoissonTables:
+    @staticmethod
+    def check_pairs(rng, pairs):
+        cuts = []
+        for _ in range(pairs // 100):
+            nulls, laws = 10.0 ** rng.uniform(-3.0, 6.0, size=(2, 100))
+            s = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+            cdf, lefts, rights, edges, cut = verify._poisson_tables(nulls, laws, s)
+            for i, (null, law) in enumerate(zip(nulls, laws)):
+                table = verify._cell_table(Poisson(float(null)), Poisson(float(law)), s)
+                got = (cdf, lefts, rights)
+                for ours, theirs in zip(got, table[:3]):
+                    part = ours[edges[i] : edges[i + 1]]
+                    assert part.dtype == theirs.dtype and np.array_equal(part, theirs), (null, law)
+                assert cut[i] == table[3], (null, law, s)
+            cuts.extend(cut)
+        return np.array(cuts)
+
+    def test_bit_identical_to_cell_tables(self):
+        cuts = self.check_pairs(np.random.default_rng(2024), 2000)
+        assert np.any(cuts == -math.inf) and np.any(cuts == math.inf)
+        assert np.any(np.isfinite(cuts))
+
+    def test_widened_windows(self, monkeypatch):
+        # Windows of +-2 sd: both widening loops run, in both builds.
+        def narrow(mean, sd, top=math.inf):
+            lo = np.maximum(np.floor(mean - 2.0 * sd), 0.0)
+            return lo, np.ceil(np.minimum(mean + 2.0 * sd, top))
+
+        monkeypatch.setattr(distributions, "_ladder_window", narrow)
+        monkeypatch.setattr(verify, "_ladder_window", narrow)
+        self.check_pairs(np.random.default_rng(2025), 1000)
 
 
 def assert_relative_match(exact, analytic):
