@@ -112,19 +112,27 @@ def _read_only(values, dtype=float) -> np.ndarray:
     return column
 
 
-def _array_call(fn, xs: np.ndarray):
+def _array_call(fn, xs: np.ndarray, error: type[Exception]):
     """Evaluate fn on the array xs in one call; return (callable used, values).
 
     A callable that fails on arrays, or returns another shape, is wrapped
-    in ``np.vectorize`` and called per element instead.
+    in ``np.vectorize`` and called per element instead.  A non-callable
+    raises ``ParameterError``, and values that cannot be read as floats
+    raise ``error``; an exception of the callable's own propagates.
     """
+    if not callable(fn):
+        raise ParameterError(f"expected a callable, got {type(fn).__name__}")
     try:
         vals = np.asarray(fn(xs), dtype=float)
         if vals.shape != xs.shape:
             raise TypeError
     except Exception:
-        fn = np.vectorize(fn, otypes=[float])
-        vals = np.asarray(fn(xs), dtype=float)
+        fn = np.vectorize(fn, otypes=[object])
+        out = fn(xs)
+        try:
+            vals = np.asarray(out, dtype=float)
+        except (TypeError, ValueError):
+            raise error("callable returned values that are not numbers") from None
     return fn, vals
 
 
@@ -210,35 +218,55 @@ class _Continuous(NullDistribution):
 
 
 def _ladder_window(mean, sd, top=math.inf):
-    """The first window [lo, hi] of an integer ladder, as integer-valued floats.
+    """The first windows [lo, hi] of ``_integer_ladders``, as integer-valued floats.
 
     Chernoff bounds the tail 40 standard deviations below the mean by
     about exp(-800), so F has underflowed to 0 there, and the tail 10
-    above by about exp(-50), so F has rounded to 1.  Scalars or arrays.
+    above by about exp(-50), so F has rounded to 1.  The builder widens
+    a window where a bound is loose.  Arrays of means and sds.
     """
     lo = np.maximum(np.floor(mean - 40.0 * sd - 40.0), 0.0)
     hi = np.ceil(np.minimum(mean + 10.0 * sd + 40.0, top))
     return lo, hi
 
 
-def _integer_ladder(dist: _IntegerSupport, mean: float, sd: float, top: float = math.inf):
-    """Ladder on the integers [lo, hi] with F(lo - 1) == 0 and F(hi) == 1.0.
+def _ranges(sizes):
+    """0, 1, ..., sizes[0] - 1, 0, 1, ..., sizes[1] - 1, ... as one array."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    The window from ``_ladder_window`` keeps O(sd) points; the loops
-    widen it where a bound is loose.
+
+def _integer_ladders(cdf_at, mean, sd, top=math.inf):
+    """The CDF ladders of many integer-support models, in one array pass.
+
+    ``cdf_at(k, i)`` is F of model i at the integer-valued k, elementwise.
+    Each window from ``_ladder_window`` is widened by whole steps until
+    F(lo - 1) == 0 and F(hi) == 1.0; a ladder keeps its window's points
+    from just after the last F == 0.0 to the first F == 1.0, so F rises
+    along it even where a special function returns a stray 0 in the far
+    lower tail.  Returns the concatenated points and F, and each ladder's
+    number of points.
     """
-    lo, hi = _ladder_window(mean, sd, top)
-    step = max(hi - lo, 1.0)
-    while lo > 0.0 and dist.cdf(lo - 1.0) > 0.0:
-        lo = max(lo - step, 0.0)
-    while dist.cdf(hi) < 1.0:
-        hi += step
-    pts = np.arange(lo, hi + 1, dtype=float)
-    cdf = np.asarray(dist.cdf(pts), dtype=float)
-    # Probe grids read the ladder too, so keep only the points where F moves:
-    # from the first F > 0 to the first F == 1.0.
-    keep = slice(np.searchsorted(cdf, 0.0, "right"), np.searchsorted(cdf, 1.0, "left") + 1)
-    return pts[keep], cdf[keep]
+    mean = np.asarray(mean, dtype=float)
+    lo, hi = _ladder_window(mean, np.asarray(sd, dtype=float), top)
+    step = np.maximum(hi - lo, 1.0)
+    i = np.flatnonzero(lo > 0.0)
+    while i.size:
+        i = i[cdf_at(lo[i] - 1.0, i) > 0.0]
+        lo[i] = np.maximum(lo[i] - step[i], 0.0)
+        i = i[lo[i] > 0.0]
+    i = np.arange(mean.size)
+    while i.size:
+        i = i[cdf_at(hi[i], i) < 1.0]
+        hi[i] += step[i]
+    sizes = (hi - lo + 1.0).astype(np.intp)
+    pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
+    cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
+    starts = np.cumsum(sizes) - sizes
+    at = np.arange(pts.size)
+    first = np.maximum(np.maximum.reduceat(np.where(cdf <= 0.0, at, -1), starts) + 1, starts)
+    sizes = np.minimum.reduceat(np.where(cdf >= 1.0, at, pts.size), starts) + 1 - first
+    keep = _ranges(sizes) + np.repeat(first, sizes)
+    return pts[keep], cdf[keep], sizes
 
 
 # Every integer of magnitude below 2**53 is a float, so a range inside it
@@ -323,7 +351,10 @@ class Poisson(_IntegerSupport):
 
     @cached_property
     def _ladder(self):
-        return _integer_ladder(self, self.mean, math.sqrt(self.mean))
+        pts, cdf, _ = _integer_ladders(
+            lambda k, i: self._cdf_at(k), [self.mean], [math.sqrt(self.mean)]
+        )
+        return pts, cdf
 
 
 @cache
@@ -368,7 +399,8 @@ class Binomial(_IntegerSupport):
     def _ladder(self):
         mean = self.trials * self.success_prob
         sd = math.sqrt(mean * (1.0 - self.success_prob))
-        return _integer_ladder(self, mean, sd, self.trials)
+        pts, cdf, _ = _integer_ladders(lambda k, i: self._cdf_at(k), [mean], [sd], self.trials)
+        return pts, cdf
 
 
 @dataclass(frozen=True)
@@ -459,7 +491,7 @@ class ContinuousByCdf(_Continuous):
     def __post_init__(self):
         _real(self.upper, "upper", _real(self.lower, "lower"))
         xs = np.linspace(self.lower, self.upper, self._PROBE_POINTS)
-        fn, vals = _array_call(self.cdf_fn, xs)
+        fn, vals = _array_call(self.cdf_fn, xs, ParameterError)
         object.__setattr__(self, "_fn", fn)
         if not np.all(np.isfinite(vals)):
             raise ParameterError("cdf callable returned non-finite values on the probe grid")

@@ -195,7 +195,7 @@ def convexity_check(cdf_on_unit, grid_size: int) -> CheckResult:
     differences sit exactly on the tolerance edge at every breakpoint.
     """
     grid = np.linspace(0.0, 1.0, _integer(grid_size, "grid_size", 3))
-    _, vals = _array_call(cdf_on_unit, grid)
+    _, vals = _array_call(cdf_on_unit, grid, ContractError)
     if not np.all(np.isfinite(vals)):
         raise ContractError("cdf handle returned non-finite values on the grid")
     if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:

@@ -17,9 +17,12 @@ and a cut cdf[k* - 1], where k* is the first ladder point whose lower
 bracket falls below s = 1 - t.  A draw at or below the cut lands on a
 point whose score cannot fall below s, so only the draws past it are
 searched and scored; a trial rejects when any cell's score falls below
-s.  Cells whose null and law are both Poisson get their tables in one
-array pass, and the tables are concatenated so that one search covers
-every candidate of a block, each on its own cell's ladder.
+s.  Every integer ladder comes from ``distributions._integer_ladders``:
+the cells whose null and law are both Poisson take one call of it for
+all their ladders, and every other discrete cell reads its law's cached
+``_ladder``.  The tables are concatenated, one cut rule runs over all
+their segments, and one search covers every candidate of a block, each
+on its own cell's ladder.
 
 The harness draws what ``RandomStream(seed)`` would: each chunk of at
 most ``_CHUNK`` trials takes its whole u block, then its whole v block.
@@ -51,7 +54,7 @@ from .distributions import (
     NullDistribution,
     Poisson,
     RandomStream,
-    _ladder_window,
+    _integer_ladders,
     _poisson_cdf,
     _poisson_sf,
 )
@@ -111,7 +114,10 @@ class SimulationConfig:
     alternative: Alternative | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "panel_template", tuple(self.panel_template))
+        try:
+            object.__setattr__(self, "panel_template", tuple(self.panel_template))
+        except TypeError:  # not iterable: a bare model
+            raise ShapeError("panel template must be a sequence of models") from None
         if len(self.panel_template) == 0:
             raise ShapeError("panel template must not be empty")
         if not all(isinstance(d, NullDistribution) for d in self.panel_template):
@@ -120,6 +126,8 @@ class SimulationConfig:
         _integer(self.n_trials, "n_trials", 1000)
         _seed(self.seed)
         if self.alternative is not None:
+            if not isinstance(self.alternative, Alternative):
+                raise ParameterError("alternative must be an Alternative or None")
             n_cells = len(self.panel_template)
             _integer(self.alternative.cell_index, "alternative cell index", 0, n_cells)
             if not isinstance(self.alternative.alt_dist, NullDistribution):
@@ -133,102 +141,26 @@ class SimulationResult:
     n_trials: int
 
 
-def _cell_table(d: NullDistribution, law: NullDistribution, s: float):
-    """A discrete law's CDF ladder, the null's survival brackets at its points, and its cut.
-
-    The cut is cdf[k* - 1] for the first ladder index k* whose bracket
-    reaches below s: the search of a uniform u lands at or past k*
-    exactly when u > cdf[k* - 1], and a score is clipped into its
-    bracket, so no draw u <= cut can score below s.  It is -inf when
-    k* == 0 and +inf when no bracket reaches below s.  k* is the first
-    such index, not the start of a monotone tail, so the draws past the
-    cut are a superset of those that can reject.
-
-    None when either model is continuous: such a cell has no ladder.
-    """
-    if d.continuous or law.continuous:
-        return None
-    pts, cdf = law._ladder
-    lefts = np.asarray(d.sf_left(pts), dtype=float)
-    rights = np.asarray(d.sf(pts), dtype=float)
-    # np.clip bounds a score by the smaller of the two brackets from below.
-    below = np.flatnonzero(np.minimum(lefts, rights) < s)
-    if below.size == 0:
-        cut = math.inf
-    elif below[0] == 0:
-        cut = -math.inf
-    else:
-        cut = float(cdf[below[0] - 1])
-    return cdf, lefts, rights, cut
-
-
-def _poisson_tables(null_means, law_means, s: float):
-    """``_cell_table`` of many Poisson null/law pairs, in one array pass.
-
-    Each law's window is the one ``_integer_ladder`` picks, widened by
-    the same two loops, so every table is bit for bit the per-cell one;
-    the ladders take one ``gammaincc`` call and each bracket one
-    ``gammainc`` call.  Returns the ladders' CDFs, the null's survival
-    brackets and the cut of each pair, with pair i's table at
-    ``[edges[i]:edges[i + 1]]`` of the concatenated arrays.
-    """
-    null_means = np.asarray(null_means, dtype=float)
-    mean = np.asarray(law_means, dtype=float)
-    lo, hi = _ladder_window(mean, np.sqrt(mean))
-    step = np.maximum(hi - lo, 1.0)
-    i = np.flatnonzero(lo > 0.0)
-    while i.size:
-        i = i[_poisson_cdf(lo[i] - 1.0, mean[i]) > 0.0]
-        lo[i] = np.maximum(lo[i] - step[i], 0.0)
-        i = i[lo[i] > 0.0]
-    i = np.arange(mean.size)
-    while i.size:
-        i = i[_poisson_cdf(hi[i], mean[i]) < 1.0]
-        hi[i] += step[i]
-    sizes = (hi - lo + 1.0).astype(np.intp)
-    pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
-    cdf = _poisson_cdf(pts, np.repeat(mean, sizes))
-    # Keep each ladder's points from its first F > 0 to its first F == 1.0.
-    # F rises along a window, so counts give the indices searchsorted gives.
-    starts = np.cumsum(sizes) - sizes
-    first = starts + _segment_counts(cdf <= 0.0, starts)
-    sizes = starts + _segment_counts(cdf < 1.0, starts) + 1 - first
-    keep = _ranges(sizes) + np.repeat(first, sizes)
-    pts, cdf = pts[keep], cdf[keep]
-    nulls = np.repeat(null_means, sizes)
-    lefts = _poisson_sf(pts - 1.0, nulls)
-    rights = _poisson_sf(pts, nulls)
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    starts = edges[:-1]
-    # Each ladder's first index whose bracket reaches below s, past its end if none.
-    below = np.minimum.reduceat(
-        np.where(np.minimum(lefts, rights) < s, np.arange(pts.size), pts.size), starts
-    )
-    cuts = np.where(below == starts, -math.inf, cdf[np.maximum(below, 1) - 1])
-    cuts[below >= edges[1:]] = math.inf
-    return cdf, lefts, rights, edges, cuts
-
-
-def _ranges(sizes):
-    """0, 1, ..., sizes[0] - 1, 0, 1, ..., sizes[1] - 1, ... as one array."""
-    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-
-def _segment_counts(flags, starts):
-    """The count of true flags in each segment that starts at ``starts``."""
-    return np.add.reduceat(flags.astype(np.intp), starts)
-
-
 @dataclass(frozen=True)
 class _Tables:
     """The discrete cells' tables of one call, concatenated.
 
-    Cell j's ladder is segment ``seg[j]``: its keys are (seg[j], cdf) as
-    complex numbers, so ``keys`` is sorted in the lexicographic order
-    numpy gives complex values, and one ``searchsorted`` of (seg[j], u)
-    bisects cell j's own segment.  ``last[j]`` is the segment's last
-    index, the clamp of the search.  A continuous cell has cut +inf: no
-    draw of it is a candidate, and the calling thread scores it.
+    Cell j's table is segment ``seg[j]``: its sampling law's CDF ladder
+    and the null's survival brackets at the ladder's points.  Its keys
+    are (seg[j], cdf) as complex numbers, so ``keys`` is sorted in the
+    lexicographic order numpy gives complex values, and one
+    ``searchsorted`` of (seg[j], u) bisects cell j's own segment.
+    ``last[j]`` is the segment's last index, the clamp of the search.
+
+    The cut of cell j is cdf[k* - 1] for the first ladder index k* whose
+    bracket reaches below s: the search of a uniform u lands at or past
+    k* exactly when u > cdf[k* - 1], and a score is clipped into its
+    bracket, so no draw u <= cut can score below s.  It is -inf when
+    k* == 0 and +inf when no bracket reaches below s.  k* is the first
+    such index, not the start of a monotone tail, so the draws past the
+    cut are a superset of those that can reject.  A continuous cell has
+    cut +inf: no draw of it is a candidate, and the calling thread
+    scores it.
     """
 
     keys: np.ndarray
@@ -248,27 +180,43 @@ class _Tables:
             j for j in range(n)
             if not (pair[j] or dists[j].continuous or laws[j].continuous)
         ]
-        cuts = np.full(n, math.inf)
         parts, sizes = [], []
         if pois:
-            cdf, left, right, edges, cuts[pois] = _poisson_tables(
-                [dists[j].mean for j in pois], [laws[j].mean for j in pois], s
+            # One ladder pass for every Poisson/Poisson cell, one gammainc call per bracket.
+            mean = np.array([laws[j].mean for j in pois])
+            pts, cdf, counts = _integer_ladders(
+                lambda k, i: _poisson_cdf(k, mean[i]), mean, np.sqrt(mean)
             )
-            parts.append((cdf, left, right))
-            sizes.extend(np.diff(edges))
+            nulls = np.repeat([dists[j].mean for j in pois], counts)
+            parts.append((cdf, _poisson_sf(pts - 1.0, nulls), _poisson_sf(pts, nulls)))
+            sizes.extend(counts)
         for j in other:
-            cdf, left, right, cuts[j] = _cell_table(dists[j], laws[j], s)
-            parts.append((cdf, left, right))
+            pts, cdf = laws[j]._ladder
+            lefts = np.asarray(dists[j].sf_left(pts), dtype=float)
+            rights = np.asarray(dists[j].sf(pts), dtype=float)
+            parts.append((cdf, lefts, rights))
             sizes.append(cdf.size)
         empty = np.empty(0)
         cdf, lefts, rights = (np.concatenate(col) for col in zip((empty,) * 3, *parts))
         order = pois + other
+        sizes = np.asarray(sizes, dtype=np.intp)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # Each segment's first index whose bracket reaches below s, its end if none;
+        # np.clip bounds a score by the smaller of the two brackets from below.
+        below = np.minimum.reduceat(
+            np.where(np.minimum(lefts, rights) < s, np.arange(cdf.size), cdf.size), starts
+        )
+        cut = np.where(below == starts, -math.inf, cdf[np.maximum(below, 1) - 1])
+        cut[below >= ends] = math.inf
+        cuts = np.full(n, math.inf)
+        cuts[order] = cut
         seg = np.zeros(n)
         seg[order] = np.arange(len(order))
         last = np.zeros(n, dtype=np.intp)
-        last[order] = np.cumsum(sizes, dtype=np.intp) - 1
+        last[order] = ends - 1
         keys = np.empty(cdf.size, dtype=complex)
-        keys.real = np.repeat(np.arange(len(order)), np.asarray(sizes, dtype=np.intp))
+        keys.real = np.repeat(np.arange(len(order)), sizes)
         keys.imag = cdf
         return cls(keys, lefts, rights, cuts, seg, last, s)
 

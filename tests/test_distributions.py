@@ -323,9 +323,13 @@ class TestRandomStream:
 
 
 def test_ladder_matches_cdf_and_covers_the_unit_interval():
-    for dist in (Poisson(1.0661), Poisson(9.0), Poisson(1e6), Binomial(10, 0.3)):
+    # scipy 1.17's binom.cdf of the last model is positive at k = 0..28 and
+    # 0.0 at k = 29..38: its ladder starts past the stray zeros, at 39.
+    models = (Poisson(1.0661), Poisson(9.0), Poisson(1e6), Binomial(10, 0.3))
+    for dist in (*models, Binomial(1895, 0.3176706067668721)):
         pts, cdf = dist._ladder
         assert np.array_equal(cdf, np.asarray(dist.cdf(pts)))
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[0] > 0.0
         assert cdf[-1] == 1.0
         assert dist.cdf(pts[0] - 1.0) == 0.0
 

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from panel_rows import panel_of
 
-from extreme_sentinel.distributions import Binomial, Poisson, RandomStream, TabulatedDiscrete
-from extreme_sentinel.errors import DataError, DomainError, ParameterError, _array
-from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, mlr_check
+from extreme_sentinel.distributions import (
+    Binomial,
+    ContinuousByCdf,
+    Poisson,
+    RandomStream,
+    TabulatedDiscrete,
+)
+from extreme_sentinel.errors import ContractError, DataError, DomainError, ParameterError, _array
+from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, convexity_check, mlr_check
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
 from extreme_sentinel.surveillance import CountPanel, epidemic_test
 from extreme_sentinel.umptest import pvalue_bounds, threshold
@@ -27,6 +33,28 @@ def test_unreadable_arrays_raise_the_sites_error():
     ]
     for error, call in probes:
         with pytest.raises(error, match="must be real numbers"):
+            call()
+
+
+def test_cdf_callables_that_are_not_or_do_not_return_numbers():
+    probes = [
+        (ParameterError, lambda: ContinuousByCdf(3)),
+        (ParameterError, lambda: convexity_check(3, 5)),
+        (ParameterError, lambda: ContinuousByCdf(lambda x: "a")),
+        (ContractError, lambda: convexity_check(lambda y: "a", 5)),
+        (ContractError, lambda: convexity_check(lambda y: [0.0, 1.0], 5)),
+    ]
+    for error, call in probes:
+        with pytest.raises(error):
+            call()
+
+
+def test_a_cdf_callables_own_error_propagates():
+    def broken(x):
+        raise ValueError("inside the callable")
+
+    for call in (lambda: ContinuousByCdf(broken), lambda: convexity_check(broken, 5)):
+        with pytest.raises(ValueError, match="inside the callable"):
             call()
 
 

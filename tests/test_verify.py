@@ -73,6 +73,11 @@ class TestSimulationConfig:
                 seed=1,
                 alternative=Alternative(True, Poisson(4.0)),
             )
+        for alternative in ((0, Poisson(2.0)), 3):
+            with pytest.raises(ParameterError):
+                SimulationConfig(dists, 0.05, 1000, 1, alternative)
+        with pytest.raises(ShapeError):
+            SimulationConfig(Poisson(1.0), 0.05, 1000, 1)
 
 
 class TestSimulateSizeAndPower:
@@ -264,7 +269,7 @@ class TestCutMatchesEveryDrawScored:
         point = TabulatedDiscrete((0.0,), (1.0,))
         template = (point, Poisson(2.0))
         s = _survival_cut(0.05, 2)
-        assert verify._cell_table(point, point, s)[3] == -math.inf
+        assert verify._Tables.build(template, template, s).cuts[0] == -math.inf
         cfg = SimulationConfig(template, 0.05, 5000, 3)
         res = simulate_size_and_power(cfg)
         assert res == reference_simulate(cfg)
@@ -274,7 +279,7 @@ class TestCutMatchesEveryDrawScored:
         # Poisson(1)'s brackets stay far above s at alpha 1e-200; the swapped cell rejects.
         template = (Poisson(1.0), Poisson(1.0))
         s = _survival_cut(1e-200, 2)
-        assert verify._cell_table(template[0], template[0], s)[3] == math.inf
+        assert verify._Tables.build(template, template, s).cuts[0] == math.inf
         cfg = SimulationConfig(template, 1e-200, 3000, 5, Alternative(1, Poisson(300.0)))
         res = simulate_size_and_power(cfg)
         assert res == reference_simulate(cfg)
@@ -283,7 +288,7 @@ class TestCutMatchesEveryDrawScored:
     def test_chunk_without_candidates(self):
         template = (Poisson(1.0),)
         cfg = SimulationConfig(template, 1e-5, 1000, 8)
-        cut = verify._cell_table(template[0], template[0], _survival_cut(1e-5, 1))[3]
+        cut = verify._Tables.build(template, template, _survival_cut(1e-5, 1)).cuts[0]
         assert 0.0 < cut < 1.0
         u = RandomStream(8).uniform_open((1000, 1))
         assert not np.any(u > cut)
@@ -299,7 +304,8 @@ class TestCutMatchesEveryDrawScored:
         template = (Poisson(1.3), Binomial(10, 0.3), TabulatedDiscrete((0.0, 1.5), (0.4, 0.6)))
         swap = Alternative(1, ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0))
         cfg = SimulationConfig(template, 0.1, 4000, 9, swap)
-        assert verify._cell_table(template[1], swap.alt_dist, 0.5) is None
+        laws = (template[0], swap.alt_dist, template[2])
+        assert verify._Tables.build(template, laws, 0.5).cuts[1] == math.inf
         res = simulate_size_and_power(cfg)
         assert res == reference_simulate(cfg)
         assert 0.0 < res.rejection_rate < 1.0
@@ -442,6 +448,10 @@ class TestPieces:
         assert callers and set(callers) == {threading.get_ident()}
 
 
+class PoissonByCell(Poisson):
+    """A Poisson model that ``_Tables.build`` tabulates cell by cell, as any other law."""
+
+
 class TestOnePassPoissonTables:
     @staticmethod
     def check_pairs(rng, pairs):
@@ -449,15 +459,14 @@ class TestOnePassPoissonTables:
         for _ in range(pairs // 100):
             nulls, laws = 10.0 ** rng.uniform(-3.0, 6.0, size=(2, 100))
             s = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
-            cdf, lefts, rights, edges, cut = verify._poisson_tables(nulls, laws, s)
-            for i, (null, law) in enumerate(zip(nulls, laws)):
-                table = verify._cell_table(Poisson(float(null)), Poisson(float(law)), s)
-                got = (cdf, lefts, rights)
-                for ours, theirs in zip(got, table[:3]):
-                    part = ours[edges[i] : edges[i + 1]]
-                    assert part.dtype == theirs.dtype and np.array_equal(part, theirs), (null, law)
-                assert cut[i] == table[3], (null, law, s)
-            cuts.extend(cut)
+            tables = [
+                verify._Tables.build(tuple(map(cls, nulls)), tuple(map(cls, laws)), s)
+                for cls in (Poisson, PoissonByCell)
+            ]
+            for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
+                ours, theirs = (getattr(table, field) for table in tables)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (field, s)
+            cuts.extend(tables[0].cuts)
         return np.array(cuts)
 
     def test_bit_identical_to_cell_tables(self):
@@ -472,8 +481,36 @@ class TestOnePassPoissonTables:
             return lo, np.ceil(np.minimum(mean + 2.0 * sd, top))
 
         monkeypatch.setattr(distributions, "_ladder_window", narrow)
-        monkeypatch.setattr(verify, "_ladder_window", narrow)
         self.check_pairs(np.random.default_rng(2025), 1000)
+
+
+class TestOneCutRule:
+    def test_cut_of_every_discrete_cell_matches_its_definition(self):
+        rng = np.random.default_rng(2026)
+        finite = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            dists = tuple(random_law(rng) for _ in range(n))
+            # Half the laws are swapped, most often to another family.
+            laws = tuple(random_law(rng) if rng.random() < 0.5 else d for d in dists)
+            s = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+            cuts = verify._Tables.build(dists, laws, s).cuts
+            for j, (d, law) in enumerate(zip(dists, laws)):
+                if d.continuous or law.continuous:
+                    assert cuts[j] == math.inf
+                    continue
+                pts, cdf = law._ladder
+                brackets = np.minimum(d.sf_left(pts), d.sf(pts))
+                below = np.flatnonzero(brackets < s)
+                if below.size == 0:
+                    expected = math.inf
+                elif below[0] == 0:
+                    expected = -math.inf
+                else:
+                    expected = cdf[below[0] - 1]
+                assert cuts[j] == expected, (d, law, s)
+                finite += math.isfinite(expected)
+        assert finite >= 50
 
 
 def assert_relative_match(exact, analytic):
