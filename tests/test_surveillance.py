@@ -1,5 +1,6 @@
 """Tests for count-panel surveillance: estimation, testing, peeling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -484,31 +485,144 @@ class TestColumnPanel:
         assert calls == ["position 0", "line 2"]
 
 
+def scattered_panels(rng):
+    """Panels mixing int and float populations, means from 1e-12 to 1e8, and
+    counts of zero, Poisson draws and values up to 1e6; with their rates."""
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        rate = float(10.0 ** rng.uniform(-12, -6))
+        targets = 10.0 ** rng.uniform(-12, 8, n)
+        cells = []
+        for i, target in enumerate(targets):
+            pop = target / rate
+            if rng.random() < 0.5:
+                pop = max(1, round(pop))
+            kind = int(rng.integers(3))
+            count = (0, int(rng.poisson(rate * pop)), int(rng.integers(0, 10**6 + 1)))[kind]
+            cells.append(cell(f"R{i}", "1", count, pop))
+        yield panel_of(cells), rate
+
+
+def region_week_ids(regions, weeks):
+    """The region and period id columns of a region-major panel."""
+    return (
+        np.repeat([f"R{r:02d}" for r in range(regions)], weeks),
+        np.tile([f"W{w:02d}" for w in range(weeks)], regions),
+    )
+
+
+def shared_population_panels(rng):
+    """Region x week panels whose weeks share their region's population; with their rates.
+
+    Each panel comes region-major, in runs of 1 to 60 cells with one
+    mean, then period-major and shuffled.  A run mixes counts of zero,
+    Poisson draws and values up to a top between 1 and 1e6.
+    """
+    for _ in range(40):
+        regions, weeks = int(rng.integers(1, 7)), int(rng.integers(1, 61))
+        rate = float(10.0 ** rng.uniform(-8, -4))
+        pops = np.repeat(np.rint(rng.lognormal(np.log(5e5), 0.6, regions)), weeks)
+        top = int(10.0 ** rng.uniform(0, 6))
+        draws = (0, rng.poisson(rate * pops), rng.integers(0, top + 1, pops.size))
+        counts = np.choose(rng.integers(3, size=pops.size), draws)
+        ids = region_week_ids(regions, weeks)
+        period_major = np.arange(pops.size).reshape(regions, weeks).T.ravel()
+        for order in (np.arange(pops.size), period_major, rng.permutation(pops.size)):
+            yield CountPanel(*(np.asarray(c)[order] for c in (*ids, counts, pops))), rate
+
+
+def order_free(report, keys):
+    """What a report says, with each row it names given by its key in ``keys``."""
+    return (
+        report.bounds.lower,
+        report.bounds.upper,
+        report.lambda_used,
+        report.flagged_cell,
+        report.rejected,
+        dataclasses.replace(report.decision, randomized_set=()),
+        sorted(keys[i] for i in report.decision.randomized_set),
+        dict(zip(keys, zip(report.bounds.sf_left.tolist(), report.bounds.sf_right.tolist()))),
+    )
+
+
 class TestPanelBrackets:
-    def test_equals_the_per_model_pass(self):
-        # Seeded panels mixing int and float populations, means from 1e-12 to
-        # 1e8, and counts of zero, Poisson draws and values up to 1e6.
+    @staticmethod
+    def counting_sf(monkeypatch):
+        """The points of every ``_poisson_sf`` call ``_panel_brackets`` makes, as a list."""
+        points = []
+        sf = surveillance._poisson_sf
+
+        def counting(k, mean):
+            points.append(np.size(k))
+            return sf(k, mean)
+
+        monkeypatch.setattr(surveillance, "_poisson_sf", counting)
+        return points
+
+    def test_equals_the_per_model_pass(self, monkeypatch):
+        # Both the one-table path and the two direct calls must be taken.
+        points = self.counting_sf(monkeypatch)
+        calls = set()
         rng = np.random.default_rng(4242)
-        for _ in range(400):
-            n = int(rng.integers(1, 30))
-            rate = float(10.0 ** rng.uniform(-12, -6))
-            targets = 10.0 ** rng.uniform(-12, 8, n)
-            cells = []
-            for i, target in enumerate(targets):
-                pop = target / rate
-                if rng.random() < 0.5:
-                    pop = max(1, round(pop))
-                kind = int(rng.integers(3))
-                count = (0, int(rng.poisson(rate * pop)), int(rng.integers(0, 10**6 + 1)))[kind]
-                cells.append(cell(f"R{i}", "1", count, pop))
-            panel = panel_of(cells)
+        for panel, rate in (*scattered_panels(rng), *shared_population_panels(rng)):
             expected = _survival_brackets(
                 null_distributions(panel, rate), panel.counts.tolist()
             )
+            points.clear()
             got = surveillance._panel_brackets(panel.counts, panel.populations, rate)
+            calls.add(len(points))
             for g, e in zip(got, expected, strict=True):
                 assert np.array_equal(g, e)
                 assert g.dtype == e.dtype == np.float64
+        assert calls == {1, 2}
+
+    def test_a_table_never_outgrows_the_direct_calls(self, monkeypatch):
+        # One run whose counts span 2**52 integers, and a 1040-cell run holding
+        # one count of 10**6: each table would dwarf its panel.
+        counts = np.random.default_rng(1040).poisson(10.0, 1040)
+        counts[517] = 10**6
+        panels = (
+            panel_of((cell("A", "1", 0), cell("A", "2", 2**52))),
+            panel_of(cell("R", f"W{w}", int(c)) for w, c in enumerate(counts)),
+        )
+        points = self.counting_sf(monkeypatch)
+        for panel in panels:
+            points.clear()
+            got = surveillance._panel_brackets(panel.counts, panel.populations, 1e-5)
+            assert sum(points) <= 2 * panel.n
+            expected = _survival_brackets(
+                null_distributions(panel, 1e-5), panel.counts.tolist()
+            )
+            for g, e in zip(got, expected, strict=True):
+                assert np.array_equal(g, e)
+
+    def test_row_order_changes_no_report(self):
+        # A 20 x 52 region-major panel with three 8x outbreaks, and the same
+        # cells period-major: the first scores runs of equal means, the second none.
+        rng = np.random.default_rng(2052)
+        pops = np.repeat(np.rint(rng.lognormal(np.log(5e5), 0.6, 20)), 52)
+        means = 2e-5 * pops
+        means[rng.choice(pops.size, 3, replace=False)] *= 8.0
+        region_major = CountPanel(*region_week_ids(20, 52), rng.poisson(means), pops)
+        order = np.arange(pops.size).reshape(20, 52).T.ravel()
+        period_major = CountPanel(*(np.asarray(c)[order] for c in columns(region_major)))
+        runs = (
+            lambda p: [epidemic_test(p, alpha=0.001, seed=3)],
+            lambda p: [epidemic_test(p, lam=2e-5, alpha=0.001)],
+            lambda p: peel_test(p, lam=2e-5, alpha=0.001, seed=7),
+            lambda p: peel_test(p, alpha=0.001, seed=7),
+        )
+        for run in runs:
+            said = []
+            for panel in (region_major, period_major):
+                reports = run(panel)
+                assert reports[0].rejected is True  # an outbreak is found
+                keys, rounds = list(zip(panel.region_ids, panel.period_ids)), []
+                for report in reports:  # each round's kept rows, in panel order
+                    rounds.append(order_free(report, keys))
+                    keys.remove(report.flagged_cell)
+                said.append(rounds)
+            assert said[0] == said[1]
 
     def test_mean_out_of_range_raises_what_poisson_raises(self):
         # 1e300 * 1e10 overflows to inf; 1e-300 * 1e-30 underflows to 0.
