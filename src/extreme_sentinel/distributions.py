@@ -8,7 +8,12 @@ F(x-), point masses, and the generalized inverse
 used for inverse-transform sampling.  N satisfies F(N(omega)) >= omega and
 F(z) > omega implies z > N(omega).  For every discrete model N is one
 search on a lazily cached CDF ladder: the support points and F at them.
-Survival counterparts (``sf``, ``sf_left``) are first class so tail
+That search, and the support lookups of ``TabulatedDiscrete``, go
+through ``_SortedTable``: on calls of 1024 values or more, a bucket
+guide over the table sends each value straight to its index, the one
+``np.searchsorted`` returns, bit for bit.  Values that share a bucket
+with two or more entries, and smaller calls, use ``np.searchsorted``
+itself.  Survival counterparts (``sf``, ``sf_left``) are first class so tail
 quantities close to 1 keep full relative precision instead of dying in
 1 - cdf cancellation.
 
@@ -184,21 +189,106 @@ class NullDistribution(ABC):
         return self.skorokhod_quantile(stream.uniform_open(size))
 
 
+# Calls with fewer needles go straight to np.searchsorted.  Timed with
+# fresh uniform needles per call (Xeon, numpy 2.4), np.searchsorted wins or
+# ties up to 512 needles on 5- and 30-point tables, and the guide wins from
+# 768 on; at 1024 needles it takes 13 against 20 us on a 5-point table,
+# 19 against 28 us on a 30-point ladder and 18 against 74 us on a
+# 4372-point one.
+_GUIDE_MIN_NEEDLES = 1024
+
+# Buckets per table entry.  On 5- to 30-point ladders one bucket per entry
+# sends 3-18% of uniform needles to the fallback search, four send under 2%.
+_GUIDE_BUCKETS_PER_ENTRY = 4
+
+
+class _SortedTable:
+    """A non-decreasing float64 table with an exact bucket-guided search.
+
+    ``search(x, side)`` returns exactly ``np.searchsorted(values, x, side)``
+    for a float64 array ``x`` without NaN.  The guide (Chen & Asau 1974;
+    Devroye 1986, section III.2) maps a needle to the bucket
+    ``key(x) = floor((clip(x, t[0], t[-1]) - t[0]) * scale)``, with about
+    four buckets per entry.  Each step of that map is monotone in IEEE
+    arithmetic, clipping first keeps every product finite, and so key
+    never decreases as x grows: an entry in an earlier bucket than the
+    needle's is below it, an entry in a later bucket above it.  A needle
+    whose bucket holds at most one entry therefore lands at
+    ``first + (t[first] < x)`` (``<=`` for side "right"), where ``first``
+    counts the entries of the earlier buckets.  The needle's bucket is
+    never past the one holding t[-1], so ``first`` is a valid index.
+
+    Needles in a bucket of two or more entries go to ``np.searchsorted``,
+    and so do whole calls below ``_GUIDE_MIN_NEEDLES`` (1024) needles, the
+    measured crossover under which np.searchsorted is as fast, and tables
+    whose scale is not a positive finite float: one-point and flat tables,
+    and spans that overflow or are too small to divide by.  The guide is
+    built on the first call large enough to use it and kept here, beside
+    the table.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._guide = None
+
+    @staticmethod
+    def _keys(x, low, high, scale):
+        b = np.clip(x, low, high)
+        b -= low
+        b *= scale
+        return b.astype(np.intp)
+
+    def _build(self):
+        t = self.values
+        low, high = float(t[0]), float(t[-1])
+        scale = _GUIDE_BUCKETS_PER_ENTRY * t.size / (high - low) if high > low else math.inf
+        if not 0.0 < scale < math.inf:
+            return ()
+        count = np.bincount(self._keys(t, low, high, scale))
+        first = np.cumsum(count) - count
+        # -1 marks a bucket of two or more entries; the NaN it reads from the
+        # padded table compares false with every needle, so the mark survives.
+        first[count > 1] = -1
+        return low, high, scale, first, np.append(t, np.nan)
+
+    def search(self, x: np.ndarray, side: str) -> np.ndarray:
+        if x.size < _GUIDE_MIN_NEEDLES:
+            return np.searchsorted(self.values, x, side)
+        if self._guide is None:
+            self._guide = self._build()
+        if not self._guide:
+            return np.searchsorted(self.values, x, side)
+        low, high, scale, first, padded = self._guide
+        i = first[self._keys(x, low, high, scale)]
+        i += padded[i] < x if side == "left" else padded[i] <= x
+        if i.min() < 0:
+            crowded = i < 0
+            i[crowded] = np.searchsorted(self.values, x[crowded], side)
+        return i
+
+
 class _Discrete(NullDistribution):
     """Shared inverse for discrete models.
 
     Each subclass provides ``_ladder``: its support points, increasing,
-    and F at those points.  F is exactly 0 below the first point and the
-    last point takes every omega past the table, so the search below is
-    the exact sup-form inverse for every omega in (0, 1).  It also
-    provides ``_log_mass``, the log point mass (-inf off the support),
-    which stays finite where ``mass`` underflows to 0.
+    and F at those points, non-decreasing.  F is exactly 0 below the
+    first point and the last point takes every omega past the table, so
+    the search below is the exact sup-form inverse for every omega in
+    (0, 1).  The search is ``_SortedTable``'s over F, which returns
+    ``np.searchsorted``'s index in constant time per omega on large
+    calls.  Each subclass also provides ``_log_mass``, the log point mass
+    (-inf off the support), which stays finite where ``mass`` underflows
+    to 0.
     """
+
+    @cached_property
+    def _ladder_table(self):
+        return _SortedTable(self._ladder[1])
 
     def skorokhod_quantile(self, omega):
         om = _check_open_unit(omega)
-        pts, cdf = self._ladder
-        idx = np.minimum(np.searchsorted(cdf, om, side="left"), pts.size - 1)
+        pts = self._ladder[0]
+        idx = np.minimum(self._ladder_table.search(om, "left"), pts.size - 1)
         return _ret(omega, pts[idx])
 
 
@@ -440,33 +530,36 @@ class TabulatedDiscrete(_Discrete):
         object.__setattr__(self, "masses", tuple(float(v) for v in m))
         object.__setattr__(self, "_sup", sup)
         object.__setattr__(self, "_m", m)
-        # cum[i] = mass at or below point i; tail[i] = mass at or above point i
-        object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(m)]))
-        object.__setattr__(self, "_tail", np.concatenate([np.cumsum(m[::-1])[::-1], [0.0]]))
-        object.__setattr__(self, "_ladder", (sup, self._cum[1:]))
+        # cum[i] = mass at or below point i; tail[i] = mass at or above point i.
+        # Masses may sum to 1 within 1e-12, so both are clipped at 1 and end at
+        # exactly 1: F reaches 1.0 at the last point and S is 1.0 at the first.
+        cum = np.concatenate([[0.0], np.minimum(np.cumsum(m), 1.0)])
+        tail = np.concatenate([np.minimum(np.cumsum(m[::-1])[::-1], 1.0), [0.0]])
+        cum[-1] = tail[0] = 1.0
+        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_ladder", (sup, cum[1:]))
+
+    @cached_property
+    def _support_table(self):
+        return _SortedTable(self._sup)
 
     def cdf(self, x):
-        idx = np.searchsorted(self._sup, _check_finite(x), side="right")
-        return _ret(x, self._cum[idx])
+        return _ret(x, self._cum[self._support_table.search(_check_finite(x), "right")])
 
     def sf(self, x):
-        idx = np.searchsorted(self._sup, _check_finite(x), side="right")
-        return _ret(x, self._tail[idx])
+        return _ret(x, self._tail[self._support_table.search(_check_finite(x), "right")])
 
     def cdf_left(self, x):
-        idx = np.searchsorted(self._sup, _check_finite(x), side="left")
-        return _ret(x, self._cum[idx])
+        return _ret(x, self._cum[self._support_table.search(_check_finite(x), "left")])
 
     def sf_left(self, x):
-        idx = np.searchsorted(self._sup, _check_finite(x), side="left")
-        return _ret(x, self._tail[idx])
+        return _ret(x, self._tail[self._support_table.search(_check_finite(x), "left")])
 
     def mass(self, x):
         xa = _check_finite(x)
-        idx = np.searchsorted(self._sup, xa, side="left")
-        idx_c = np.minimum(idx, self._sup.size - 1)
-        hit = self._sup[idx_c] == xa
-        return _ret(x, np.where(hit, self._m[idx_c], 0.0))
+        idx = np.minimum(self._support_table.search(xa, "left"), self._sup.size - 1)
+        return _ret(x, np.where(self._sup[idx] == xa, self._m[idx], 0.0))
 
     def _log_mass(self, x):
         # The masses are given, so none underflows: log 0 = -inf off the support.

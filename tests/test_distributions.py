@@ -5,7 +5,9 @@ summation for small-mean Poisson CDFs, exact rational arithmetic for the
 binomial, and frozen 40-digit incomplete-gamma evaluations for large means.
 """
 
+import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +188,38 @@ class TestTabulatedDiscrete:
         with pytest.raises(ParameterError):
             TabulatedDiscrete((), ())
 
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (0.1, 0.2, 0.7000000000005),  # sums past 1
+            (0.1, 0.2, 0.6999999999995),  # sums short of 1
+            (0.3, 0.7 + 6e-13, 1e-13),  # F passes 1 before a tiny last mass
+            (1e-13, 0.7 + 6e-13, 0.3),  # S passes 1 after a tiny first mass
+        ],
+    )
+    def test_table_ends_are_exactly_one(self, masses):
+        support = np.arange(len(masses), dtype=float)
+        d = TabulatedDiscrete(tuple(support), masses)
+        _, cdf = d._ladder
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[0] > 0.0 and cdf[-1] == 1.0
+        assert d.cdf(support[-1]) == d.sf_left(support[0]) == 1.0
+        assert d.cdf(9.0) + d.sf(9.0) == 1.0 and d.cdf_left(-9.0) + d.sf_left(-9.0) == 1.0
+        tail = np.asarray(d.sf_left(support))
+        assert np.all(np.diff(tail) <= 0.0) and np.all(tail <= 1.0)
+        # Each entry of the clipped table is within 1e-12 of the plain running sums.
+        assert np.max(np.abs(cdf - np.cumsum(masses))) <= 1e-12
+        assert np.max(np.abs(tail - np.cumsum(masses[::-1])[::-1])) <= 1e-12
+        # Sampling reads the same points as a search on the plain running sums.
+        u = np.concatenate([
+            RandomStream(5).uniform_open(5000),
+            [0.3, 0.9999999999995, 1.0 - 1e-13, np.nextafter(1.0, 0.0)],
+            np.nextafter(np.cumsum(masses)[:-1], 0.0),
+        ])
+        u = u[u < 1.0]
+        plain = np.minimum(np.searchsorted(np.cumsum(masses), u), len(masses) - 1)
+        for omega in (u, u[:100]):  # guided and plain searches
+            assert np.array_equal(d.skorokhod_quantile(omega), support[plain[: omega.size]])
+
     def test_tail_table_is_cancellation_free(self):
         masses = (0.5, 0.25, 0.25 - 1e-13, 1e-13)
         d = TabulatedDiscrete((0.0, 1.0, 2.0, 3.0), masses)
@@ -334,6 +368,25 @@ def test_ladder_matches_cdf_and_covers_the_unit_interval():
         assert dist.cdf(pts[0] - 1.0) == 0.0
 
 
+def test_every_ladder_rises_from_above_zero_to_one():
+    # The guided search is exact only on a non-decreasing table.
+    rng = np.random.default_rng(2410)
+    probs = (0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0)
+    models = [Poisson(float(m)) for m in np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 80))]
+    models += [
+        Binomial(int(n), float(p))
+        for n, p in zip(np.exp(rng.uniform(0.0, math.log(1e5), 80)).astype(int), rng.choice(probs, 80))
+    ]
+    models += [Binomial(10**5, p) for p in probs] + [Binomial(1895, 0.3176706067668721)]
+    for size in rng.integers(1, 200, 40):
+        masses = rng.exponential(1.0, size) ** 8
+        masses /= masses.sum()
+        models.append(TabulatedDiscrete(tuple(np.cumsum(rng.uniform(0.1, 2.0, size))), tuple(masses)))
+    for dist in models:
+        cdf = dist._ladder[1]
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[0] > 0.0 and cdf[-1] == 1.0, dist
+
+
 def test_poisson_quantile_frozen_at_large_mean():
     omega = [1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
     expected = [963182, 992974, 999475, 1000000, 1007043, 1008172]
@@ -416,3 +469,109 @@ def test_randomized_pit_evaluates_each_integer_once(monkeypatch, dist, owner, na
     monkeypatch.setattr(owner, name, counted)
     randomized_pit(dist, x, u)
     assert 0 < sum(points) <= 2 * (x.max() - x.min() + 2)
+
+
+def searchsorted_reference(dist, x, unit):
+    """The guided lookups of ``dist`` at x, each from one plain ``np.searchsorted``.
+
+    With ``unit`` the inverse on the ladder, otherwise the five support lookups.
+    """
+    x = np.asarray(x, dtype=float)
+    if unit:
+        pts, cdf = dist._ladder
+        return {"skorokhod_quantile": pts[np.minimum(np.searchsorted(cdf, x, side="left"), pts.size - 1)]}
+    left, right = (np.searchsorted(dist._sup, x, side=side) for side in ("left", "right"))
+    at = np.minimum(left, dist._sup.size - 1)
+    return {
+        "cdf": dist._cum[right],
+        "sf": dist._tail[right],
+        "cdf_left": dist._cum[left],
+        "sf_left": dist._tail[left],
+        "mass": np.where(dist._sup[at] == x, dist._m[at], 0.0),
+    }
+
+
+def random_guided_model(rng, i):
+    """Model i of the differential: tabulated supports of every shape, and small integer models."""
+    kind = i % 10
+    if kind == 0:
+        return Poisson(float(np.exp(rng.uniform(math.log(1e-3), math.log(300.0)))))
+    if kind == 1:
+        return Binomial(int(rng.integers(0, 120)), float(rng.choice([0.0, 1e-12, rng.random(), 1.0])))
+    size = int(rng.integers(1, 3)) if kind == 2 else int(rng.integers(2, 60))
+    if kind in (3, 4):  # clustered: a few tight clumps far apart
+        clumps = rng.uniform(-1e3, 1e3, 3)
+        support = np.unique(rng.choice(clumps, size) + rng.uniform(0.0, 1e-9, size) * 1e3)
+    elif kind == 5:  # spans of every scale, overflowing ones included
+        support = np.unique(rng.uniform(-1.0, 1.0, size) * 10.0 ** float(rng.integers(-310, 309)))
+    else:
+        support = np.cumsum(rng.uniform(0.1, 3.0, size)) - 20.0
+    masses = rng.exponential(1.0, support.size) ** float(rng.choice([1.0, 12.0]))
+    return TabulatedDiscrete(tuple(support), tuple(masses / masses.sum()))
+
+
+def guided_needles(rng, table, guide, unit):
+    """Random needles, the table's entries and their neighbours, and both sides of bucket edges.
+
+    ``unit`` keeps them inside (0, 1), for the inverse.
+    """
+    near = rng.choice(table, 100)
+    if guide:
+        low, _, scale, first, _ = guide
+        near = np.concatenate([near, low + rng.integers(0, first.size + 1, 100) / scale])
+    if unit:
+        spread = rng.uniform(0.0, 1.0, 1100)
+    elif np.ptp(table) < 1e300:
+        spread = rng.uniform(table[0] - 1.0, table[-1] + 1.0, 1100)
+    else:
+        spread = rng.uniform(-1.0, 1.0, 1100) * 1e308
+    needles = np.concatenate([
+        spread, near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), [-1e308, 1e308],
+    ])
+    if unit:
+        needles = needles[(needles > 0.0) & (needles < 1.0)]
+    rng.shuffle(needles)
+    return needles
+
+
+def test_guided_lookups_equal_searchsorted_on_random_models():
+    rng = np.random.default_rng(1974)
+    guided = 0
+    for i in range(3000):
+        dist = random_guided_model(rng, i)
+        lookups = [(dist._ladder_table, True, ("skorokhod_quantile",))]
+        if isinstance(dist, TabulatedDiscrete):
+            lookups.append((dist._support_table, False, ("cdf", "cdf_left", "sf", "sf_left", "mass")))
+        for table, unit, methods in lookups:
+            getattr(dist, methods[0])(np.full(1024, 0.5))  # builds the guide, if any
+            big = guided_needles(rng, table.values, table._guide, unit)
+            small = big[:7]
+            shapes = [big]
+            if i % 7 == 0:  # every shape on a seventh of the models, the long array on all
+                shapes += [big[:1024].reshape(32, 32), small, small.tolist(), np.empty(0), np.empty((0, 2))]
+            for x in shapes + [small[0]]:
+                want = searchsorted_reference(dist, x, unit)
+                for method in methods:
+                    got = getattr(dist, method)(x)
+                    if np.ndim(x) == 0:  # scalar in, float out
+                        assert type(got) is float and got == want[method]
+                        continue
+                    assert type(got) is np.ndarray and got.dtype == want[method].dtype == np.float64
+                    assert got.shape == want[method].shape and np.array_equal(got, want[method]), (dist, method)
+            guided += bool(table._guide)
+    assert guided > 3000  # most of the 5400 tables ran on a guide
+
+
+def test_seeded_tabulated_sample_is_pinned_and_the_guide_is_no_field():
+    # These draws need no scipy: numpy's PCG64 and one guided search.
+    d = TabulatedDiscrete((-3.0, 0.0, 0.5, 2.0, 7.25, 100.0), (0.05, 0.3, 0.15, 0.25, 0.2, 0.05))
+    x = d.sample(RandomStream(20261019), (300, 400))
+    digest = "09026f5431aa27e152eadda3e68bd4f98a1fbef85ff956c09be94b9e16b956a8"
+    assert x.shape == (300, 400) and hashlib.sha256(x.tobytes()).hexdigest() == digest
+    d.cdf(x)
+    assert d._ladder_table._guide and d._support_table._guide
+    fresh = TabulatedDiscrete(d.support, d.masses)
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and np.array_equal(copy.sf_left(x), fresh.sf_left(x))
+    assert hashlib.sha256(copy.sample(RandomStream(20261019), (300, 400)).tobytes()).hexdigest() == digest
