@@ -147,16 +147,19 @@ def _text_fault(count: str, population: str) -> str | None:
 def _csv_columns(path: Path, data: bytes) -> tuple[tuple, Sequence[int], tuple | None]:
     """The file's stripped text columns as ``csv.reader`` reads them, their lines, any ragged row.
 
-    The ragged row is the first row without four fields, as (row,
-    reason), or None; the columns hold the rows before it.  Blank lines
-    are skipped.  A file that cannot be read, or whose header is wrong,
-    raises PanelFormatError.
+    A row's line is the one its record starts on.  The ragged row is the
+    first row without four fields, as (row, reason), or None; the columns
+    hold the rows before it.  Blank lines are skipped.  A file that cannot
+    be read, or whose header is wrong, raises PanelFormatError.
     """
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             # A tuple of strings leaves the garbage collector's watch; a list does not.
-            rows = list(map(tuple, reader))
+            rows, ends = [], [0]  # ends[i]: the line record i - 1 ends on
+            for row in reader:
+                rows.append(tuple(row))
+                ends.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:
@@ -167,7 +170,7 @@ def _csv_columns(path: Path, data: bytes) -> tuple[tuple, Sequence[int], tuple |
         raise PanelFormatError(
             f"{path}:1: expected header {','.join(HEADER)}, got {','.join(rows[0])!r}"
         )
-    body, lines = rows[1:], range(2, len(rows) + 1)
+    body, lines = rows[1:], [end + 1 for end in ends[1:-1]]
     fault = None  # the first bad row and its reason
     if set(map(len, body)) != {4}:
         lines = [line for line, row in zip(lines, body) if row]  # blank lines are skipped
@@ -227,9 +230,9 @@ def ingest(input_path) -> CountPanel:
     numbers there is no text fault, otherwise one scan checks each row's
     count literal, then a missing population, then the population
     literal.  ``CountPanel``'s panel rules come next, so a bad literal
-    is reported before any bad value.  Errors name the line of the first
-    bad row: the panel rules run again, naming lines, only when the
-    panel refuses the columns.
+    is reported before any bad value.  Errors name the line on which the
+    first bad record starts: the panel rules run again, naming lines,
+    only when the panel refuses the columns.
     """
     path = _path(input_path, "input path")
     try:
@@ -267,12 +270,15 @@ def write_panel(panel: CountPanel, output_path) -> None:
     path = _path(output_path, "output path")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # Before Python 3.13 csv.writer leaves a bare '\r' unquoted: such rows are quoted whole.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(HEADER)
         for row in zip(
             panel.region_ids, panel.period_ids, panel.counts.tolist(), panel.populations.tolist()
         ):
             pop = row[3]
-            writer.writerow([*row[:3], str(int(pop)) if pop.is_integer() else repr(pop)])
+            fields = [*row[:3], str(int(pop)) if pop.is_integer() else repr(pop)]
+            (quoted if "\r" in row[0] + row[1] else writer).writerow(fields)
 
 
 def _report_payload(report: EpidemicReport) -> dict:

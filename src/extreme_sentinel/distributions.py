@@ -50,6 +50,18 @@ __all__ = [
     "ContinuousByCdf",
 ]
 
+def _lift_zeros(u):
+    """``u``, a float or a float array lifted in place, with each 0.0 set to 2**-54.
+
+    ``Generator.random`` rounds [0, 2**-53) down to 0.0; 2**-54 is the middle of that step.
+    """
+    if isinstance(u, float):
+        return u or 2.0**-54
+    if u.size and u.min() == 0.0:
+        u[u == 0.0] = 2.0**-54
+    return u
+
+
 class RandomStream:
     """Deterministic, seedable source of uniforms on the open interval (0, 1).
 
@@ -69,29 +81,21 @@ class RandomStream:
     def uniform_open(self, size: int | tuple | None = None):
         """Draw uniforms strictly inside (0, 1); scalar when size is None.
 
-        ``size`` is None, a non-negative integer, or a tuple of them.
+        ``size`` is None, a non-negative integer, or a tuple of them.  A
+        drawn 0.0 is lifted to 2**-54, never redrawn: draw i is the i-th double.
         """
         if size is None:
-            u = self._gen.random()
-            while u == 0.0:
-                u = self._gen.random()
-            return u
+            return _lift_zeros(self._gen.random())
         if isinstance(size, tuple):
             size = tuple(_integer(k, "size entry", 0) for k in size)
         else:
             size = _integer(size, "size", 0)
-        u = self._gen.random(size)
-        # The zero mask is built only for a block that holds a 0.0.
-        while not u.all():
-            mask = u == 0.0
-            u[mask] = self._gen.random(int(mask.sum()))
-        return u
+        return _lift_zeros(self._gen.random(size))
 
     def _generator_at(self, offset: int) -> np.random.Generator:
         """A new generator whose draws are this stream's from draw ``offset`` of its seed on.
 
-        Draw i is the i-th double the seeded PCG64 yields, counted before any
-        redraw of a 0.0 by :meth:`uniform_open`; this stream is not moved.
+        Its doubles are raw: a 0.0 among them is not lifted.  This stream is not moved.
         """
         bits = np.random.PCG64(self._seq)
         bits.advance(offset)

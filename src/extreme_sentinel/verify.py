@@ -33,10 +33,9 @@ thread per CPU the process may use (``os.sched_getaffinity``, else
 ``os.cpu_count()``), at most one per piece, and inline when there is one
 piece.  Workers fill reused blocks and run numpy on plain arrays only;
 every model method, and every ``cdf_fn`` of a continuous cell, runs on
-the calling thread.  ``uniform_open`` redraws a 0.0, which moves the
-rest of the stream, so a call whose pieces draw a 0.0 is run again chunk
-by chunk through ``uniform_open``: a result does not depend on the
-number of CPUs, bit for bit.
+the calling thread, in one call over all trials.  A piece lifts a drawn
+0.0 as ``uniform_open`` does, so a result does not depend on the number
+of CPUs, bit for bit.
 
 The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
@@ -55,6 +54,7 @@ from .distributions import (
     Poisson,
     RandomStream,
     _integer_ladders,
+    _lift_zeros,
     _poisson_cdf,
     _poisson_sf,
 )
@@ -289,16 +289,9 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     trials = config.n_trials
     chunks = [(t, min(_CHUNK, trials - t)) for t in range(0, trials, _CHUNK)]
     rejected = np.zeros(trials, dtype=bool)
-    # The continuous cells' draws, cell by trial, scored by the calling thread.
+    # Pieces write disjoint trials of these; u_cont and v_cont hold the continuous cells' draws.
     u_cont = np.empty((len(cont), trials))
     v_cont = np.empty((len(cont), trials))
-
-    # Pieces write disjoint trials of these arrays.
-    def score(t, u, v):
-        rejected[t : t + u.shape[0]] = tables.reject_rows(u, v)
-        u_cont[:, t : t + u.shape[0]] = u[:, cont].T
-        v_cont[:, t : t + u.shape[0]] = v[:, cont].T
-
     stream = RandomStream(config.seed)
     rows = max(_PIECE_CELLS // n, 1)
     pieces = []
@@ -309,39 +302,35 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
             # start (m - k)n draws after its u rows end.
             pieces.append((stream._generator_at((2 * t + r) * n), t + r, k, (m - k) * n))
 
-    def run(piece) -> bool:
+    def run(piece):
         gen, t, k, skip = piece
         block = _buffer(2 * rows * n)
         try:
-            u, v = block[: k * n], block[k * n : 2 * k * n]
+            drawn = block[: 2 * k * n]
+            u, v = drawn.reshape(2, k, n)
             gen.random(out=u)
             gen.bit_generator.advance(skip)
             gen.random(out=v)
-            # uniform_open would redraw a 0.0 and so move the rest of the stream.
-            if block[: 2 * k * n].min() == 0.0:
-                return False
-            score(t, u.reshape(k, n), v.reshape(k, n))
-            return True
+            _lift_zeros(drawn)
+            rejected[t : t + k] = tables.reject_rows(u, v)
+            u_cont[:, t : t + k] = u[:, cont].T
+            v_cont[:, t : t + k] = v[:, cont].T
         finally:
             _SPARE.append(block)
 
     workers = min(_workers(), len(pieces))
     if workers == 1:
-        drawn = all(map(run, pieces))
+        list(map(run, pieces))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            drawn = all(list(pool.map(run, pieces)))
-    if not drawn:
-        for t, m in chunks:
-            score(t, stream.uniform_open((m, n)), stream.uniform_open((m, n)))
-    for t, m in chunks:
-        for i, j in enumerate(cont):
-            x = laws[j].skorokhod_quantile(u_cont[i, t : t + m])
-            left = np.asarray(dists[j].sf_left(x), dtype=float)
-            right = np.asarray(dists[j].sf(x), dtype=float)
-            rejected[t : t + m] |= _survival_scores(left, right, v_cont[i, t : t + m]) < s
+            list(pool.map(run, pieces))
+    for i, j in enumerate(cont):
+        x = laws[j].skorokhod_quantile(u_cont[i])
+        left = np.asarray(dists[j].sf_left(x), dtype=float)
+        right = np.asarray(dists[j].sf(x), dtype=float)
+        rejected |= _survival_scores(left, right, v_cont[i]) < s
     rate = int(np.count_nonzero(rejected)) / trials
     se = math.sqrt(rate * (1.0 - rate) / trials)
     return SimulationResult(rejection_rate=rate, std_error=se, n_trials=trials)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,28 @@ class TestIngest:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:3: field larger") and "Traceback" not in err
 
+    @pytest.mark.parametrize("spanned", ['"A\nX"', '"A\nX\nY"', '"A\r\nX\rY"'])
+    @pytest.mark.parametrize("blank", ["", "\n"])
+    def test_errors_name_the_line_a_record_starts_on(self, capsys, tmp_path, spanned, blank):
+        # A quoted id that spans lines once shifted every later line named,
+        # as rows were numbered by their index.
+        head = f"region,period,count,population\n{blank}{spanned},1,0,10\n{blank}"
+        at = len(re.findall(r"\r\n|\r|\n", head)) + 1  # the line after head
+        then = at + 1 + len(blank)
+        cases = {
+            "B,1,0\n": f"{at}: expected 4 fields, got 3",
+            "B,1,x,10\n": f"{at}: count must be an integer, got 'x'",
+            f"B,1,1,10\n{blank}B,1,2,10\n": f"{then}: duplicate key, first seen at line {at}",
+        }
+        for tail, says in cases.items():
+            path = tmp_path / "spanned.csv"
+            path.write_bytes((head + tail).encode())
+            with pytest.raises(PanelFormatError) as read:
+                ingest(path)
+            assert str(read.value) == f"{path}:{says}"
+            code, out, err = run_main(capsys, "--input", str(path))
+            assert (code, out, err) == (1, "", f"error: {path}:{says}\n")
+
     def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
         # Spreadsheet programs often start a UTF-8 file with one; it once broke the header.
         path = tmp_path / "bom.csv"
@@ -260,16 +283,20 @@ def reference_rules(rows, where):
 def reference_ingest(path):
     """The per-row reading loop, kept as an oracle: (error message or None, cell rows).
 
-    A leading byte-order mark is dropped, and a csv error names the reader's line.
+    A leading byte-order mark is dropped, a row's line is the one its
+    record starts on, and a csv error names the reader's line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        rows, starts = [], [1]
         try:
-            rows = list(reader)
+            for row in reader:
+                rows.append(row)
+                starts.append(reader.line_num + 1)
         except csv.Error as exc:
             return f"{path}:{reader.line_num}: {exc}", None
     cells, lines = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(starts[1:], rows[1:]):
         if not row:
             continue
         if len(row) != 4:
@@ -389,6 +416,7 @@ DIALECT_FORMS = {
     "padded": False,
     "nul": False,
     "non-ascii id": False,
+    "spanned id": False,
     "oversized field": False,
 }
 
@@ -421,6 +449,8 @@ def dialect_csv(path, forms, rng):
             row[3] = f"{rng.uniform(1, 9):.3f}{rng.choice(['e', 'E', 'e+'])}{rng.integers(3, 7)}"
     if "nul" in forms:
         rows[int(rng.integers(n))][0] += "\x00"
+    if "spanned id" in forms:  # a quoted first id over two or three lines moves every later line
+        rows[0][0] = '"R' + "\n" * int(rng.integers(1, 3)) + '0"'
     if "non-ascii id" in forms:
         k = int(rng.integers(n))
         rows[k][0] = f"Citt\u00e0{k}"
@@ -519,6 +549,35 @@ class TestWritePanel:
             panel = panel_of((("A", "1", 2, pop),))
             write_panel(panel, out)
             assert ingest(out) == panel
+
+    def test_round_trip_ids_that_need_quotes(self, capsys, tmp_path):
+        # csv.writer left a bare '\r' unquoted before Python 3.13, and the
+        # file it wrote was read back as two records.
+        ids = ["a,b", 'say "hi"', "A\nX", "A\rX", "A\r\nX", "A\x85X", "A\u2028X", "A\x0bX"]
+        if sys.version_info >= (3, 11):  # csv.reader refuses NUL before Python 3.11
+            ids.append("A\x00X")
+        out = tmp_path / "ids.csv"
+        panels = [panel_of([(x, "1", 1, 10.0), ("B", x, 2, 20.5)]) for x in ids]
+        panels.append(panel_of([(x, y, 3, 30.0) for x in ids for y in ids]))
+        for panel in panels:
+            write_panel(panel, out)
+            assert ingest(out) == panel
+        write_panel(panel_of([("A\rX", "1", 2, 10.0), ("B", "1", 0, 20.0)]), out)
+        want = b'region,period,count,population\n"A\rX","1","2","10"\nB,1,0,20\n'
+        assert out.read_bytes() == want
+        args = ("--lambda", "0.01", "--format", "json")
+        report = run_main(capsys, "--input", str(out), *args)
+        assert json.loads(report[1])["flagged_region"] == "A\rX"
+        copy = tmp_path / "copy.csv"
+        write_panel(ingest(out), copy)
+        assert run_main(capsys, "--input", str(copy), *args) == report
+
+    def test_a_panel_without_carriage_returns_keeps_its_bytes(self, tmp_path):
+        # Only a row with a '\r' in an id is quoted, so other files stay plain.
+        out = tmp_path / "copy.csv"
+        write_panel(ingest(FIXTURE), out)
+        assert out.read_bytes() == Path(FIXTURE).read_bytes()
+        assert cli._plain_columns(out.read_bytes()) is not None
 
     def test_output_path_that_is_not_a_path(self, tmp_path):
         # An int once named a file descriptor: the panel was written to it and it was closed.

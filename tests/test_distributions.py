@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
+from zero_draws import zero_draws
 
 from extreme_sentinel import distributions
 from extreme_sentinel.distributions import (
@@ -346,6 +347,50 @@ class TestRandomStream:
         a = [s.uniform_open(4).tolist() for s in RandomStream(99).spawn(2)]
         b = [s.uniform_open(4).tolist() for s in RandomStream(99).spawn(2)]
         assert a == b
+
+    def test_seeded_streams_are_pinned(self):
+        # Digests of the draws as the seeded PCG64 yields them: a change to
+        # the draw rule that moves any draw changes one of them.
+        def digest(values):
+            return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+        blocks = {
+            0: "a010c6a86bb92e830f53f1359dc36fba9536ae188f63400da8abad59f3a2f844",
+            1: "0d09537b8430ea92e03aa285e81f9b8ff37ab2c2139c7e3dc4f17dc7b22657b0",
+            2**62: "0d13a513286d557d75705f7c4dd93cff8d3f3f41e74804f3609437cea87aa978",
+        }
+        for seed, want in blocks.items():
+            assert digest(RandomStream(seed).uniform_open(10**6)) == want, seed
+        scalars = [RandomStream(seed).uniform_open() for seed in range(1000)]
+        assert digest(scalars) == "067341473f1e6e0be15ec7055bf3e46742c942196e0e5c4b580e0cfe68fce25b"
+        samples = {
+            Poisson(3.7): "26d77fcddfe2a61eb73e505a9e8425cc415aa3ca4ca45237d7ccf93867ed80ac",
+            Binomial(25, 0.3): "b3414d79aa078c4637fd5f74451bb497f1778379a7f945e4649e2f7dcf11cbcc",
+        }
+        for dist, want in samples.items():
+            assert digest(dist.sample(RandomStream(0), 20_000)) == want, dist
+
+    def test_a_drawn_zero_is_lifted_and_moves_no_later_draw(self, monkeypatch):
+        def draws(stream):
+            head = [stream.uniform_open() for _ in range(4)]
+            block = stream.uniform_open((3, 4)).ravel().tolist()
+            return head + block + [stream.uniform_open() for _ in range(4)]
+
+        want = np.array(draws(RandomStream(3)))
+        zeros = (2, 4, 5, 15, 16, 19)
+        want[list(zeros)] = 2.0**-54
+        hits = zero_draws(monkeypatch, zeros)
+        assert draws(RandomStream(3)) == want.tolist()
+        assert hits == list(zeros)
+        assert np.all(RandomStream(3).uniform_open(20) == want)
+
+    def test_lift_zeros(self):
+        u = np.array([0.5, 0.0, 2.0**-53, 0.0])
+        assert distributions._lift_zeros(u) is u
+        assert u.tolist() == [0.5, 2.0**-54, 2.0**-53, 2.0**-54]
+        assert distributions._lift_zeros(0.0) == 2.0**-54
+        assert distributions._lift_zeros(0.25) == 0.25
+        assert distributions._lift_zeros(np.empty((0, 3))).shape == (0, 3)
 
     def test_bad_seed_rejected(self):
         for seed in ("not-a-seed", -1, 2.5, True, None, (1, 2)):

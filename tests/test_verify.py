@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from zero_draws import zero_draws
 
 from extreme_sentinel import distributions, verify
 from extreme_sentinel.cli import ingest
@@ -373,41 +374,29 @@ class TestPieces:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_zero_draw_reruns_the_call_through_uniform_open(self, monkeypatch):
-        template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
-        cfg = SimulationConfig(template, 0.1, 25_000, 4, Alternative(0, Poisson(4.0)))
+    # Positions in the stream of 21,000 trials of 4 cells, each in a piece's
+    # u or v block: the first and last draw of each block of the first
+    # chunk, draws of the continuous cells 2 and 3, and the second chunk.
+    @pytest.mark.parametrize(
+        "zero", [0, 12_071, 79_999, 80_000, 100_002, 159_999, 162_003, 167_999]
+    )
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_a_zero_draw_scores_as_the_lifted_stream(self, monkeypatch, zero, workers):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        template = (
+            Poisson(1.3),
+            Binomial(10, 0.3),
+            Uniform01(),
+            ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0),
+        )
+        cfg = SimulationConfig(template, 0.2, 21_000, 17, Alternative(0, Poisson(4.0)))
+        hits = zero_draws(monkeypatch, (zero,))
+        # uniform_open lifts the 0.0; a continuous cell's quantile would refuse it.
         expected = reference_simulate(cfg)
-        # The first piece of the second chunk finds a 0.0 in its v block.
-        zeroed = 2 * verify._CHUNK * len(template)
-        at = RandomStream._generator_at
-
-        class ZeroInV:
-            def __init__(self, gen):
-                self.gen, self.bit_generator, self.blocks = gen, gen.bit_generator, 0
-
-            def random(self, out):
-                self.gen.random(out=out)
-                self.blocks += 1
-                if self.blocks == 2:
-                    out[out.size // 2] = 0.0
-                return out
-
-        def generator_at(stream, offset):
-            gen = at(stream, offset)
-            return ZeroInV(gen) if offset == zeroed else gen
-
-        blocks = []
-        uniform_open = RandomStream.uniform_open
-
-        def counted(stream, size=None):
-            blocks.append(size)
-            return uniform_open(stream, size)
-
-        monkeypatch.setattr(RandomStream, "_generator_at", generator_at)
-        monkeypatch.setattr(RandomStream, "uniform_open", counted)
+        assert hits == [zero]
         assert simulate_size_and_power(cfg) == expected
-        # Both chunks were drawn again, u block then v block.
-        assert blocks == [(20_000, 3), (20_000, 3), (5000, 3), (5000, 3)]
+        assert hits == [zero, zero]
 
     def test_model_methods_run_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(verify, "_PIECE_CELLS", 64)
