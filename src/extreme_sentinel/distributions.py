@@ -23,8 +23,8 @@ models (``Poisson``, ``Binomial``) evaluate F once per integer of their
 range and gather, so scoring many draws costs one special-function call
 per distinct value, not per draw.
 
-Only ``Binomial`` uses ``scipy.stats``, and it imports it on its first
-call, so importing the package loads ``scipy.special`` alone.
+Of scipy the models need ``scipy.special`` alone: ``Binomial`` calls the
+Boost ufuncs that ``scipy.stats.binom`` runs, so no path loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, ParameterError, _array, _integer, _real, _seed
+from .errors import DomainError, ParameterError, SizeError, _array, _integer, _real, _seed
 
 __all__ = [
     "RandomStream",
@@ -329,6 +329,32 @@ def _ranges(sizes):
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
+# Every integer of magnitude below 2**53 is a float, so a range inside it
+# can be rebuilt exactly from its low end.
+_EXACT_INTEGERS = 2.0**53
+
+# The most points one ``_integer_ladders`` call builds, summed over its
+# ladders.  Every ladder of the test suite stays below 7e5 points; past this
+# cap the window arrays alone take gigabytes, or no allocator grants them.
+_LADDER_POINTS_MAX = 2**24
+
+
+def _window_sizes(lo, hi):
+    """The number of points of each window [lo, hi], as floats.
+
+    ``SizeError`` past ``_LADDER_POINTS_MAX`` points in all, summed as
+    floats so that no window overflows the check, or for a window reaching
+    2**53, where its points are not all floats and a step may not move it.
+    """
+    sizes = hi - lo + 1.0
+    total = float(sizes.sum())
+    if total > _LADDER_POINTS_MAX:
+        raise SizeError(f"CDF ladders of {total:.3g} points are too large to build")
+    if hi.max(initial=0.0) >= _EXACT_INTEGERS:
+        raise SizeError("a CDF ladder reaching 2**53 is too large to build")
+    return sizes
+
+
 def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     """The CDF ladders of many integer-support models, in one array pass.
 
@@ -338,10 +364,12 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     from just after the last F == 0.0 to the first F == 1.0, so F rises
     along it even where a special function returns a stray 0 in the far
     lower tail.  Returns the concatenated points and F, and each ladder's
-    number of points.
+    number of points.  Windows of more than ``_LADDER_POINTS_MAX`` points
+    in all, before or after widening, raise ``SizeError``.
     """
     mean = np.asarray(mean, dtype=float)
     lo, hi = _ladder_window(mean, np.asarray(sd, dtype=float), top)
+    _window_sizes(lo, hi)  # before widening too: past 2**53 a step may not move a window
     step = np.maximum(hi - lo, 1.0)
     i = np.flatnonzero(lo > 0.0)
     while i.size:
@@ -352,7 +380,7 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     while i.size:
         i = i[cdf_at(hi[i], i) < 1.0]
         hi[i] += step[i]
-    sizes = (hi - lo + 1.0).astype(np.intp)
+    sizes = _window_sizes(lo, hi).astype(np.intp)
     pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
     cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
     starts = np.cumsum(sizes) - sizes
@@ -361,11 +389,6 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     sizes = np.minimum.reduceat(np.where(cdf >= 1.0, at, pts.size), starts) + 1 - first
     keep = _ranges(sizes) + np.repeat(first, sizes)
     return pts[keep], cdf[keep], sizes
-
-
-# Every integer of magnitude below 2**53 is a float, so a range inside it
-# can be rebuilt exactly from its low end.
-_EXACT_INTEGERS = 2.0**53
 
 
 def _on_integers(fn, k):
@@ -400,6 +423,13 @@ class _IntegerSupport(_Discrete):
 
     def sf_left(self, x):
         return _ret(x, _on_integers(self._sf_at, np.ceil(_check_finite(x)) - 1.0))
+
+
+def _on_support(x, top=math.inf):
+    """Whether each finite point x is an integer in [0, top], and x there, 0 elsewhere."""
+    xa = _check_finite(x)
+    on = (xa >= 0.0) & (xa <= top) & (np.floor(xa) == xa)
+    return on, np.where(on, xa, 0.0)
 
 
 def _poisson_cdf(k, mean):
@@ -437,9 +467,7 @@ class Poisson(_IntegerSupport):
         return _ret(x, np.exp(self._log_mass(x)))
 
     def _log_mass(self, x):
-        xa = _check_finite(x)
-        on = (xa >= 0.0) & (np.floor(xa) == xa)
-        k = np.where(on, xa, 0.0)
+        on, k = _on_support(x)
         logp = k * np.log(self.mean) - self.mean - special.gammaln(k + 1.0)
         return np.where(on, logp, -np.inf)
 
@@ -451,24 +479,33 @@ class Poisson(_IntegerSupport):
         return pts, cdf
 
 
-@cache
-def _binom():
-    """``scipy.stats.binom``, imported on first use: only ``Binomial`` needs
-    ``scipy.stats``, which costs more to import than the rest of the package."""
-    from scipy.stats import binom
+def _binom_at(ufunc, k, n, p, below, above):
+    """``scipy.stats.binom``'s rule around its Boost ufunc, at integer-valued k.
 
-    return binom
+    ``below`` for k < 0, ``above`` for k >= n, and between them the ufunc
+    at (k, n, p) clipped to [0, 1], as the ``rv_discrete`` wrapper does.
+    """
+    inside = np.clip(ufunc(np.clip(k, 0.0, n), n, p), 0.0, 1.0)
+    return np.where(k < 0.0, below, np.where(k >= n, above, inside))
 
 
 @dataclass(frozen=True)
 class Binomial(_IntegerSupport):
-    """Binomial model on {0, ..., trials}."""
+    """Binomial model on {0, ..., trials}, with trials below 2**53.
+
+    F, 1 - F and the mass are the Boost ufuncs ``scipy.stats.binom``
+    calls (scipy 1.17: ``scipy.special._ufuncs._binom_cdf``, ``_binom_sf``,
+    ``_binom_pmf``), under its wrapper's rules, and the log mass is its
+    ``_logpmf`` formula; so every value is ``binom``'s bit for bit.  The
+    ufuncs are private names, looked up at call time, so importing the
+    package and the other models work on a scipy without them.
+    """
 
     trials: int
     success_prob: float
 
     def __post_init__(self):
-        _integer(self.trials, "trials", 0)
+        _integer(self.trials, "trials", 0, 2**53)
         _real(self.success_prob, "success_prob", 0.0, 1.0, closed=True)
 
     def cdf(self, x):
@@ -478,16 +515,22 @@ class Binomial(_IntegerSupport):
         return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
 
     def _cdf_at(self, k):
-        return _binom().cdf(k, self.trials, self.success_prob)
+        return _binom_at(special._ufuncs._binom_cdf, k, self.trials, self.success_prob, 0.0, 1.0)
 
     def _sf_at(self, k):
-        return _binom().sf(k, self.trials, self.success_prob)
+        return _binom_at(special._ufuncs._binom_sf, k, self.trials, self.success_prob, 1.0, 0.0)
 
     def mass(self, x):
-        return _ret(x, _binom().pmf(_check_finite(x), self.trials, self.success_prob))
+        on, k = _on_support(x, self.trials)
+        pmf = special._ufuncs._binom_pmf(k, self.trials, self.success_prob)
+        return _ret(x, np.where(on, np.clip(pmf, 0.0, 1.0), 0.0))
 
     def _log_mass(self, x):
-        return _binom().logpmf(_check_finite(x), self.trials, self.success_prob)
+        on, k = _on_support(x, self.trials)
+        n, p = self.trials, self.success_prob
+        combiln = special.gammaln(n + 1) - (special.gammaln(k + 1) + special.gammaln(n - k + 1))
+        logp = combiln + special.xlogy(k, p) + special.xlog1py(n - k, -p)
+        return np.where(on, logp, -np.inf)
 
     @cached_property
     def _ladder(self):

@@ -170,6 +170,53 @@ class TestBinomial:
                 Binomial(3, prob)
 
 
+def binom_points(rng, trials):
+    """-3 .. trials + 3 (a strided pass and both ends past 2000 trials), their halves and +-1e300."""
+    if trials <= 2000:
+        ints = np.arange(-3.0, trials + 4.0)
+    else:
+        ints = np.unique(np.concatenate([
+            np.arange(-3.0, 4.0),
+            trials + np.arange(-3.0, 4.0),
+            np.floor(rng.uniform(0.0, trials, 1500)),
+        ]))
+    return np.concatenate([ints, ints + 0.5, [1e300, -1e300, -0.0]])
+
+
+def binom_reference(method, x, n, p):
+    """``method`` of ``Binomial(n, p)`` at x from ``scipy.stats.binom``."""
+    if method in ("cdf", "sf"):
+        return getattr(stats.binom, method)(np.floor(x), n, p)
+    if method in ("cdf_left", "sf_left"):
+        return getattr(stats.binom, method[:-5])(np.ceil(x) - 1.0, n, p)
+    return (stats.binom.pmf if method == "mass" else stats.binom.logpmf)(x, n, p)
+
+
+def test_binomial_matches_scipy_stats_binom_bit_for_bit():
+    # Binomial runs the Boost ufuncs behind scipy.stats.binom under the
+    # rules of its rv_discrete wrapper, and the log mass is binom's formula.
+    rng = np.random.default_rng(2026)
+    trials = [0, 1, 2, 5, 40, 1000, 10**6, np.int64(17)]
+    trials += [int(rng.integers(0, 10 ** int(rng.integers(1, 8)))) for _ in range(6)]
+    probs = [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.float32(0.3)]
+    probs += [float(v) for v in rng.random(3)] + [float(10.0 ** rng.uniform(-300.0, 0.0))]
+    methods = ("cdf", "sf", "cdf_left", "sf_left", "mass", "_log_mass")
+    for n in trials:
+        x = binom_points(rng, int(n))
+        scalars = rng.choice(x, 12)
+        for p in probs:
+            dist = Binomial(n, p)
+            for method in methods:
+                got = np.asarray(getattr(dist, method)(x), dtype=float)
+                want = np.asarray(binom_reference(method, x, n, p), dtype=float)
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, p, method)
+                for v in scalars:
+                    got = getattr(dist, method)(float(v))
+                    want = binom_reference(method, v, n, p)
+                    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (n, p, method, v)
+
+
 class TestTabulatedDiscrete:
     def test_two_point_example(self):
         d = TabulatedDiscrete((0.0, 2.0), (0.3, 0.7))
@@ -497,7 +544,7 @@ def test_integer_support_arrays_match_scalar_calls_bit_for_bit(dist):
     "dist, owner, name",
     [
         (Poisson(3.7), distributions.special, "gammaincc"),
-        (Binomial(40, 0.3), stats.binom, "cdf"),
+        (Binomial(40, 0.3), distributions.special._ufuncs, "_binom_cdf"),
     ],
     ids=["Poisson", "Binomial"],
 )

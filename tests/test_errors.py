@@ -11,7 +11,14 @@ from extreme_sentinel.distributions import (
     RandomStream,
     TabulatedDiscrete,
 )
-from extreme_sentinel.errors import ContractError, DataError, DomainError, ParameterError, _array
+from extreme_sentinel.errors import (
+    ContractError,
+    DataError,
+    DomainError,
+    ParameterError,
+    SizeError,
+    _array,
+)
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, convexity_check, mlr_check
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
 from extreme_sentinel.surveillance import CountPanel, epidemic_test
@@ -108,6 +115,7 @@ def test_huge_integers_raise_the_sites_error():
         (ParameterError, "Poisson mean", lambda: Poisson(past_float)),
         (ParameterError, "rate", lambda: epidemic_test(panel(), lam=past_float)),
         (ParameterError, "trials", lambda: Binomial(past_repr, 0.5)),
+        (ParameterError, "trials", lambda: Binomial(10**30, 0.5).cdf(3.0)),
         (DataError, "population", lambda: panel(population=past_float)),
         (DataError, "count must be a non-negative", lambda: panel(count=past_repr)),
         (DataError, "must be a column", lambda: CountPanel(("A",), ("1",), past_repr, (1e6,))),
@@ -121,6 +129,10 @@ def test_huge_integers_raise_the_sites_error():
         with pytest.raises(error, match=says) as info:
             call()
         assert "-bit integer" in str(info.value)
+    # As counts are: past 2**53 the float64 ufuncs would see 2**53 instead.
+    with pytest.raises(ParameterError, match=r"trials must be an integer in \[0, 9007199254740992\)"):
+        Binomial(2**53 + 1, 0.5)
+    assert Binomial(2**53 - 1, 0.5).cdf(3.0) == 0.0
 
 
 def test_counts_stop_below_two_to_the_53():
@@ -130,6 +142,21 @@ def test_counts_stop_below_two_to_the_53():
             panel_of((("A", "1", count, 1e6),))
     report = epidemic_test(panel_of((("A", "1", 2**53 - 1, 1e6),)), lam=1e-6)
     assert report.bounds.upper == 0.0 and report.rejected is True
+
+
+def test_a_ladder_too_large_to_build_raises_size_error():
+    # Windows of 5e16 points and more, which no allocator grants; at a mean
+    # of 1e300 the window is narrower than the spacing of the floats there.
+    probes = [
+        ("5e[+]16 points", lambda: Poisson(1e30).sample(RandomStream(1), 2)),
+        ("5e[+]16 points", lambda: Poisson(1e30).skorokhod_quantile(0.5)),
+        ("5e[+]16 points", lambda: ModelPair(Poisson(1e30), Poisson(2e30))),
+        ("reaching 2[*][*]53", lambda: Poisson(1e300).sample(RandomStream(1), 2)),
+        ("reaching 2[*][*]53", lambda: ModelPair(Poisson(1e300), Poisson(1e300))),
+    ]
+    for says, call in probes:
+        with pytest.raises(SizeError, match=f"CDF ladders? .*{says}"):
+            call()
 
 
 def test_sizes_are_none_a_count_or_a_tuple_of_counts():

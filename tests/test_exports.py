@@ -37,7 +37,21 @@ def test_exports_are_the_library_modules_public_names():
 COLD_START = """
 import sys
 
-from extreme_sentinel import Binomial, cli, listeriosis_fixture_path
+import numpy as np
+
+from extreme_sentinel import (
+    Alternative,
+    Binomial,
+    ModelPair,
+    Poisson,
+    RandomStream,
+    SimulationConfig,
+    cli,
+    enumerate_pvalue_bounds,
+    listeriosis_fixture_path,
+    pvalue_bounds,
+    simulate_size_and_power,
+)
 
 fixture = str(listeriosis_fixture_path())
 for args, status in (
@@ -46,16 +60,28 @@ for args, status in (
     (["--mode", "simulate-null", "--seed", "1", "--trials", "1000"], 0),
 ):
     assert cli.main(["--input", fixture, *args]) == status, args
-assert "scipy.stats" not in sys.modules
-value = Binomial(10, 0.3).cdf(3.0)
-assert "scipy.stats" in sys.modules
+dist = Binomial(10, 0.3)
+points = np.arange(-2.0, 13.0) / 2.0
+for method in ("cdf", "sf", "cdf_left", "sf_left", "mass", "_log_mass"):
+    getattr(dist, method)(points)
+    getattr(dist, method)(3.0)
+dist.skorokhod_quantile([0.1, 0.5, 0.9])
+dist.sample(RandomStream(1), 100)
+ModelPair(dist, Binomial(10, 0.6))
+cells = [dist, Binomial(25, 0.3), Poisson(2.0)]
+pvalue_bounds(cells, [3, 12, 1])
+enumerate_pvalue_bounds(cells, [3, 12, 1])
+alternative = Alternative(1, Binomial(25, 0.7))
+simulate_size_and_power(SimulationConfig(cells, 0.05, 1000, 3, alternative))
+assert "scipy.stats" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+value = dist.cdf(3.0)
 from scipy.stats import binom
 
 assert value == binom.cdf(3, 10, 0.3), value
 """
 
 
-def test_scipy_stats_loads_on_the_first_binomial_call():
+def test_binomial_paths_leave_scipy_stats_unloaded():
     # A fresh interpreter: this test session has long since imported scipy.stats.
     env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
