@@ -36,9 +36,19 @@ from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
+import scipy
 from scipy import special
 
-from .errors import DomainError, ParameterError, SizeError, _array, _integer, _real, _seed
+from .errors import (
+    ContractError,
+    DomainError,
+    ParameterError,
+    SizeError,
+    _array,
+    _integer,
+    _real,
+    _seed,
+)
 
 __all__ = [
     "RandomStream",
@@ -333,26 +343,16 @@ def _ranges(sizes):
 # can be rebuilt exactly from its low end.
 _EXACT_INTEGERS = 2.0**53
 
-# The most points one ``_integer_ladders`` call builds, summed over its
-# ladders.  Every ladder of the test suite stays below 7e5 points; past this
-# cap the window arrays alone take gigabytes, or no allocator grants them.
-_LADDER_POINTS_MAX = 2**24
-
 
 def _window_sizes(lo, hi):
     """The number of points of each window [lo, hi], as floats.
 
-    ``SizeError`` past ``_LADDER_POINTS_MAX`` points in all, summed as
-    floats so that no window overflows the check, or for a window reaching
-    2**53, where its points are not all floats and a step may not move it.
+    ``SizeError`` for a window reaching 2**53, where its points are not all
+    floats and a widening step may not move it.
     """
-    sizes = hi - lo + 1.0
-    total = float(sizes.sum())
-    if total > _LADDER_POINTS_MAX:
-        raise SizeError(f"CDF ladders of {total:.3g} points are too large to build")
     if hi.max(initial=0.0) >= _EXACT_INTEGERS:
         raise SizeError("a CDF ladder reaching 2**53 is too large to build")
-    return sizes
+    return hi - lo + 1.0
 
 
 def _integer_ladders(cdf_at, mean, sd, top=math.inf):
@@ -364,8 +364,8 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     from just after the last F == 0.0 to the first F == 1.0, so F rises
     along it even where a special function returns a stray 0 in the far
     lower tail.  Returns the concatenated points and F, and each ladder's
-    number of points.  Windows of more than ``_LADDER_POINTS_MAX`` points
-    in all, before or after widening, raise ``SizeError``.
+    number of points.  A window reaching 2**53, before or after widening,
+    or ladders whose arrays the allocator refuses raise ``SizeError``.
     """
     mean = np.asarray(mean, dtype=float)
     lo, hi = _ladder_window(mean, np.asarray(sd, dtype=float), top)
@@ -381,8 +381,11 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
         i = i[cdf_at(hi[i], i) < 1.0]
         hi[i] += step[i]
     sizes = _window_sizes(lo, hi).astype(np.intp)
-    pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
-    cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
+    try:
+        pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
+        cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
+    except MemoryError:
+        raise SizeError(f"CDF ladders of {sizes.sum():.3g} points are too large to build") from None
     starts = np.cumsum(sizes) - sizes
     at = np.arange(pts.size)
     first = np.maximum(np.maximum.reduceat(np.where(cdf <= 0.0, at, -1), starts) + 1, starts)
@@ -479,13 +482,28 @@ class Poisson(_IntegerSupport):
         return pts, cdf
 
 
-def _binom_at(ufunc, k, n, p, below, above):
-    """``scipy.stats.binom``'s rule around its Boost ufunc, at integer-valued k.
+def _binom_ufunc(name):
+    """The Boost ufunc ``scipy.special._ufuncs.<name>`` that ``scipy.stats.binom`` runs.
+
+    A private scipy name, checked present in scipy 1.17; a scipy without it
+    raises ``ContractError`` instead of a bare ``AttributeError``.
+    """
+    try:
+        return getattr(getattr(special, "_ufuncs", None), name)
+    except AttributeError:
+        raise ContractError(
+            f"Binomial needs scipy.special._ufuncs.{name}, which scipy 1.17 has "
+            f"and the installed scipy {scipy.__version__} lacks"
+        ) from None
+
+
+def _binom_at(name, k, n, p, below, above):
+    """``scipy.stats.binom``'s rule around its Boost ufunc ``name``, at integer-valued k.
 
     ``below`` for k < 0, ``above`` for k >= n, and between them the ufunc
     at (k, n, p) clipped to [0, 1], as the ``rv_discrete`` wrapper does.
     """
-    inside = np.clip(ufunc(np.clip(k, 0.0, n), n, p), 0.0, 1.0)
+    inside = np.clip(_binom_ufunc(name)(np.clip(k, 0.0, n), n, p), 0.0, 1.0)
     return np.where(k < 0.0, below, np.where(k >= n, above, inside))
 
 
@@ -498,7 +516,8 @@ class Binomial(_IntegerSupport):
     ``_binom_pmf``), under its wrapper's rules, and the log mass is its
     ``_logpmf`` formula; so every value is ``binom``'s bit for bit.  The
     ufuncs are private names, looked up at call time, so importing the
-    package and the other models work on a scipy without them.
+    package and the other models work on a scipy without them, and a
+    Binomial evaluation there raises ``ContractError``.
     """
 
     trials: int
@@ -515,14 +534,14 @@ class Binomial(_IntegerSupport):
         return _ret(x, _on_integers(self._sf_at, np.floor(_check_finite(x))))
 
     def _cdf_at(self, k):
-        return _binom_at(special._ufuncs._binom_cdf, k, self.trials, self.success_prob, 0.0, 1.0)
+        return _binom_at("_binom_cdf", k, self.trials, self.success_prob, 0.0, 1.0)
 
     def _sf_at(self, k):
-        return _binom_at(special._ufuncs._binom_sf, k, self.trials, self.success_prob, 1.0, 0.0)
+        return _binom_at("_binom_sf", k, self.trials, self.success_prob, 1.0, 0.0)
 
     def mass(self, x):
         on, k = _on_support(x, self.trials)
-        pmf = special._ufuncs._binom_pmf(k, self.trials, self.success_prob)
+        pmf = _binom_ufunc("_binom_pmf")(k, self.trials, self.success_prob)
         return _ret(x, np.where(on, np.clip(pmf, 0.0, 1.0), 0.0))
 
     def _log_mass(self, x):

@@ -63,7 +63,7 @@ class AbsoluteContinuityError(ExtremeSentinelError):
 
 
 class ContractError(ExtremeSentinelError):
-    """A user-supplied callable violated its documented contract."""
+    """A user-supplied callable, or the installed scipy, broke a contract the package relies on."""
 
 
 class DataError(ExtremeSentinelError):

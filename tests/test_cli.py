@@ -811,13 +811,13 @@ class TestRunSimulateNull:
         assert "seed" in err
 
     def test_a_ladder_too_large_to_build_exits_one(self, capsys, tmp_path):
-        # A cell of mean 1e30 needs a ladder window of 5e16 points, which no allocator grants.
+        # A cell of mean 1e30 needs a ladder window past 2**53, of 5e16 points.
         body = "region,period,count,population\nA,1,3,1e30\nB,1,2,5\n"
         path = write_csv(tmp_path, body)
         args = ("--input", path, "--lambda", "1", "--mode", "simulate-null", "--seed", "1")
         code, out, err = run_main(capsys, *args, "--trials", "1000")
         assert (code, out) == (1, "")
-        assert err.startswith("error: CDF ladders of 5e+16 points are too large to build")
+        assert err.startswith("error: a CDF ladder reaching 2**53 is too large to build")
         assert "Traceback" not in err
 
     def test_trials_floor(self, capsys):

@@ -1,9 +1,12 @@
 """Bad array and size arguments raise the site's package error, never a raw numpy one."""
 
+import math
+
 import numpy as np
 import pytest
 from panel_rows import panel_of
 
+from extreme_sentinel import distributions
 from extreme_sentinel.distributions import (
     Binomial,
     ContinuousByCdf,
@@ -145,18 +148,48 @@ def test_counts_stop_below_two_to_the_53():
 
 
 def test_a_ladder_too_large_to_build_raises_size_error():
-    # Windows of 5e16 points and more, which no allocator grants; at a mean
-    # of 1e300 the window is narrower than the spacing of the floats there.
+    # A window reaching 2**53: at a mean of 1e30 it holds 5e16 points, which no
+    # allocator grants, and at 1e300 it is narrower than the float spacing there.
     probes = [
-        ("5e[+]16 points", lambda: Poisson(1e30).sample(RandomStream(1), 2)),
-        ("5e[+]16 points", lambda: Poisson(1e30).skorokhod_quantile(0.5)),
-        ("5e[+]16 points", lambda: ModelPair(Poisson(1e30), Poisson(2e30))),
-        ("reaching 2[*][*]53", lambda: Poisson(1e300).sample(RandomStream(1), 2)),
-        ("reaching 2[*][*]53", lambda: ModelPair(Poisson(1e300), Poisson(1e300))),
+        lambda: Poisson(1e30).sample(RandomStream(1), 2),
+        lambda: Poisson(1e30).skorokhod_quantile(0.5),
+        lambda: ModelPair(Poisson(1e30), Poisson(2e30)),
+        lambda: Poisson(1e300).sample(RandomStream(1), 2),
+        lambda: ModelPair(Poisson(1e300), Poisson(1e300)),
     ]
-    for says, call in probes:
-        with pytest.raises(SizeError, match=f"CDF ladders? .*{says}"):
+    for call in probes:
+        with pytest.raises(SizeError, match="CDF ladder reaching 2[*][*]53 is too large to build"):
             call()
+
+
+def test_a_ladder_the_allocator_refuses_raises_size_error():
+    # One window of 1.76e15 points below 2**53: 14 PB, past any address space.
+    def step_at(k, i):
+        return (k >= 2.0**51).astype(float)
+
+    with pytest.raises(SizeError, match="CDF ladders of 1.76e[+]15 points are too large to build"):
+        distributions._integer_ladders(step_at, [2.0**51], [2.0**45])
+
+
+def test_many_moderate_ladder_windows_pass_the_size_check():
+    # 2**18 windows of 241 points, a panel of Poisson means of 100: 6.3e7
+    # points in all, which a 1e5-cell Monte Carlo panel builds in one call.
+    lo, hi = np.zeros(2**18), np.full(2**18, 240.0)
+    sizes = distributions._window_sizes(lo, hi)
+    assert sizes.sum() == 241 * 2**18 > 2**24
+
+
+def test_a_scipy_without_the_binomial_ufuncs_raises_contract_error(monkeypatch):
+    for name in ("_binom_cdf", "_binom_sf", "_binom_pmf"):
+        monkeypatch.delattr(distributions.special._ufuncs, name)
+    for call in (
+        lambda: Binomial(10, 0.3).cdf(3.0),
+        lambda: Binomial(10, 0.3).sf(np.arange(4.0)),
+        lambda: Binomial(10, 0.3).mass(3.0),
+    ):
+        with pytest.raises(ContractError, match="needs scipy.special._ufuncs._binom_.* scipy 1.17 has"):
+            call()
+    assert Poisson(2.0).cdf(1.0) == pytest.approx(3.0 * math.exp(-2.0))
 
 
 def test_sizes_are_none_a_count_or_a_tuple_of_counts():
