@@ -78,7 +78,12 @@ def _breaks(check, value, *bounds) -> bool:
 
 def _ids_pass(ids: tuple) -> bool:
     """Whether every id is a plain str, none is empty and none has surrounding whitespace."""
-    return set(map(type, ids)) == {str} and "" not in ids and tuple(map(str.strip, ids)) == ids
+    if not (set(map(type, ids)) == {str} and "" not in ids):
+        return False
+    # str.split and str.strip cut the same characters, so joined ids that
+    # split into themselves hold none; only others are stripped one by one.
+    joined = "".join(ids)
+    return joined.split() == [joined] or tuple(map(str.strip, ids)) == ids
 
 
 def _counts_pass(counts) -> bool:

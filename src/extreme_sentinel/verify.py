@@ -26,16 +26,22 @@ on its own cell's ladder.
 
 The harness draws what ``RandomStream(seed)`` would: each chunk of at
 most ``_CHUNK`` trials takes its whole u block, then its whole v block.
-Each chunk is cut into row pieces of about ``_PIECE_CELLS`` cells, and a
-piece's PCG64 starts at the seed and is advanced to its u rows, then to
-its v rows, so the pieces can run in any order.  They run on one worker
-thread per CPU the process may use (``os.sched_getaffinity``, else
-``os.cpu_count()``), at most one per piece, and inline when there is one
-piece.  Workers fill reused blocks and run numpy on plain arrays only;
-every model method, and every ``cdf_fn`` of a continuous cell, runs on
-the calling thread, in one call over all trials.  A piece lifts a drawn
-0.0 as ``uniform_open`` does, so a result does not depend on the number
-of CPUs, bit for bit.
+Each chunk is cut into equal row pieces of at most ``_PIECE_CELLS``
+(2^18) cells, their row counts differing by at most one, and a piece's
+PCG64 starts at the seed and is advanced to its u rows, then to its v
+rows, so the pieces can run in any order.  They run inline when there is
+one piece or one CPU the process may use (``os.sched_getaffinity``, else
+``os.cpu_count()``), and otherwise on a pool of one worker thread per
+such CPU.  The pool is started by the first call that needs it and kept
+for the life of the process; it is built again after a fork, whose child
+has none of its threads, or when the usable CPUs change.  Python 3.12+
+warns on ``os.fork()`` in a process with more than one thread, which a
+kept pool makes every process that has run a parallel call.  Workers
+fill reused blocks and run numpy on plain arrays only; every model
+method, and every ``cdf_fn`` of a continuous cell, runs on the calling
+thread, in one call over all trials.  A piece lifts a drawn 0.0 as
+``uniform_open`` does, so a result does not depend on the number of
+CPUs, bit for bit.
 
 The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,13 +189,19 @@ class _Tables:
         ]
         parts, sizes = [], []
         if pois:
-            # One ladder pass for every Poisson/Poisson cell, one gammainc call per bracket.
+            # One ladder pass for every Poisson/Poisson cell, one gammainc call over its points.
             mean = np.array([laws[j].mean for j in pois])
             pts, cdf, counts = _integer_ladders(
                 lambda k, i: _poisson_cdf(k, mean[i]), mean, np.sqrt(mean)
             )
             nulls = np.repeat([dists[j].mean for j in pois], counts)
-            parts.append((cdf, _poisson_sf(pts - 1.0, nulls), _poisson_sf(pts, nulls)))
+            rights = _poisson_sf(pts, nulls)
+            # A ladder's points are consecutive integers, so each left bracket
+            # but its first is the right bracket of the point before.
+            first = np.cumsum(counts) - counts
+            lefts = np.roll(rights, 1)
+            lefts[first] = _poisson_sf(pts[first] - 1.0, nulls[first])
+            parts.append((cdf, lefts, rights))
             sizes.extend(counts)
         for j in other:
             pts, cdf = laws[j]._ladder
@@ -242,6 +255,56 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+# The kept worker pool, ((process id, threads), executor), or None before
+# the first parallel call.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # A fork waits for a call that holds the lock: a child's copy of a held lock is never released.
+    os.register_at_fork(
+        before=_POOL_LOCK.acquire,
+        after_in_parent=_POOL_LOCK.release,
+        after_in_child=_POOL_LOCK.release,
+    )
+
+
+def _pool_map(fn, items, workers: int):
+    """``fn`` over ``items`` on the kept pool of ``workers`` threads, as ``Executor.map``.
+
+    The pool is built again when this process or the thread count is not
+    the one it was built for: a forked child has none of its parent's
+    threads, and its queued items would never run.  Items are submitted
+    under the lock, so no other call shuts the pool down before they are.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _POOL
+    key = (os.getpid(), workers)
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != key:
+            if _POOL is not None:
+                _POOL[1].shutdown(wait=False)
+            _POOL = (key, ThreadPoolExecutor(workers))
+        return _POOL[1].map(fn, items)
+
+
+def _pieces(trials: int, n: int):
+    """(chunk start, chunk rows, piece start, piece rows) of every row piece.
+
+    A chunk of m rows is cut into p = ceil(m / rows) pieces, where rows =
+    max(``_PIECE_CELLS`` // n, 1), and piece i holds the chunk's rows
+    [i m // p, (i + 1) m // p): at most rows each, and no two differing
+    by more than one row, so the workers finish together.
+    """
+    rows = max(_PIECE_CELLS // n, 1)
+    for t in range(0, trials, _CHUNK):
+        m = min(_CHUNK, trials - t)
+        p = -(-m // rows)
+        ends = [t + i * m // p for i in range(p + 1)]
+        for a, b in zip(ends, ends[1:]):
+            yield t, m, a, b - a
+
+
 # Uniform blocks that finished pieces gave back, for the next piece or call.
 # A piece overwrites the part it reads; list.pop and list.append are atomic.
 _SPARE: list[np.ndarray] = []
@@ -275,8 +338,9 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     ``skorokhod_quantile`` and evaluates the null's survival brackets at
     every draw.
 
-    The draws are cut into row pieces on worker threads as the module
-    docstring describes; the result is the same on any number of CPUs.
+    The draws are cut into equal row pieces of at most 2^18 cells, which
+    run on the kept worker threads as the module docstring describes; the
+    result is the same on any number of CPUs.
     """
     dists = config.panel_template
     n = len(dists)
@@ -287,24 +351,21 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     tables = _Tables.build(dists, laws, s)
     cont = [j for j in range(n) if dists[j].continuous or laws[j].continuous]
     trials = config.n_trials
-    chunks = [(t, min(_CHUNK, trials - t)) for t in range(0, trials, _CHUNK)]
     rejected = np.zeros(trials, dtype=bool)
     # Pieces write disjoint trials of these; u_cont and v_cont hold the continuous cells' draws.
     u_cont = np.empty((len(cont), trials))
     v_cont = np.empty((len(cont), trials))
     stream = RandomStream(config.seed)
-    rows = max(_PIECE_CELLS // n, 1)
-    pieces = []
-    for t, m in chunks:
-        for r in range(0, m, rows):
-            k = min(rows, m - r)
-            # The chunk's u block starts 2tn draws in; the piece's v rows
-            # start (m - k)n draws after its u rows end.
-            pieces.append((stream._generator_at((2 * t + r) * n), t + r, k, (m - k) * n))
+    # The chunk's u block starts 2tn draws in, and the piece's u rows (a - t)n
+    # after that; its v rows start (m - k)n draws after its u rows end.
+    pieces = [
+        (stream._generator_at((t + a) * n), a, k, (m - k) * n)
+        for t, m, a, k in _pieces(trials, n)
+    ]
 
     def run(piece):
         gen, t, k, skip = piece
-        block = _buffer(2 * rows * n)
+        block = _buffer(2 * k * n)
         try:
             drawn = block[: 2 * k * n]
             u, v = drawn.reshape(2, k, n)
@@ -318,14 +379,11 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         finally:
             _SPARE.append(block)
 
-    workers = min(_workers(), len(pieces))
-    if workers == 1:
+    workers = _workers()
+    if min(workers, len(pieces)) == 1:
         list(map(run, pieces))
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, pieces))
+        list(_pool_map(run, pieces, workers))
     for i, j in enumerate(cont):
         x = laws[j].skorokhod_quantile(u_cont[i])
         left = np.asarray(dists[j].sf_left(x), dtype=float)

@@ -89,3 +89,19 @@ def test_binomial_paths_leave_scipy_stats_unloaded():
         [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_starts_no_thread():
+    # The harness's worker pool starts with its first parallel call, not at import.
+    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "import extreme_sentinel\n"
+        "assert threading.active_count() == before, (before, threading.active_count())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

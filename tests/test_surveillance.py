@@ -462,6 +462,34 @@ class TestColumnPanel:
             CountPanel(["A"], ["1"], [-1], [10.0])
         assert row_checks == ["_id_ok", "_id_ok", "_breaks"]
 
+    def test_whitespace_screen_faults_as_stripping_every_id(self, monkeypatch):
+        # Leading, trailing and inner whitespace, ASCII and Unicode, at any row.
+        def strip_rule(ids):
+            plain = set(map(type, ids)) == {str} and "" not in ids
+            return plain and tuple(map(str.strip, ids)) == ids
+
+        rng = np.random.default_rng(2027)
+        spaces = (" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+        passed = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            columns = []
+            for base in ("R", "P"):
+                ids = [f"{base}{i}" for i in range(n)]
+                for _ in range(int(rng.integers(0, 3))):
+                    i, space = int(rng.integers(n)), spaces[rng.integers(len(spaces))]
+                    padded = (space + ids[i], ids[i] + space, ids[i][0] + space + ids[i][1:], space)
+                    ids[i] = padded[rng.integers(4)]
+                columns.append(tuple(ids))
+            assert surveillance._ids_pass(columns[0]) == strip_rule(columns[0]), columns[0]
+            rows = (*columns, [1] * n, [10.0] * n, str)
+            fault = surveillance._first_fault(*rows)
+            with monkeypatch.context() as patched:
+                patched.setattr(surveillance, "_ids_pass", strip_rule)
+                assert fault == surveillance._first_fault(*rows), columns
+            passed += fault is None
+        assert 100 < passed < 1900
+
     def test_valid_ingest_runs_the_panel_rules_once(self, tmp_path, monkeypatch):
         calls = []
         first_fault = surveillance._first_fault

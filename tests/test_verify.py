@@ -1,8 +1,13 @@
 """Tests for the Monte Carlo harness, exact enumeration, and KS check."""
 
+import contextlib
+import itertools
 import math
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -338,12 +343,34 @@ class TestPieces:
         short = 0
         for _ in range(300):
             cfg = random_config(rng)
-            # Five pieces of a chunk and a short sixth, unless its rows divide.
+            # Six pieces of a first chunk. Unless the last chunk's rows divide by
+            # rows, at least one of its pieces is shorter than rows.
             n, rows = len(cfg.panel_template), min(cfg.n_trials, verify._CHUNK) // 5 - 1
             monkeypatch.setattr(verify, "_PIECE_CELLS", n * rows)
             short += cfg.n_trials % verify._CHUNK % rows != 0
             assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg
         assert short >= 290
+
+    def test_equal_pieces_cover_each_chunk_once(self, monkeypatch):
+        rng = np.random.default_rng(2027)
+        cases = [(50_000, 40, 2**18), (20_001, 3, 12), (1000, 7, 1), (45_000, 1, 2**18)]
+        for _ in range(300):
+            trials, n = int(rng.integers(1000, 60_000)), int(rng.integers(1, 300))
+            cases.append((trials, n, int(rng.integers(1, 2**19))))
+        for trials, n, cells in cases:
+            monkeypatch.setattr(verify, "_PIECE_CELLS", cells)
+            pieces = list(verify._pieces(trials, n))
+            covered = np.concatenate([np.arange(a, a + k) for _, _, a, k in pieces])
+            assert np.array_equal(covered, np.arange(trials)), (trials, n, cells)
+            for t in range(0, trials, verify._CHUNK):
+                chunk = [(m, a, k) for c, m, a, k in pieces if c == t]
+                sizes = [k for _, _, k in chunk]
+                assert {m for m, _, _ in chunk} == {min(verify._CHUNK, trials - t)}
+                assert {a // verify._CHUNK * verify._CHUNK for _, a, _ in chunk} == {t}
+                assert max(sizes) <= max(cells // n, 1) and max(sizes) - min(sizes) <= 1
+        # The benchmark's fixture runs: four pieces of 5000 rows per full chunk, two per half chunk.
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 2**18)
+        assert [k for *_, k in verify._pieces(50_000, 40)] == [5000] * 10
 
     def test_pieces_of_three_rows(self, monkeypatch):
         monkeypatch.setattr(verify, "_PIECE_CELLS", 12)
@@ -435,6 +462,99 @@ class TestPieces:
             assert (threading.get_ident() in pieces) == inline
             assert len(pieces) <= verify._workers()
         assert callers and set(callers) == {threading.get_ident()}
+
+
+class TestKeptPool:
+    """The worker pool is kept across calls and built again where it cannot serve."""
+
+    config = SimulationConfig(
+        (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01()),
+        0.2,
+        6000,
+        13,
+        Alternative(2, Poisson(3.0)),
+    )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_child_forked_after_a_parallel_call_runs_one(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
+        monkeypatch.setattr(verify, "_workers", lambda: 2)
+        expected = simulate_size_and_power(self.config)
+        read, write = os.pipe()
+        # Python 3.12+ warns on a fork in a process with threads, as the kept pool's are.
+        forked = (
+            pytest.warns(DeprecationWarning, match="multi-threaded")
+            if sys.version_info >= (3, 12)
+            else contextlib.nullcontext()
+        )
+        with forked:
+            pid = os.fork()
+            if pid == 0:
+                # The child: a hang on the parent's pool ends in SIGALRM, not a blocked test.
+                status = 1
+                try:
+                    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                    signal.alarm(30)
+                    os.write(write, repr(simulate_size_and_power(self.config)).encode())
+                    status = 0
+                finally:
+                    os._exit(status)
+        os.close(write)
+        with os.fdopen(read) as fh:
+            reply = fh.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+        assert reply == repr(expected)
+
+    def test_a_call_after_more_workers_than_cpus_uses_at_most_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
+        threads = set()
+        reject_rows = verify._Tables.reject_rows
+
+        def slow_rows(tables, u, v):
+            # Each piece holds its thread a while, so a pool of 8 starts all 8.
+            threads.add(threading.get_ident())
+            time.sleep(0.02)
+            return reject_rows(tables, u, v)
+
+        monkeypatch.setattr(verify._Tables, "reject_rows", slow_rows)
+        cpus = verify._workers
+        monkeypatch.setattr(verify, "_workers", lambda: 8)
+        expected = simulate_size_and_power(self.config)
+        assert len(threads) == 8
+        monkeypatch.setattr(verify, "_workers", cpus)
+        threads.clear()
+        assert simulate_size_and_power(self.config) == expected
+        assert len(threads) <= verify._workers()
+
+    def test_concurrent_calls_that_build_the_pool_again(self, monkeypatch):
+        # Each call sees another thread count and replaces the pool that
+        # other calls may be about to submit to.
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
+        expected = simulate_size_and_power(self.config)
+        counts = itertools.cycle((2, 3))
+        monkeypatch.setattr(verify, "_workers", lambda: next(counts))
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(3):
+                    results.append(simulate_size_and_power(self.config))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == [] and results == [expected] * 12
 
 
 class PoissonByCell(Poisson):
