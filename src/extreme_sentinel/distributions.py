@@ -79,7 +79,9 @@ class RandomStream:
     share the stream object itself, never the underlying generator, and use
     :meth:`spawn` to derive independent child streams for parallel work
     instead of reusing one seed.  The seed is a non-negative integer;
-    ``spawn`` passes each child its ``SeedSequence`` instead.
+    ``spawn`` passes each child its ``SeedSequence`` instead.  No code of
+    the package calls ``spawn``: it is the public seed splitting for
+    callers' own parallel streams.
     """
 
     def __init__(self, seed: int | np.random.SeedSequence):

@@ -83,9 +83,14 @@ def randomized_pit(dist: NullDistribution, x, u):
     left = np.asarray(dist.cdf_left(x), dtype=float)
     right = np.asarray(dist.cdf(x), dtype=float)
     # Algebraically (1 - u) left + u right; this form stays inside the
-    # bracket under rounding, and the clamp makes that exact.
-    out = np.clip(left + ua * (right - left), left, right)
-    if np.ndim(out) == 0:
+    # bracket under rounding, and the clamp makes that exact.  Worked in one
+    # buffer: IEEE + and * commute, so each value is left + ua * (right - left).
+    left, right, ua = np.broadcast_arrays(left, right, ua)
+    out = np.asarray(right - left)
+    out *= ua
+    out += left
+    np.clip(out, left, right, out=out)
+    if out.ndim == 0:
         return float(out)
     return out
 

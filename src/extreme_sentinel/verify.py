@@ -486,7 +486,12 @@ def ks_uniformity(samples) -> KsResult:
     if not np.all(np.isfinite(arr)) or arr[0] < 0.0 or arr[-1] > 1.0:
         raise DomainError("samples must lie in [0, 1]")
     n = arr.size
-    i = np.arange(1, n + 1)
-    stat = float(max(np.max(i / n - arr), np.max(arr - (i - 1) / n)))
+    # The grid k / n, k = 0..n, and one gap buffer: i / n - arr, then
+    # arr - (i - 1) / n, for i = 1..n.
+    grid = np.arange(n + 1.0)
+    grid /= n
+    gap = np.subtract(grid[1:], arr)
+    above = np.max(gap)
+    stat = float(max(above, np.max(np.subtract(arr, grid[:-1], out=gap))))
     crit = KS_CRITICAL_SCALE / math.sqrt(n)
     return KsResult(statistic=stat, critical_value=crit, pass_at_1pct=bool(stat < crit))

@@ -1,12 +1,14 @@
 """Randomized PIT and panel scoring tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from extreme_sentinel.distributions import (
     Binomial,
+    ContinuousByCdf,
     Poisson,
     RandomStream,
     TabulatedDiscrete,
@@ -71,6 +73,87 @@ class TestRandomizedPit:
         for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
             with pytest.raises(DomainError):
                 randomized_pit(Poisson(1.0), 1, bad)
+
+
+def out_of_place_pit(dist, x, u):
+    """The score as one out-of-place expression: the reference for the in-place form."""
+    ua = np.asarray(u, dtype=float)
+    left = np.asarray(dist.cdf_left(x), dtype=float)
+    right = np.asarray(dist.cdf(x), dtype=float)
+    out = np.clip(left + ua * (right - left), left, right)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+class TestScoresWorkedInPlace:
+    MODELS = (
+        Poisson(3.7),
+        Poisson(1e6),
+        Binomial(40, 0.3),
+        TabulatedDiscrete((-1.5, 0.0, 0.25, 2.0, 7.0), (0.1, 0.2, 0.3, 0.15, 0.25)),
+        Uniform01(),
+        ContinuousByCdf(lambda x: -np.expm1(-x), 0.0, 60.0),
+    )
+    # (x shape, u shape); None is a Python float.
+    SHAPES = (
+        (None, None),
+        ((), ()),
+        (None, ()),
+        ((1,), (7,)),
+        ((7,), (1,)),
+        (None, (5,)),
+        ((5,), None),
+        ((7,), (7,)),
+        ((3, 4), (3, 4)),
+        ((3, 4), (4,)),
+        ((3, 1), (1, 4)),
+        ((1,), ()),
+    )
+
+    @staticmethod
+    def _observations(rng, dist, shape):
+        x = np.asarray(dist.sample(RandomStream(int(rng.integers(2**32))), shape), dtype=float)
+        if not dist.continuous:  # half-integers and values off the support too
+            x = x + rng.choice([0.0, 0.0, 0.5, -0.5, -1e3, 1e7], shape)
+        return x
+
+    def test_bit_identical_to_the_out_of_place_expression(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(7):  # 504 cases
+            for dist in self.MODELS:
+                for x_shape, u_shape in self.SHAPES:
+                    x = self._observations(rng, dist, x_shape or ())
+                    u = rng.uniform(2.0**-54, 1.0, u_shape or ())
+                    if rng.random() < 0.2:  # the ends of the randomizer's range
+                        u = np.where(u < 0.5, 5e-324, 1.0 - 2.0**-53)
+                    x = float(x) if x_shape is None else x
+                    u = float(u) if u_shape is None else u
+                    got, want = randomized_pit(dist, x, u), out_of_place_pit(dist, x, u)
+                    assert type(got) is type(want)
+                    if isinstance(want, float):
+                        assert got.hex() == want.hex(), (dist, x, u)
+                    else:
+                        assert got.shape == want.shape
+                        assert np.array_equal(got, want)
+                        assert list(map(float.hex, got.ravel().tolist())) == list(
+                            map(float.hex, want.ravel().tolist())
+                        ), (dist, x_shape, u_shape)
+
+    def test_scores_in_at_most_three_arrays_of_the_output(self):
+        # left, right and one work buffer of 8n bytes each, plus small temporaries.
+        n = 20_000
+        rng = np.random.default_rng(28)
+        x, u = rng.random(n), rng.uniform(1e-9, 1.0 - 1e-9, n)
+        dist = Uniform01()
+        randomized_pit(dist, x, u)
+        tracemalloc.start()
+        try:
+            randomized_pit(dist, x, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 64 * 1024
 
 
 class TestExtremenessPanel:

@@ -8,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -783,6 +784,57 @@ class TestKsUniformity:
         res = ks_uniformity(randomized_pit(dist, x, u))
         assert res.pass_at_1pct
         assert res.critical_value == pytest.approx(1.628 / math.sqrt(n), rel=1e-12)
+
+    @staticmethod
+    def out_of_place_statistic(samples):
+        """The statistic as the out-of-place expressions: the reference for the one-grid form."""
+        arr = np.sort(np.asarray(samples, dtype=float).ravel())
+        n = arr.size
+        i = np.arange(1, n + 1)
+        return float(max(np.max(i / n - arr), np.max(arr - (i - 1) / n)))
+
+    def test_statistic_bit_identical_to_the_out_of_place_expressions(self):
+        rng = np.random.default_rng(2029)
+        models = (
+            Poisson(3.7),
+            Binomial(40, 0.3),
+            TabulatedDiscrete((0.0, 1.0, 4.0), (0.5, 0.3, 0.2)),
+            Uniform01(),
+            ContinuousByCdf(lambda x: -np.expm1(-x), 0.0, 60.0),
+        )
+        for case in range(500):
+            n = int(rng.integers(1000, 3000))
+            kind = case % 5
+            if kind == 0:  # scores of draws under each model, some off it
+                dist = models[case // 5 % len(models)]
+                stream = RandomStream(case)
+                x = dist.sample(stream, n) + (case % 2) * rng.integers(0, 3, n)
+                samples = randomized_pit(dist, x, stream.uniform_open(n))
+            elif kind == 1:  # ties: a few distinct values
+                samples = rng.choice(rng.random(int(rng.integers(1, 20))), n)
+            elif kind == 2:  # exact k / n points, with repeats and the ends
+                samples = rng.integers(0, n + 1, n) / n
+            elif kind == 3:  # exact points of another grid, ties, 0 and 1
+                m = int(rng.integers(1, 50))
+                samples = rng.integers(0, m + 1, n) / m
+            else:  # a 2-D sample
+                samples = rng.random((2, n // 2))
+            got = ks_uniformity(samples).statistic
+            assert got.hex() == self.out_of_place_statistic(samples).hex(), case
+
+    def test_statistic_in_at_most_three_arrays_of_the_sample(self):
+        # The sorted sample, the grid and one gap buffer of 8n bytes each,
+        # plus small temporaries.
+        n = 20_000
+        samples = np.random.default_rng(28).random(n)
+        ks_uniformity(samples)
+        tracemalloc.start()
+        try:
+            ks_uniformity(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 64 * 1024
 
     def test_input_validation(self):
         with pytest.raises(ShapeError):
