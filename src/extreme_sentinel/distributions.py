@@ -336,9 +336,9 @@ def _ladder_window(mean, sd, top=math.inf):
     return lo, hi
 
 
-def _ranges(sizes):
-    """0, 1, ..., sizes[0] - 1, 0, 1, ..., sizes[1] - 1, ... as one array."""
-    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+def _spans(lo, sizes):
+    """lo[0], ..., lo[0] + sizes[0] - 1, lo[1], ... as one array; exact for floats below 2**53."""
+    return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 # Every integer of magnitude below 2**53 is a float, so a range inside it
@@ -384,7 +384,7 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
         hi[i] += step[i]
     sizes = _window_sizes(lo, hi).astype(np.intp)
     try:
-        pts = _ranges(sizes).astype(float) + np.repeat(lo, sizes)
+        pts = _spans(lo, sizes)
         cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
     except MemoryError:
         raise SizeError(f"CDF ladders of {sizes.sum():.3g} points are too large to build") from None
@@ -392,7 +392,7 @@ def _integer_ladders(cdf_at, mean, sd, top=math.inf):
     at = np.arange(pts.size)
     first = np.maximum(np.maximum.reduceat(np.where(cdf <= 0.0, at, -1), starts) + 1, starts)
     sizes = np.minimum.reduceat(np.where(cdf >= 1.0, at, pts.size), starts) + 1 - first
-    keep = _ranges(sizes) + np.repeat(first, sizes)
+    keep = _spans(first, sizes)
     return pts[keep], cdf[keep], sizes
 
 
@@ -445,6 +445,35 @@ def _poisson_cdf(k, mean):
 def _poisson_sf(k, mean):
     """P(X > k) for X ~ Poisson(mean): integer-valued k and positive means, broadcast."""
     return np.where(k < 0.0, 1.0, special.gammainc(np.maximum(k, 0.0) + 1.0, mean))
+
+
+def _poisson_brackets(k, means):
+    """(sf(k - 1), sf(k)) of Poisson(means) at the integer-valued k, an int64 or float array.
+
+    Adjacent entries with an equal mean form a run, as the periods of one
+    region do when its population is a yearly figure.  When there are at
+    most n/2 runs and their ranges [min k, max k] hold at most n integers
+    in all, one ``_poisson_sf`` call over each run's integers from
+    min k - 1 to max k makes a table and both brackets are gathered from
+    it; otherwise there are two calls of n points each.  Either way every
+    bracket is the special function at the same (k, mean) arguments, so
+    the two paths agree bit for bit.
+    """
+    n = means.size
+    change = means[1:] != means[:-1]
+    if 2 * (1 + np.count_nonzero(change)) <= n:
+        starts = np.flatnonzero(np.concatenate(([True], change)))
+        lo = np.minimum.reduceat(k, starts) - 1
+        width = np.maximum.reduceat(k, starts) - lo + 1
+        if width.sum(dtype=float) <= n + starts.size:
+            width = width.astype(np.intp)
+            table = _poisson_sf(_spans(lo, width), np.repeat(means[starts], width))
+            # Each entry's place in the table: its run's table offset plus k - lo.
+            shift = np.cumsum(width) - width - lo
+            at = (k + np.repeat(shift, np.diff(np.append(starts, n)))).astype(np.intp)
+            return table[at - 1], table[at]
+    x = k.astype(float)
+    return _poisson_sf(x - 1.0, means), _poisson_sf(x, means)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,8 @@ def randomized_pit(dist: NullDistribution, x, u):
 
     The result always lies in the bracket [F(x-), F(x)].  Observations
     below the support floor have both limits zero and score exactly 0.
-    Accepts scalars or arrays (broadcast together).
+    Accepts scalars or arrays, broadcast together; shapes that do not
+    broadcast raise ``ShapeError``.
     """
     ua = _check_open_unit(u, "randomizer u")
     left = np.asarray(dist.cdf_left(x), dtype=float)
@@ -85,7 +86,13 @@ def randomized_pit(dist: NullDistribution, x, u):
     # Algebraically (1 - u) left + u right; this form stays inside the
     # bracket under rounding, and the clamp makes that exact.  Worked in one
     # buffer: IEEE + and * commute, so each value is left + ua * (right - left).
-    left, right, ua = np.broadcast_arrays(left, right, ua)
+    try:
+        left, right, ua = np.broadcast_arrays(left, right, ua)
+    except ValueError:
+        raise ShapeError(
+            f"observations of shape {left.shape} and randomizers of shape {ua.shape} "
+            "do not broadcast together"
+        ) from None
     out = np.asarray(right - left)
     out *= ua
     out += left

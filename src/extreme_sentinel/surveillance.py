@@ -10,11 +10,9 @@ when asked for.  Under the null hypothesis every cell is Poisson with
 mean lambda * population; the test asks whether a single cell was
 generated by a dominating alternative instead.  A test scores the panel
 in one array pass over its count and population columns, and no model is
-built per cell.  Where adjacent rows share a mean, as the periods of one
-region share its yearly population, the pass evaluates the survival
-function once per integer of each such run's count range, when those
-integers number at most n, and gathers both brackets from that table;
-either way the brackets are those of ``pvalue_bounds`` on
+built per cell.  Adjacent rows that share a mean may share one table of
+the survival function, by the rule ``distributions._poisson_brackets``
+states; the brackets are those of ``pvalue_bounds`` on
 ``null_distributions``, bit for bit.  The peel analysis repeats the test
 with the flagged cell removed until nothing more stands out; its state
 is the indices of the kept rows: a fixed rate scores the panel once and
@@ -35,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Poisson, RandomStream, _poisson_sf, _ranges, _read_only
+from .distributions import Poisson, RandomStream, _poisson_brackets, _read_only
 from .errors import DataError, ParameterError, _integer, _real, _seed, _shown
 from .umptest import PValueBounds, TestDecision, _bounds
 from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
@@ -63,8 +61,11 @@ class PanelCell:
 
 
 def _id_ok(name) -> bool:
-    """A region or period id: a non-empty string without surrounding whitespace."""
-    return isinstance(name, str) and name != "" and name == name.strip()
+    """A region or period id: a non-empty string without surrounding whitespace.
+
+    ``str.strip`` is the rule, as in ``_ids_pass``, whatever strip a subclass defines.
+    """
+    return isinstance(name, str) and name != "" and name == str.strip(name)
 
 
 def _breaks(check, value, *bounds) -> bool:
@@ -77,13 +78,14 @@ def _breaks(check, value, *bounds) -> bool:
 
 
 def _ids_pass(ids: tuple) -> bool:
-    """Whether every id is a plain str, none is empty and none has surrounding whitespace."""
-    if not (set(map(type, ids)) == {str} and "" not in ids):
+    """Whether every id is a str, none is empty and none has surrounding whitespace."""
+    try:
+        joined = "".join(ids)  # a TypeError for any id that is not a str
+    except TypeError:
         return False
     # str.split and str.strip cut the same characters, so joined ids that
     # split into themselves hold none; only others are stripped one by one.
-    joined = "".join(ids)
-    return joined.split() == [joined] or tuple(map(str.strip, ids)) == ids
+    return "" not in ids and (joined.split() == [joined] or tuple(map(str.strip, ids)) == ids)
 
 
 def _counts_pass(counts) -> bool:
@@ -294,35 +296,14 @@ def _panel_brackets(
     receives.  A mean that is not a finite positive number raises what
     ``Poisson`` raises.
 
-    Adjacent rows with an equal mean form a run, as the periods of one
-    region do when its population is a yearly figure.  When there are at
-    most n/2 runs and their integers ``[min count - 1, max count]`` number
-    at most n in all, one ``_poisson_sf`` call over those integers makes a
-    table and both brackets are gathered from it; otherwise there are two
-    calls of n points each.  Either way every cell's bracket is the
-    special function at the same (count, mean) arguments, so the two
-    paths agree bit for bit.
+    Runs of equal means share a table by ``distributions._poisson_brackets``' rule.
     """
     with np.errstate(over="ignore"):  # an overflowed mean is refused below
         means = rate * populations
     bad = ~(np.isfinite(means) & (means > 0.0))
     if bad.any():
         _real(float(means[int(np.argmax(bad))]), "Poisson mean", 0.0)
-    n = means.size
-    change = means[1:] != means[:-1]
-    if 2 * (1 + np.count_nonzero(change)) <= n:
-        starts = np.flatnonzero(np.concatenate(([True], change)))
-        lo = np.minimum.reduceat(counts, starts) - 1
-        width = np.maximum.reduceat(counts, starts) - lo + 1
-        if width.sum(dtype=float) <= n:
-            points = (_ranges(width) + np.repeat(lo, width)).astype(float)
-            table = _poisson_sf(points, np.repeat(means[starts], width))
-            # Each count's place in the table: its run's table offset plus count - lo.
-            shift = np.cumsum(width) - width - lo
-            at = counts + np.repeat(shift, np.diff(np.append(starts, n)))
-            return table[at - 1], table[at]
-    x = counts.astype(float)
-    return _poisson_sf(x - 1.0, means), _poisson_sf(x, means)
+    return _poisson_brackets(counts, means)
 
 
 def _round_report(

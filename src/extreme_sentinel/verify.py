@@ -17,12 +17,12 @@ and a cut cdf[k* - 1], where k* is the first ladder point whose lower
 bracket falls below s = 1 - t.  A draw at or below the cut lands on a
 point whose score cannot fall below s, so only the draws past it are
 searched and scored; a trial rejects when any cell's score falls below
-s.  Every integer ladder comes from ``distributions._integer_ladders``:
-the cells whose null and law are both Poisson take one call of it for
-all their ladders, and every other discrete cell reads its law's cached
-``_ladder``.  The tables are concatenated, one cut rule runs over all
-their segments, and one search covers every candidate of a block, each
-on its own cell's ladder.
+s.  The cells whose null and law are both Poisson take their ladders
+from one ``distributions._integer_ladders`` call and their brackets from
+one ``_poisson_brackets`` call; every other discrete cell reads its
+law's cached ``_ladder``.  The tables are concatenated, one cut rule
+runs over all their segments, and one search covers every candidate of
+a block, each on its own cell's ladder.
 
 The harness draws what ``RandomStream(seed)`` would: each chunk of at
 most ``_CHUNK`` trials takes its whole u block, then its whole v block.
@@ -62,8 +62,8 @@ from .distributions import (
     RandomStream,
     _integer_ladders,
     _lift_zeros,
+    _poisson_brackets,
     _poisson_cdf,
-    _poisson_sf,
 )
 from .errors import (
     ContractError,
@@ -194,13 +194,7 @@ class _Tables:
             pts, cdf, counts = _integer_ladders(
                 lambda k, i: _poisson_cdf(k, mean[i]), mean, np.sqrt(mean)
             )
-            nulls = np.repeat([dists[j].mean for j in pois], counts)
-            rights = _poisson_sf(pts, nulls)
-            # A ladder's points are consecutive integers, so each left bracket
-            # but its first is the right bracket of the point before.
-            first = np.cumsum(counts) - counts
-            lefts = np.roll(rights, 1)
-            lefts[first] = _poisson_sf(pts[first] - 1.0, nulls[first])
+            lefts, rights = _poisson_brackets(pts, np.repeat([dists[j].mean for j in pois], counts))
             parts.append((cdf, lefts, rights))
             sizes.extend(counts)
         for j in other:

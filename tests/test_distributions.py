@@ -489,6 +489,21 @@ def test_ladder_stays_a_window_at_huge_mean():
     assert Poisson(1e8)._ladder[0].size < 1_000_000
 
 
+def test_spans_equal_concatenated_ranges():
+    # Pieces of zero points among them, and float starts up to 2**52.
+    rng = np.random.default_rng(2029)
+    for _ in range(200):
+        sizes = rng.integers(0, 6, int(rng.integers(1, 8)))
+        lo = rng.integers(-50, 50, sizes.size)
+        want = np.concatenate([np.arange(a, a + m) for a, m in zip(lo, sizes)])
+        got = distributions._spans(lo, sizes)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        lo = np.floor(rng.uniform(0.0, 2.0**52, sizes.size))
+        want = np.concatenate([np.arange(a, a + m) for a, m in zip(lo, sizes)] + [np.empty(0)])
+        got = distributions._spans(lo, sizes)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 def test_ladder_widens_below_a_loose_first_window():
     # The first window of Binomial(100, 0.999) starts at 47, but F(46) = 7e-134.
     dist = Binomial(100, 0.999)

@@ -74,6 +74,10 @@ class TestRandomizedPit:
             with pytest.raises(DomainError):
                 randomized_pit(Poisson(1.0), 1, bad)
 
+    def test_shapes_that_do_not_broadcast_raise_shape_error(self):
+        with pytest.raises(ShapeError, match=r"shape \(3,\) .* shape \(2,\)"):
+            randomized_pit(Poisson(1.0), [1.0, 2.0, 3.0], [0.5, 0.5])
+
 
 def out_of_place_pit(dist, x, u):
     """The score as one out-of-place expression: the reference for the in-place form."""

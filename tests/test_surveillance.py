@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from panel_rows import panel_of, surveil_csv
 
-from extreme_sentinel import cli, surveillance
+from extreme_sentinel import cli, distributions, surveillance
 from extreme_sentinel.cli import ingest, write_panel
 from extreme_sentinel.distributions import Poisson, RandomStream
 from extreme_sentinel.errors import DataError, PanelFormatError, ParameterError
@@ -490,6 +490,34 @@ class TestColumnPanel:
             passed += fault is None
         assert 100 < passed < 1900
 
+    def test_id_types_fault_as_the_row_scan(self, monkeypatch):
+        # The column gate takes "".join's TypeError as its type test; every
+        # column must fault, or pass, as the row scan alone has it.
+        class Name(str):
+            pass
+
+        class OwnStrip(str):
+            def strip(self, chars=None):
+                return "stripped"
+
+        plain = ("A", "B", "C")
+        odd = (np.str_("B"), np.str_("B "), Name("B"), Name(" B"), 7, 7.0, b"B", None)
+        columns = [tuple(map(cls, plain)) for cls in (np.str_, Name, OwnStrip)]
+        columns += [plain[:i] + (v,) + plain[i + 1 :] for v in odd for i in range(3)]
+        faults = []
+        for ids in columns:
+            for rows in ((ids, plain), (plain, ids)):
+                rows = (*rows, [1, 2, 3], [10.0] * 3, str)
+                fault = surveillance._first_fault(*rows)
+                with monkeypatch.context() as patched:
+                    patched.setattr(surveillance, "_ids_pass", lambda ids: False)
+                    assert fault == surveillance._first_fault(*rows), rows
+                faults.append(fault)
+        assert faults.count(None) == 2 * 3 + 2 * 3 * 2  # the str columns pass
+        assert {fault for fault in faults if fault} == {
+            (i, "ids must be non-empty strings without surrounding whitespace") for i in range(3)
+        }
+
     def test_valid_ingest_runs_the_panel_rules_once(self, tmp_path, monkeypatch):
         calls = []
         first_fault = surveillance._first_fault
@@ -578,13 +606,13 @@ class TestPanelBrackets:
     def counting_sf(monkeypatch):
         """The points of every ``_poisson_sf`` call ``_panel_brackets`` makes, as a list."""
         points = []
-        sf = surveillance._poisson_sf
+        sf = distributions._poisson_sf
 
         def counting(k, mean):
             points.append(np.size(k))
             return sf(k, mean)
 
-        monkeypatch.setattr(surveillance, "_poisson_sf", counting)
+        monkeypatch.setattr(distributions, "_poisson_sf", counting)
         return points
 
     def test_equals_the_per_model_pass(self, monkeypatch):

@@ -593,6 +593,51 @@ class TestOnePassPoissonTables:
         monkeypatch.setattr(distributions, "_ladder_window", narrow)
         self.check_pairs(np.random.default_rng(2025), 1000)
 
+    @staticmethod
+    def counting_sf(monkeypatch):
+        """The points of every ``distributions._poisson_sf`` call, as a list."""
+        points = []
+        sf = distributions._poisson_sf
+
+        def counting(k, mean):
+            points.append(np.size(k))
+            return sf(k, mean)
+
+        monkeypatch.setattr(distributions, "_poisson_sf", counting)
+        return points
+
+    def test_fixture_template_takes_one_sf_call(self, monkeypatch):
+        template = tuple(null_distributions(ingest(listeriosis_fixture_path()), 9.703e-7))
+        points = self.counting_sf(monkeypatch)
+        tables = verify._Tables.build(template, template, _survival_cut(0.05, len(template)))
+        # Each ladder's points and the one before its first; a cell whose null
+        # mean is its left neighbour's shares that cell's ladder, and adds no point.
+        sizes = np.diff(tables.last, prepend=-1)
+        means = np.array([d.mean for d in template])
+        shared = np.flatnonzero(means[1:] == means[:-1]) + 1
+        assert shared.size == 1  # one region's population repeats from one year to the next
+        assert points == [tables.keys.size + len(template) - (sizes[shared] + 1).sum()]
+
+    def test_adjacent_cells_sharing_a_null_mean(self, monkeypatch):
+        # Cells 2 and 3 share their null mean, so their ladders form one run;
+        # swapping cell 3's law far out makes that run's range outgrow the table.
+        means = (0.7, 2.5, 4.0, 4.0, 1.3, 9.0)
+        points = self.counting_sf(monkeypatch)
+        calls = []
+        for law in (None, 1e4):
+            built = []
+            for cls in (Poisson, PoissonByCell):
+                dists = tuple(map(cls, means))
+                laws = dists if law is None else dists[:3] + (cls(law),) + dists[4:]
+                points.clear()
+                built.append(verify._Tables.build(dists, laws, 1e-3))
+                calls.append(len(points))
+            for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
+                ours, theirs = (getattr(tables, field) for tables in built)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (law, field)
+        # The shared run takes the table; the swapped one falls back to two calls.
+        assert calls[0] == 1 and calls[2] == 2
+
 
 class TestOneCutRule:
     def test_cut_of_every_discrete_cell_matches_its_definition(self):
