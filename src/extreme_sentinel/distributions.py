@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
@@ -48,6 +48,7 @@ from .errors import (
     _integer,
     _real,
     _seed,
+    _Short,
 )
 
 __all__ = [
@@ -102,7 +103,11 @@ class RandomStream:
             size = tuple(_integer(k, "size entry", 0) for k in size)
         else:
             size = _integer(size, "size", 0)
-        return _lift_zeros(self._gen.random(size))
+        try:
+            u = self._gen.random(size)
+        except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
+            raise SizeError(f"size is too large to allocate: {_Short().repr(size)}") from None
+        return _lift_zeros(u)
 
     def _generator_at(self, offset: int) -> np.random.Generator:
         """A new generator whose draws are this stream's from draw ``offset`` of its seed on.
@@ -119,6 +124,17 @@ class RandomStream:
         return [RandomStream(child) for child in children]
 
 
+def _draw(stream, size):
+    """``stream.uniform_open(size)``, for any object with that method, such as a scripted stream.
+
+    Anything without a callable ``uniform_open`` raises ``ParameterError``.
+    """
+    uniform_open = getattr(stream, "uniform_open", None)
+    if not callable(uniform_open):
+        raise ParameterError(f"stream must be a RandomStream, got {type(stream).__name__}")
+    return uniform_open(size)
+
+
 def _ret(x, values):
     """Return a float for scalar input, the array otherwise."""
     if np.ndim(x) == 0:
@@ -131,6 +147,29 @@ def _read_only(values, dtype=float) -> np.ndarray:
     column = np.array(values, dtype=dtype)
     column.flags.writeable = False
     return column
+
+
+class _Record:
+    """Equality and hash of a frozen dataclass of arrays and values, declared with ``eq=False``.
+
+    Two records are equal when they have the same type and every field is:
+    arrays by ``np.array_equal``, other fields by ``==``.  The hash reads
+    the fields that are not arrays.
+    """
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+    def __hash__(self):
+        return hash(tuple(v for v in self._values() if not isinstance(v, np.ndarray)))
 
 
 def _array_call(fn, xs: np.ndarray, error: type[Exception]):
@@ -202,7 +241,7 @@ class NullDistribution(ABC):
 
     def sample(self, stream: RandomStream, size: int | tuple | None = None):
         """Inverse-transform sampling: N(U) with U from the stream."""
-        return self.skorokhod_quantile(stream.uniform_open(size))
+        return self.skorokhod_quantile(_draw(stream, size))
 
 
 # Calls with fewer needles go straight to np.searchsorted.  Timed with

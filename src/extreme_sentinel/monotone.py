@@ -21,8 +21,10 @@ from .errors import (
     ContractError,
     DomainError,
     ParameterError,
+    SizeError,
     _array,
     _integer,
+    _shown,
 )
 
 __all__ = [
@@ -194,7 +196,11 @@ def convexity_check(cdf_on_unit, grid_size: int) -> CheckResult:
     The midpoint test is robust to piecewise-linear shapes, where second
     differences sit exactly on the tolerance edge at every breakpoint.
     """
-    grid = np.linspace(0.0, 1.0, _integer(grid_size, "grid_size", 3))
+    size = _integer(grid_size, "grid_size", 3)
+    try:
+        grid = np.linspace(0.0, 1.0, size)
+    except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
+        raise SizeError(f"grid_size is too large to allocate: {_shown(size)}") from None
     _, vals = _array_call(cdf_on_unit, grid, ContractError)
     if not np.all(np.isfinite(vals)):
         raise ContractError("cdf handle returned non-finite values on the grid")

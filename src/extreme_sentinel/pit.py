@@ -22,18 +22,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NullDistribution, RandomStream, _check_open_unit
+from .distributions import (
+    NullDistribution,
+    RandomStream,
+    _check_open_unit,
+    _draw,
+    _read_only,
+    _Record,
+)
 from .errors import ParameterError, ShapeError
 
 __all__ = ["ExtremenessVector", "randomized_pit", "extremeness_panel"]
 
 
-@dataclass(frozen=True)
-class ExtremenessVector:
-    """Per-cell survival scores 1 - Y of one panel, with the randomizers used."""
+@dataclass(frozen=True, eq=False)
+class ExtremenessVector(_Record):
+    """One panel's survival scores 1 - Y and randomizers, as read-only float64 arrays."""
 
-    survival: tuple[float, ...]
-    randomizers_used: tuple[float, ...]
+    survival: np.ndarray
+    randomizers_used: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "survival", _read_only(self.survival))
+        object.__setattr__(self, "randomizers_used", _read_only(self.randomizers_used))
 
     @property
     def argmax_index(self) -> int:
@@ -114,9 +125,5 @@ def extremeness_panel(
     go to the lowest index.
     """
     sf_left, sf_right = _survival_brackets(dists, observations)
-    us = _check_open_unit(np.atleast_1d(stream.uniform_open(len(sf_left))), "randomizer u")
-    scores = _survival_scores(sf_left, sf_right, us)
-    return ExtremenessVector(
-        survival=tuple(float(v) for v in scores),
-        randomizers_used=tuple(float(v) for v in us),
-    )
+    us = _check_open_unit(np.atleast_1d(_draw(stream, len(sf_left))), "randomizer u")
+    return ExtremenessVector(_survival_scores(sf_left, sf_right, us), us)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Poisson, RandomStream, _poisson_brackets, _read_only
+from .distributions import Poisson, RandomStream, _poisson_brackets, _read_only, _Record
 from .errors import DataError, ParameterError, _integer, _real, _seed, _shown
 from .umptest import PValueBounds, TestDecision, _bounds
 from .umptest import pvalue_bounds  # not called here: perfbench's tracer wraps this name
@@ -167,7 +167,7 @@ def _column(values, name: str, dtype=None) -> tuple | np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CountPanel:
+class CountPanel(_Record):
     """The cells that enter the test: at least one, each valid, keys unique.
 
     Built from its four columns in panel order, each an iterable, and
@@ -177,8 +177,8 @@ class CountPanel:
     as they are and held as read-only copies; any other ndarray is read
     through ``tolist``.  Region and period ids are
     non-empty strings without surrounding whitespace, so every panel is
-    one that a CSV file can hold.  Two panels are equal when their
-    columns are.
+    one that a CSV file can hold.  Panels compare and hash by the
+    ``_Record`` rule.
     """
 
     region_ids: tuple[str, ...]
@@ -216,19 +216,6 @@ class CountPanel:
     def n(self) -> int:
         """Number of cells entering the test (the exponent in the bounds)."""
         return len(self.region_ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, CountPanel):
-            return NotImplemented
-        return (
-            self.region_ids == other.region_ids
-            and self.period_ids == other.period_ids
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.populations, other.populations)
-        )
-
-    def __hash__(self):
-        return hash((self.region_ids, self.period_ids))
 
 
 def _check_panel(panel) -> None:

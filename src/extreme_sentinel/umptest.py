@@ -28,12 +28,12 @@ at any alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import NullDistribution, _read_only
+from .distributions import NullDistribution, _read_only, _Record
 from .errors import ContractError, DomainError, _integer, _real
 from .pit import ExtremenessVector, _survival_brackets
 
@@ -86,7 +86,7 @@ class TestDecision:
 
 
 @dataclass(frozen=True, eq=False)
-class PValueBounds:
+class PValueBounds(_Record):
     """Sharp bracket for the randomized test's p-value, and the cell brackets.
 
     m_high is the largest full CDF value F_i(x_i) across cells and drives
@@ -95,7 +95,7 @@ class PValueBounds:
     to the lowest cell.  ``sf_left`` and ``sf_right`` hold each cell's
     1 - F(x-) and 1 - F(x) in panel order, as read-only float64 arrays
     whatever sequence they were given as; ``decide`` reads the same ones.
-    Two bounds are equal when every field is; the hash reads the scalars.
+    Bounds compare and hash by the ``_Record`` rule.
     """
 
     lower: float
@@ -109,18 +109,6 @@ class PValueBounds:
     def __post_init__(self):
         object.__setattr__(self, "sf_left", _read_only(self.sf_left))
         object.__setattr__(self, "sf_right", _read_only(self.sf_right))
-
-    def __eq__(self, other):
-        if not isinstance(other, PValueBounds):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.lower, self.upper, self.n, self.argmax_upper_cell, self.argmax_lower_cell)
-        )
 
     def decide(self, alpha: float) -> TestDecision:
         """Deterministic case split of the randomized test, given the counts.
@@ -168,7 +156,7 @@ def phi_randomized(scores: ExtremenessVector, alpha: float) -> int:
     where it has phi = 0, at any alpha.
     """
     s = _survival_cut(alpha, len(scores.survival))
-    return int(min(scores.survival) < s)
+    return int(scores.survival.min() < s)
 
 
 def pvalue_bounds(

@@ -75,6 +75,7 @@ from .errors import (
     _integer,
     _real,
     _seed,
+    _shown,
 )
 from .monotone import discrete_probe_points
 from .pit import _survival_brackets, _survival_scores
@@ -345,10 +346,13 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     tables = _Tables.build(dists, laws, s)
     cont = [j for j in range(n) if dists[j].continuous or laws[j].continuous]
     trials = config.n_trials
-    rejected = np.zeros(trials, dtype=bool)
-    # Pieces write disjoint trials of these; u_cont and v_cont hold the continuous cells' draws.
-    u_cont = np.empty((len(cont), trials))
-    v_cont = np.empty((len(cont), trials))
+    try:
+        rejected = np.zeros(trials, dtype=bool)
+        # Pieces write disjoint trials of these; u_cont and v_cont hold the continuous cells' draws.
+        u_cont = np.empty((len(cont), trials))
+        v_cont = np.empty((len(cont), trials))
+    except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
+        raise SizeError(f"n_trials is too large to allocate: {_shown(trials)}") from None
     stream = RandomStream(config.seed)
     # The chunk's u block starts 2tn draws in, and the piece's u rows (a - t)n
     # after that; its v rows start (m - k)n draws after its u rows end.

@@ -820,6 +820,12 @@ class TestRunSimulateNull:
         assert err.startswith("error: a CDF ladder reaching 2**53 is too large to build")
         assert "Traceback" not in err
 
+    def test_a_trial_count_too_large_to_allocate_exits_one(self, capsys):
+        args = ("--input", FIXTURE, "--mode", "simulate-null", "--seed", "1")
+        code, out, err = run_main(capsys, *args, "--trials", str(10**30))
+        assert (code, out) == (1, "")
+        assert err == "error: n_trials is too large to allocate: a 100-bit integer\n"
+
     def test_trials_floor(self, capsys):
         code, _, err = run_main(
             capsys,

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from panel_rows import panel_of
 
-from extreme_sentinel import distributions
+from extreme_sentinel import distributions, verify
 from extreme_sentinel.distributions import (
     Binomial,
     ContinuousByCdf,
     Poisson,
     RandomStream,
     TabulatedDiscrete,
+    Uniform01,
 )
 from extreme_sentinel.errors import (
     ContractError,
@@ -26,7 +27,7 @@ from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf, convexity_
 from extreme_sentinel.pit import extremeness_panel, randomized_pit
 from extreme_sentinel.surveillance import CountPanel, epidemic_test
 from extreme_sentinel.umptest import pvalue_bounds, threshold
-from extreme_sentinel.verify import ks_uniformity
+from extreme_sentinel.verify import SimulationConfig, ks_uniformity, simulate_size_and_power
 
 
 def test_unreadable_arrays_raise_the_sites_error():
@@ -177,6 +178,53 @@ def test_many_moderate_ladder_windows_pass_the_size_check():
     lo, hi = np.zeros(2**18), np.full(2**18, 240.0)
     sizes = distributions._window_sizes(lo, hi)
     assert sizes.sum() == 241 * 2**18 > 2**24
+
+
+def test_sizes_numpy_cannot_allocate_raise_size_error(monkeypatch):
+    # Each size is past numpy's dimension or byte limit, so numpy refuses it
+    # before it takes any memory; the harness refuses before it cuts its pieces.
+    def pieces(trials, n):
+        raise AssertionError("piece list built")
+
+    monkeypatch.setattr(verify, "_pieces", pieces)
+    template = (Poisson(1.0), Uniform01())
+    probes = [
+        ("size", "a 71-bit integer", lambda: RandomStream(1).uniform_open(2**70)),
+        ("size", r"\(2147483648, 2147483648\)", lambda: RandomStream(1).uniform_open((2**31, 2**31))),
+        ("size", "a 71-bit integer", lambda: Poisson(1.0).sample(RandomStream(1), 2**70)),
+        ("grid_size", "a 100-bit integer", lambda: convexity_check(lambda y: y, 10**30)),
+    ]
+    for trials, shown in ((10**30, "a 100-bit integer"), (10**19, "10000000000000000000")):
+        config = SimulationConfig(template, 0.05, trials, 1)
+        probes.append(("n_trials", shown, lambda config=config: simulate_size_and_power(config)))
+    for name, shown, call in probes:
+        with pytest.raises(SizeError, match=f"^{name} is too large to allocate: {shown}$"):
+            call()
+
+
+def test_a_trial_count_the_allocator_refuses_raises_size_error(monkeypatch):
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if isinstance(shape, int) and shape == 1234:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    config = SimulationConfig((Poisson(1.0),), 0.05, 1234, 1)
+    with pytest.raises(SizeError, match="^n_trials is too large to allocate: 1234$"):
+        simulate_size_and_power(config)
+
+
+def test_a_stream_without_uniform_open_raises_parameter_error():
+    probes = [
+        ("int", lambda: Poisson(1.0).sample(7, 3)),
+        ("NoneType", lambda: Poisson(1.0).sample(None)),
+        ("Generator", lambda: extremeness_panel([Poisson(1.0)], [1], np.random.default_rng(1))),
+    ]
+    for kind, call in probes:
+        with pytest.raises(ParameterError, match=f"^stream must be a RandomStream, got {kind}$"):
+            call()
 
 
 def test_a_scipy_without_the_binomial_ufuncs_raises_contract_error(monkeypatch):

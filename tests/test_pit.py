@@ -177,7 +177,7 @@ class TestExtremenessPanel:
         assert ev.survival[1] == pytest.approx(1.0 - 0.25 * math.exp(-1.0), rel=1e-14)
         assert 1.0 - min(ev.survival) == pytest.approx(0.18394, abs=5e-6)
         assert ev.argmax_index == 0
-        assert ev.randomizers_used == (0.5, 0.25)
+        assert ev.randomizers_used.tolist() == [0.5, 0.25]
 
     def test_ties_go_to_lowest_index(self):
         class _Constant:
@@ -196,6 +196,21 @@ class TestExtremenessPanel:
         b = extremeness_panel(dists, obs, RandomStream(31337))
         assert a == b
         assert isinstance(a, ExtremenessVector)
+
+    def test_fields_are_read_only_float64_arrays(self):
+        ev = extremeness_panel([Poisson(0.5), Binomial(10, 0.3)], [1, 4], RandomStream(7))
+        for column in (ev.survival, ev.randomizers_used):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (2,)
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+        # Built from tuples, a vector holds the same arrays, and compares and hashes alike.
+        columns = (tuple(ev.survival.tolist()), tuple(ev.randomizers_used.tolist()))
+        from_tuples = ExtremenessVector(*columns)
+        assert from_tuples == ev and hash(from_tuples) == hash(ev)
+        nudged = ev.survival.copy()
+        nudged[1] = np.nextafter(nudged[1], 1.0)
+        assert ExtremenessVector(nudged, ev.randomizers_used) != ev
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

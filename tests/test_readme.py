@@ -32,5 +32,5 @@ def test_hard_decision_example_rejects(capsys):
     (block,) = [b for b in BLOCKS if "phi_randomized" in b]
     exec(compile(block, "README.md hard decision", "exec"), {})
     survival, decision = capsys.readouterr().out.splitlines()
-    assert survival.startswith("(1.29") and survival.endswith("e-18,)")
+    assert survival.startswith("[1.29") and survival.endswith("e-18]")
     assert decision == "1"

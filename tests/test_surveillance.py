@@ -432,6 +432,12 @@ class TestColumnPanel:
         assert panel != panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 1, pop=2.5)))
         assert panel != panel_of((cell("B", "2", 0, pop=2.5), cell("A", "1", 3, pop=7.0)))
 
+    def test_ids_compare_as_python_strings(self):
+        # numpy's U arrays drop trailing NULs: as arrays, ids 'a\x00' and 'a' would compare equal.
+        nul, plain = (CountPanel([region], ["1"], [1], [1.0]) for region in ("a\x00", "a"))
+        assert nul.region_ids == ("a\x00",) and np.array_equal(nul.region_ids, plain.region_ids)
+        assert nul != plain
+
     def test_columns_round_trip(self, tmp_path):
         seen = 0
         for panel in self.panels(tmp_path):
