@@ -24,24 +24,28 @@ law's cached ``_ladder``.  The tables are concatenated, one cut rule
 runs over all their segments, and one search covers every candidate of
 a block, each on its own cell's ladder.
 
-The harness draws what ``RandomStream(seed)`` would: each chunk of at
-most ``_CHUNK`` trials takes its whole u block, then its whole v block.
-Each chunk is cut into equal row pieces of at most ``_PIECE_CELLS``
-(2^18) cells, their row counts differing by at most one, and a piece's
-PCG64 starts at the seed and is advanced to its u rows, then to its v
-rows, so the pieces can run in any order.  They run inline when there is
-one piece or one CPU the process may use (``os.sched_getaffinity``, else
-``os.cpu_count()``), and otherwise on a pool of one worker thread per
-such CPU.  The pool is started by the first call that needs it and kept
-for the life of the process; it is built again after a fork, whose child
-has none of its threads, or when the usable CPUs change.  Python 3.12+
-warns on ``os.fork()`` in a process with more than one thread, which a
-kept pool makes every process that has run a parallel call.  Workers
-fill reused blocks and run numpy on plain arrays only; every model
-method, and every ``cdf_fn`` of a continuous cell, runs on the calling
-thread, in one call over all trials.  A piece lifts a drawn 0.0 as
-``uniform_open`` does, so a result does not depend on the number of
-CPUs, bit for bit.
+The harness reads what ``RandomStream(seed)`` would draw: each chunk of
+at most ``_CHUNK`` trials has its whole u block, then its whole v block,
+in the stream.  Each chunk is cut into equal row pieces of at most
+``_PIECE_CELLS`` (2^18) cells, their row counts differing by at most
+one, and a piece's PCG64 starts at the seed and is advanced to its u
+rows, so the pieces can run in any order.  A piece fills its u block and
+draws v only where it reads one, at its candidates and continuous cells:
+by ``distributions._random_at`` while those are at most ``_FILL_SHARE``
+of its cells, else from its filled v block.  Pieces run inline when
+there is one piece or one CPU the process may use
+(``os.sched_getaffinity``, else ``os.cpu_count()``), and otherwise on a
+pool of one worker thread per such CPU.  The pool is started by the
+first call that needs it and kept for the life of the process; it is
+built again after a fork, whose child has none of its threads, or when
+the usable CPUs change.  Python 3.12+ warns on ``os.fork()`` in a
+process with more than one thread, which a kept pool makes every process
+that has run a parallel call.  Workers fill reused blocks and run numpy
+on plain arrays only, one piece at a time drawing its v and scoring its
+candidates; every model method, and every ``cdf_fn`` of a continuous
+cell, runs on the calling thread, in one call over all trials.  A piece
+lifts a drawn 0.0 as ``uniform_open`` does, so a result does not depend
+on the number of CPUs, bit for bit.
 
 The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
@@ -61,9 +65,11 @@ from .distributions import (
     Poisson,
     RandomStream,
     _integer_ladders,
+    _jumps,
     _lift_zeros,
     _poisson_brackets,
     _poisson_cdf,
+    _random_at,
 )
 from .errors import (
     ContractError,
@@ -99,6 +105,12 @@ _CHUNK = 20_000
 
 # Cells of uniforms per piece of a chunk, in each of its u and v blocks.
 _PIECE_CELLS = 2**18
+
+# Past this share of its cells read, a piece fills its whole v block.  The fill
+# releases the GIL and ``_random_at``'s small numpy calls hold it: on a 2-CPU
+# host a 2e5-cell piece breaks even at 4-5% read inline and at about 1% on two
+# workers.  The benchmark's size runs read 0.3%, its power runs 0.9-2.6%.
+_FILL_SHARE = 0.01
 
 _MAX_SUPPORT = 200_000
 
@@ -229,14 +241,17 @@ class _Tables:
         return cls(keys, lefts, rights, cuts, seg, last, s)
 
     def reject_rows(self, u, v) -> np.ndarray:
-        """Rows of the blocks u, v (trials by cells) in which a discrete cell scores below s."""
-        cand = np.flatnonzero(u > self.cuts)
+        """Rows of the block u (trials by cells) in which a discrete cell scores below s.
+
+        ``v`` holds the v block sparse: u's candidates, ``np.flatnonzero(u > cuts)``, and their v.
+        """
+        cand, randomizers = v
         rows, cols = np.divmod(cand, u.shape[1])
         query = np.empty(cand.size, dtype=complex)
         query.real = self.seg[cols]
         query.imag = u.ravel()[cand]
         k = np.minimum(np.searchsorted(self.keys, query, side="left"), self.last[cols])
-        scores = _survival_scores(self.lefts[k], self.rights[k], v.ravel()[cand])
+        scores = _survival_scores(self.lefts[k], self.rights[k], randomizers)
         rejected = np.zeros(u.shape[0], dtype=bool)
         rejected[rows[scores < self.s]] = True
         return rejected
@@ -344,7 +359,7 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     if config.alternative is not None:
         laws[config.alternative.cell_index] = config.alternative.alt_dist
     tables = _Tables.build(dists, laws, s)
-    cont = [j for j in range(n) if dists[j].continuous or laws[j].continuous]
+    cont = np.flatnonzero([d.continuous or law.continuous for d, law in zip(dists, laws)])
     trials = config.n_trials
     try:
         rejected = np.zeros(trials, dtype=bool)
@@ -353,6 +368,7 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         v_cont = np.empty((len(cont), trials))
     except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
         raise SizeError(f"n_trials is too large to allocate: {_shown(trials)}") from None
+    _jumps()  # the jump tables of _random_at, built on the calling thread
     stream = RandomStream(config.seed)
     # The chunk's u block starts 2tn draws in, and the piece's u rows (a - t)n
     # after that; its v rows start (m - k)n draws after its u rows end.
@@ -361,21 +377,34 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         for t, m, a, k in _pieces(trials, n)
     ]
 
+    # The v draws and the scoring are many small numpy calls, each taking the GIL;
+    # one piece at a time runs them, so two threads do not pass it back and forth
+    # call by call, and the fills, which release it, run alongside.
+    serial = threading.Lock()
+
     def run(piece):
         gen, t, k, skip = piece
-        block = _buffer(2 * k * n)
+        blocks = [_buffer(k * n)]
         try:
-            drawn = block[: 2 * k * n]
-            u, v = drawn.reshape(2, k, n)
-            gen.random(out=u)
+            u = blocks[0][: k * n].reshape(k, n)
+            _lift_zeros(gen.random(out=u))
+            cand = np.flatnonzero(u > tables.cuts)
+            # The v positions the piece reads: its candidates, then its continuous cells' rows.
+            at = np.concatenate([cand, (np.arange(k)[:, None] * n + cont).ravel()])
             gen.bit_generator.advance(skip)
-            gen.random(out=v)
-            _lift_zeros(drawn)
-            rejected[t : t + k] = tables.reject_rows(u, v)
+            v = None
+            if at.size > _FILL_SHARE * k * n:
+                blocks.append(_buffer(k * n))
+                v = gen.random(out=blocks[1][: k * n])[at]
+            with serial:
+                if v is None:
+                    v = _random_at(gen.bit_generator, at)
+                _lift_zeros(v)
+                rejected[t : t + k] = tables.reject_rows(u, (cand, v[: cand.size]))
             u_cont[:, t : t + k] = u[:, cont].T
-            v_cont[:, t : t + k] = v[:, cont].T
+            v_cont[:, t : t + k] = v[cand.size :].reshape(k, len(cont)).T
         finally:
-            _SPARE.append(block)
+            _SPARE.extend(blocks)
 
     workers = _workers()
     if min(workers, len(pieces)) == 1:

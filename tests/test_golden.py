@@ -32,6 +32,7 @@ from extreme_sentinel import (
     TabulatedDiscrete,
     Uniform01,
     cli,
+    enumerate_pvalue_bounds,
     epidemic_test,
     extremeness_panel,
     listeriosis_fixture_path,
@@ -143,6 +144,18 @@ def test_bounds_and_decisions():
         digest.decision(bounds.decide(alpha))
     assert digest.hexdigest() == (
         "6bb258a719c79dd49c9231555d8e51ca1754f06b8e21fd41389ea21f2604ad03"
+    )
+
+
+def test_enumerated_bounds():
+    rng = np.random.default_rng(3006)
+    digest = _Digest()
+    for _ in range(200):
+        dists, obs = _panel(rng, int(rng.integers(1, 5)))
+        bounds = enumerate_pvalue_bounds(dists, obs)
+        digest.add(bounds.lower, bounds.upper, bounds.argmax_upper_cell, bounds.argmax_lower_cell)
+    assert digest.hexdigest() == (
+        "8b45ae1bc416ab033a498e919aa4e8b4d30e5bab7f2360781df0c5de8f2c1e55"
     )
 
 

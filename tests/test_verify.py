@@ -12,9 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from bulk import SIZE
 from zero_draws import zero_draws
 
-from extreme_sentinel import distributions, verify
+from extreme_sentinel import CountPanel, distributions, verify
 from extreme_sentinel.cli import ingest
 from extreme_sentinel.distributions import (
     Binomial,
@@ -31,8 +32,12 @@ from extreme_sentinel.errors import (
     SizeError,
 )
 from extreme_sentinel.monotone import ModelPair, alt_extremeness_cdf
-from extreme_sentinel.pit import _survival_scores, randomized_pit
-from extreme_sentinel.surveillance import listeriosis_fixture_path, null_distributions
+from extreme_sentinel.pit import _survival_brackets, _survival_scores, randomized_pit
+from extreme_sentinel.surveillance import (
+    _panel_brackets,
+    listeriosis_fixture_path,
+    null_distributions,
+)
 from extreme_sentinel.umptest import _survival_cut, power_single_alternative, pvalue_bounds
 from extreme_sentinel.verify import (
     Alternative,
@@ -426,6 +431,74 @@ class TestPieces:
         assert simulate_size_and_power(cfg) == expected
         assert hits == [zero, zero]
 
+    # A discrete template's pieces draw v at their candidates only: a 0.0 at a
+    # candidate's v position is drawn and lifted, and one at any other v
+    # position is drawn by the reference's stream alone.
+    @pytest.mark.parametrize("candidate", [True, False], ids=["candidate", "non-candidate"])
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_a_zero_draw_at_random_access_scores_as_the_lifted_stream(
+        self, monkeypatch, candidate, workers
+    ):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Poisson(2.2))
+        cfg = SimulationConfig(template, 0.005, 21_000, 17)
+        cuts = verify._Tables.build(template, template, _survival_cut(0.005, 4)).cuts
+        past = (RandomStream(17).uniform_open((verify._CHUNK, 4)) > cuts).ravel()
+        # The first chunk's v block follows its 80,000 u draws.
+        chosen = np.flatnonzero(past == candidate)
+        zero = 80_000 + int(chosen[chosen.size // 2])
+        lifted = []
+        reject_rows = verify._Tables.reject_rows
+
+        def recorded_rows(tables, u, v):
+            lifted.extend(v[1][v[1] <= 2.0**-54].tolist())
+            return reject_rows(tables, u, v)
+
+        monkeypatch.setattr(verify._Tables, "reject_rows", recorded_rows)
+        hits = zero_draws(monkeypatch, (zero,))
+        expected = reference_simulate(cfg)
+        assert hits == [zero]
+        assert simulate_size_and_power(cfg) == expected
+        assert hits == ([zero, zero] if candidate else [zero])
+        assert lifted == ([2.0**-54] if candidate else [])
+
+    def test_a_piece_fills_its_v_block_only_past_the_share(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
+        sizes, draws = [], []
+        buffer, random_at = verify._buffer, verify._random_at
+
+        def recorded_buffer(size):
+            sizes.append(size)
+            return buffer(size)
+
+        def recorded_random_at(bits, offsets):
+            draws.append(offsets.size)
+            return random_at(bits, offsets)
+
+        monkeypatch.setattr(verify, "_buffer", recorded_buffer)
+        monkeypatch.setattr(verify, "_random_at", recorded_random_at)
+        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Poisson(2.2))
+        # Under 1% of the null draws are candidates; the far swap makes every draw of cell 0 one.
+        for alternative, fills in ((None, False), (Alternative(0, Poisson(40.0)), True)):
+            sizes.clear()
+            draws.clear()
+            cfg = SimulationConfig(template, 0.005, 3000, 5, alternative)
+            assert simulate_size_and_power(cfg) == reference_simulate(cfg)
+            # Three pieces of 1000 rows; a filling piece takes a second block for its v rows.
+            assert sizes == [4000] * (6 if fills else 3)
+            assert len(draws) == (0 if fills else 3)
+            assert all(0 < d <= verify._FILL_SHARE * 4000 for d in draws)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0], ids=["always-fill", "never-fill"])
+    def test_random_configs_on_either_side_of_the_share(self, monkeypatch, share):
+        monkeypatch.setattr(verify, "_FILL_SHARE", share)
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 5000)
+        rng = np.random.default_rng(2031)
+        for _ in range(40):
+            cfg = random_config(rng)
+            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg
+
     def test_model_methods_run_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(verify, "_PIECE_CELLS", 64)
         callers = []
@@ -637,6 +710,36 @@ class TestOnePassPoissonTables:
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (law, field)
         # The shared run takes the table; the swapped one falls back to two calls.
         assert calls[0] == 1 and calls[2] == 2
+
+    def test_bulk_brackets_against_the_per_model_pass(self, monkeypatch):
+        # A panel of SIZE cells, regions x 25 periods, in both row orders, and a
+        # template of SIZE means: bit for bit what one model per cell gives.
+        points = self.counting_sf(monkeypatch)
+        rng = np.random.default_rng(2029)
+        regions, periods, rate = SIZE // 25, 25, 2e-5
+        pops = np.repeat(np.rint(rng.lognormal(np.log(5e5), 0.6, regions)), periods)
+        counts = rng.poisson(rate * pops)
+        ids = (
+            np.repeat([f"R{r}" for r in range(regions)], periods).tolist(),
+            np.tile([f"W{w}" for w in range(periods)], regions).tolist(),
+        )
+        order = np.arange(pops.size).reshape(regions, periods).T.ravel()
+        for name, rows, calls in (("region-major", slice(None), 1), ("period-major", order, 2)):
+            panel = CountPanel(*(np.asarray(c)[rows] for c in (*ids, counts, pops)))
+            points.clear()
+            got = _panel_brackets(panel.counts, panel.populations, rate)
+            assert len(points) == calls, (name, points)  # the table, or two direct calls
+            want = _survival_brackets(null_distributions(panel, rate), panel.counts.tolist())
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True)), name
+        means = rng.uniform(0.2, 3.0, SIZE)
+        s = 0.05 / means.size
+        one, per_cell = (
+            verify._Tables.build(t, t, s)
+            for t in (tuple(map(cls, means)) for cls in (Poisson, PoissonByCell))
+        )
+        for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
+            a, b = getattr(one, field), getattr(per_cell, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 class TestOneCutRule:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from extreme_sentinel.distributions import RandomStream
+from extreme_sentinel import verify
+from extreme_sentinel.distributions import RandomStream, _random_at
 
 
 class ZeroAt:
@@ -10,7 +11,7 @@ class ZeroAt:
 
     ``start`` is the stream position of gen's next double, and
     ``bit_generator.advance`` moves it as it moves gen.  Each position
-    drawn as a 0.0 is appended to ``hits``.
+    drawn as a 0.0, by ``random`` or by ``random_at``, is appended to ``hits``.
     """
 
     def __init__(self, gen, zeros, hits, start=0):
@@ -33,13 +34,23 @@ class ZeroAt:
         self.pos += count
         return x
 
+    def random_at(self, offsets):
+        """``_random_at`` of gen's bit generator, with the zeros among the positions drawn."""
+        x = _random_at(self.gen.bit_generator, offsets)
+        for i, offset in enumerate(np.asarray(offsets).tolist()):
+            if self.pos + offset in self.zeros:
+                self.hits.append(self.pos + offset)
+                x[i] = 0.0
+        return x
+
 
 def zero_draws(monkeypatch, zeros) -> list:
     """Make every seeded stream draw a 0.0 at the positions ``zeros``; return the hits.
 
-    The streams ``RandomStream(seed)`` makes and the generators its
-    ``_generator_at`` returns are both patched, so ``uniform_open`` and
-    the harness's pieces see the same zeros.
+    The streams ``RandomStream(seed)`` makes, the generators its
+    ``_generator_at`` returns and the harness's random-access draws on
+    them are all patched, so ``uniform_open`` and the harness's pieces see
+    the same zeros.
     """
     hits = []
     init, at = RandomStream.__init__, RandomStream._generator_at
@@ -51,6 +62,10 @@ def zero_draws(monkeypatch, zeros) -> list:
     def zeroed_at(stream, offset):
         return ZeroAt(at(stream, offset), zeros, hits, offset)
 
+    def zeroed_random_at(bits, offsets):
+        return bits.random_at(offsets) if isinstance(bits, ZeroAt) else _random_at(bits, offsets)
+
     monkeypatch.setattr(RandomStream, "__init__", zeroed_init)
     monkeypatch.setattr(RandomStream, "_generator_at", zeroed_at)
+    monkeypatch.setattr(verify, "_random_at", zeroed_random_at)
     return hits
