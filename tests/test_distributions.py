@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from bulk import SIZE
+from bulk import BULK_MODELS, SIZE
 from scipy import stats
 from zero_draws import zero_draws
 
@@ -690,6 +690,22 @@ def test_guided_lookups_equal_searchsorted_on_random_models():
                     assert got.shape == want[method].shape and np.array_equal(got, want[method]), (dist, method)
             guided += bool(table._guide)
     assert guided > 3000  # most of the 5400 tables ran on a guide
+
+
+@pytest.mark.parametrize("name", BULK_MODELS)
+def test_bulk_draws_equal_searchsorted(name):
+    # SIZE draws, on the tabulated model its five lookups at them and at their
+    # neighbours both ways: what one np.searchsorted on the model's tables gives.
+    dist = BULK_MODELS[name]()
+    u = RandomStream(24).uniform_open(SIZE)
+    x = dist.sample(RandomStream(24), SIZE)
+    assert dist._ladder_table._guide, "fewer than _GUIDE_MIN_NEEDLES draws search without a guide"
+    assert np.array_equal(x, searchsorted_reference(dist, u, True)["skorokhod_quantile"])
+    if isinstance(dist, TabulatedDiscrete):
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        for method, want in searchsorted_reference(dist, x, False).items():
+            assert np.array_equal(getattr(dist, method)(x), want), method
+        assert dist._support_table._guide
 
 
 def test_seeded_tabulated_sample_is_pinned_and_the_guide_is_no_field():

@@ -44,7 +44,8 @@ from extreme_sentinel import (
 
 pytestmark = pytest.mark.skipif(
     (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
-    reason="digests pinned on numpy 2.4.6 and scipy 1.17.1",
+    reason=f"digests pinned on numpy 2.4.6 and scipy 1.17.1; found numpy {np.__version__}"
+    f" and scipy {scipy.__version__}",
 )
 
 FIXTURE = str(listeriosis_fixture_path())

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from bulk import BULK_MODELS, SIZE
 
 from extreme_sentinel.distributions import (
     Binomial,
@@ -143,6 +144,14 @@ class TestScoresWorkedInPlace:
                         assert list(map(float.hex, got.ravel().tolist())) == list(
                             map(float.hex, want.ravel().tolist())
                         ), (dist, x_shape, u_shape)
+
+    @pytest.mark.parametrize("name", BULK_MODELS)
+    def test_bulk_scores_bit_identical_to_the_out_of_place_expression(self, name):
+        dist = BULK_MODELS[name]()
+        stream = RandomStream(28)
+        x = dist.sample(stream, SIZE)
+        u = stream.uniform_open(SIZE)
+        assert randomized_pit(dist, x, u).tobytes() == out_of_place_pit(dist, x, u).tobytes()
 
     def test_scores_in_at_most_three_arrays_of_the_output(self):
         # left, right and one work buffer of 8n bytes each, plus small temporaries.

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from bulk import SIZE
+from bulk import BULK_MODELS, SIZE
 from zero_draws import zero_draws
 
 from extreme_sentinel import CountPanel, distributions, verify
@@ -969,6 +969,15 @@ class TestKsUniformity:
                 samples = rng.random((2, n // 2))
             got = ks_uniformity(samples).statistic
             assert got.hex() == self.out_of_place_statistic(samples).hex(), case
+
+    @pytest.mark.parametrize("name", BULK_MODELS)
+    def test_bulk_statistic_bit_identical_to_the_out_of_place_expressions(self, name):
+        dist = BULK_MODELS[name]()
+        stream = RandomStream(28)
+        x = dist.sample(stream, SIZE)
+        scores = randomized_pit(dist, x, stream.uniform_open(SIZE))
+        got = ks_uniformity(scores).statistic
+        assert got.hex() == self.out_of_place_statistic(scores).hex()
 
     def test_statistic_in_at_most_three_arrays_of_the_sample(self):
         # The sorted sample, the grid and one gap buffer of 8n bytes each,
