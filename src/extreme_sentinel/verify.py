@@ -30,22 +30,27 @@ in the stream.  Each chunk is cut into equal row pieces of at most
 ``_PIECE_CELLS`` (2^18) cells, their row counts differing by at most
 one, and a piece's PCG64 starts at the seed and is advanced to its u
 rows, so the pieces can run in any order.  A piece fills its u block and
-draws v only where it reads one, at its candidates and continuous cells:
-by ``distributions._random_at`` while those are at most ``_FILL_SHARE``
-of its cells, else from its filled v block.  Pieces run inline when
-there is one piece or one CPU the process may use
-(``os.sched_getaffinity``, else ``os.cpu_count()``), and otherwise on a
-pool of one worker thread per such CPU.  The pool is started by the
+finds its candidates, ``_Tables.candidates``.  It reads v only at its
+candidates and continuous cells.  While those are at most
+``_FILL_SHARE`` of its cells, it returns its candidates and their u;
+once a chunk's pieces are in, the calling thread draws every v they
+read in one ``distributions._random_at`` call, at offsets from the
+seed, and scores all their candidates in one search, while the workers
+fill the next chunk.  A piece past the share fills its v block and
+scores its own candidates.  Pieces run inline when there is one piece
+or one CPU the process may use (``os.sched_getaffinity``, else
+``os.cpu_count()``), and otherwise on a pool of one worker thread per
+such CPU.  The pool is started by the
 first call that needs it and kept for the life of the process; it is
 built again after a fork, whose child has none of its threads, or when
 the usable CPUs change.  Python 3.12+ warns on ``os.fork()`` in a
 process with more than one thread, which a kept pool makes every process
 that has run a parallel call.  Workers fill reused blocks and run numpy
-on plain arrays only, one piece at a time drawing its v and scoring its
-candidates; every model method, and every ``cdf_fn`` of a continuous
-cell, runs on the calling thread, in one call over all trials.  A piece
-lifts a drawn 0.0 as ``uniform_open`` does, so a result does not depend
-on the number of CPUs, bit for bit.
+on plain arrays only, and only the filling pieces take a lock, one at a
+time scoring their candidates; every model method, and every ``cdf_fn``
+of a continuous cell, runs on the calling thread, in one call over all
+trials.  A drawn 0.0 is lifted as ``uniform_open`` does, so a result
+does not depend on the number of CPUs, bit for bit.
 
 The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
@@ -56,7 +61,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +70,6 @@ from .distributions import (
     Poisson,
     RandomStream,
     _integer_ladders,
-    _jumps,
     _lift_zeros,
     _poisson_brackets,
     _poisson_cdf,
@@ -106,10 +110,12 @@ _CHUNK = 20_000
 # Cells of uniforms per piece of a chunk, in each of its u and v blocks.
 _PIECE_CELLS = 2**18
 
-# Past this share of its cells read, a piece fills its whole v block.  The fill
-# releases the GIL and ``_random_at``'s small numpy calls hold it: on a 2-CPU
-# host a 2e5-cell piece breaks even at 4-5% read inline and at about 1% on two
-# workers.  The benchmark's size runs read 0.3%, its power runs 0.9-2.6%.
+# Past this share of its cells read, a piece fills its whole v block and scores
+# on its worker; below it, the calling thread draws what the chunk's pieces read
+# by ``_random_at``.  The fill releases the GIL and ``_random_at``'s small numpy
+# calls hold it: on a 2-CPU host a 2e5-cell piece broke even at 4-5% read inline
+# and at about 1% on two workers, measured when each piece drew its own.  The
+# benchmark's size runs read 0.3%, its power runs 0.9-2.6%.
 _FILL_SHARE = 0.01
 
 _MAX_SUPPORT = 200_000
@@ -190,6 +196,14 @@ class _Tables:
     seg: np.ndarray
     last: np.ndarray
     s: float
+    # Set from cuts: the cells whose cut is below 1 - 1/n, and the cuts with +inf at those.
+    low: np.ndarray = field(init=False, repr=False)
+    high: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        low = self.cuts < 1.0 - 1.0 / self.cuts.size
+        object.__setattr__(self, "low", np.flatnonzero(low))
+        object.__setattr__(self, "high", np.where(low, math.inf, self.cuts))
 
     @classmethod
     def build(cls, dists, laws, s: float) -> "_Tables":
@@ -240,21 +254,41 @@ class _Tables:
         keys.imag = cdf
         return cls(keys, lefts, rights, cuts, seg, last, s)
 
-    def reject_rows(self, u, v) -> np.ndarray:
-        """Rows of the block u (trials by cells) in which a discrete cell scores below s.
+    def candidates(self, u) -> np.ndarray:
+        """Flat indices of the draws of the block u (trials by cells) past their cell's cut.
 
-        ``v`` holds the v block sparse: u's candidates, ``np.flatnonzero(u > cuts)``, and their v.
+        The same set as ``np.flatnonzero(u > cuts)``.  A cell whose cut is
+        at least 1 - 1/n passes at most 1/n of its draws, so one compare
+        with the smallest such cut finds about one hit per row, and each
+        hit is then checked against its own cell's cut.  The cells with
+        lower cuts, such as a swapped law's or a -inf cut, are compared on
+        their own.  Gathering and comparing a column costs about four
+        times comparing it in place, so past n/16 such cells the split
+        saves little or nothing, and one broadcast compare of the block
+        takes its place.
         """
-        cand, randomizers = v
-        rows, cols = np.divmod(cand, u.shape[1])
-        query = np.empty(cand.size, dtype=complex)
+        n = u.shape[1]
+        if 16 * self.low.size > n:
+            return np.flatnonzero(u > self.cuts)
+        flat = u.ravel()
+        hits = np.flatnonzero(flat > self.high.min())
+        hits = hits[flat[hits] > self.high[hits % n]]
+        low = self.low
+        rows, i = np.divmod(np.flatnonzero(u[:, low] > self.cuts[low]), low.size)
+        return np.concatenate([hits, rows * n + low[i]])
+
+    def rejecting(self, cells, u, v) -> np.ndarray:
+        """The trials in which a draw (u, v) of a discrete cell scores below s.
+
+        ``cells`` are flat indices, trial n + cell, of draws past their
+        cell's cut; ``u`` and ``v`` are their uniforms and randomizers.
+        """
+        rows, cols = np.divmod(cells, self.cuts.size)
+        query = np.empty(cells.size, dtype=complex)
         query.real = self.seg[cols]
-        query.imag = u.ravel()[cand]
+        query.imag = u
         k = np.minimum(np.searchsorted(self.keys, query, side="left"), self.last[cols])
-        scores = _survival_scores(self.lefts[k], self.rights[k], randomizers)
-        rejected = np.zeros(u.shape[0], dtype=bool)
-        rejected[rows[scores < self.s]] = True
-        return rejected
+        return rows[_survival_scores(self.lefts[k], self.rights[k], v) < self.s]
 
 
 def _workers() -> int:
@@ -349,8 +383,11 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     every draw.
 
     The draws are cut into equal row pieces of at most 2^18 cells, which
-    run on the kept worker threads as the module docstring describes; the
-    result is the same on any number of CPUs.
+    run on the kept worker threads as the module docstring describes: a
+    piece that reads v at under 1% of its cells hands its candidates to
+    the calling thread, which scores them once per chunk, and only the
+    pieces that fill their v blocks score on the workers, one at a time.
+    The result is the same on any number of CPUs.
     """
     dists = config.panel_template
     n = len(dists)
@@ -368,49 +405,67 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         v_cont = np.empty((len(cont), trials))
     except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
         raise SizeError(f"n_trials is too large to allocate: {_shown(trials)}") from None
-    _jumps()  # the jump tables of _random_at, built on the calling thread
     stream = RandomStream(config.seed)
-    # The chunk's u block starts 2tn draws in, and the piece's u rows (a - t)n
-    # after that; its v rows start (m - k)n draws after its u rows end.
+    # The chunk at trial t, of m trials, has its u block 2tn draws in and its v
+    # block mn draws later: cell c of trial r has its u at draw (t + r)n + c and
+    # its v at draw (t + m + r)n + c.
     pieces = [
-        (stream._generator_at((t + a) * n), a, k, (m - k) * n)
-        for t, m, a, k in _pieces(trials, n)
+        (stream._generator_at((t + a) * n), t, m, a, k) for t, m, a, k in _pieces(trials, n)
     ]
+    origin = stream._generator_at(0).bit_generator
 
-    # The v draws and the scoring are many small numpy calls, each taking the GIL;
-    # one piece at a time runs them, so two threads do not pass it back and forth
-    # call by call, and the fills, which release it, run alongside.
+    # A filling piece scores on its worker.  The scoring is many small numpy calls,
+    # each taking the GIL; one piece at a time runs it, so two threads do not pass
+    # it back and forth call by call, and the fills, which release it, run alongside.
     serial = threading.Lock()
 
-    def run(piece):
-        gen, t, k, skip = piece
+    def fill(piece):
+        """Fill the piece's u block.  Past the share, fill its v block and score it;
+        else return (a, k, its candidates as flat cell indices, their u)."""
+        gen, t, m, a, k = piece
         blocks = [_buffer(k * n)]
         try:
             u = blocks[0][: k * n].reshape(k, n)
             _lift_zeros(gen.random(out=u))
-            cand = np.flatnonzero(u > tables.cuts)
-            # The v positions the piece reads: its candidates, then its continuous cells' rows.
+            u_cont[:, a : a + k] = u[:, cont].T
+            cand = tables.candidates(u)
+            cells, u_at = a * n + cand, u.ravel()[cand]
+            # The piece reads v at its candidates and its continuous cells' rows.
+            if cand.size + k * len(cont) <= _FILL_SHARE * k * n:
+                return a, k, cells, u_at
             at = np.concatenate([cand, (np.arange(k)[:, None] * n + cont).ravel()])
-            gen.bit_generator.advance(skip)
-            v = None
-            if at.size > _FILL_SHARE * k * n:
-                blocks.append(_buffer(k * n))
-                v = gen.random(out=blocks[1][: k * n])[at]
+            gen.bit_generator.advance((m - k) * n)
+            blocks.append(_buffer(k * n))
+            v = _lift_zeros(gen.random(out=blocks[1][: k * n])[at])
             with serial:
-                if v is None:
-                    v = _random_at(gen.bit_generator, at)
-                _lift_zeros(v)
-                rejected[t : t + k] = tables.reject_rows(u, (cand, v[: cand.size]))
-            u_cont[:, t : t + k] = u[:, cont].T
-            v_cont[:, t : t + k] = v[cand.size :].reshape(k, len(cont)).T
+                rejected[tables.rejecting(cells, u_at, v[: cand.size])] = True
+            v_cont[:, a : a + k] = v[cand.size :].reshape(k, len(cont)).T
         finally:
             _SPARE.extend(blocks)
 
+    def score(t, m, drawn):
+        """Draw, in one call, the v that the chunk's returned pieces ``drawn`` read; score them."""
+        rows = np.concatenate([np.arange(a, a + k) for a, k, _, _ in drawn])
+        cells = np.concatenate([cells for _, _, cells, _ in drawn])
+        u_at = np.concatenate([u_at for *_, u_at in drawn])
+        at = np.concatenate([cells, (rows[:, None] * n + cont).ravel()])
+        v = _lift_zeros(_random_at(origin, (t + m) * n + at))
+        rejected[tables.rejecting(cells, u_at, v[: cells.size])] = True
+        v_cont[:, rows] = v[cells.size :].reshape(rows.size, len(cont)).T
+
     workers = _workers()
     if min(workers, len(pieces)) == 1:
-        list(map(run, pieces))
+        results = map(fill, pieces)
     else:
-        list(_pool_map(run, pieces, workers))
+        results = _pool_map(fill, pieces, workers)
+    # In piece order: a chunk's pieces are scored once its last one is in.
+    drawn = []
+    for (_, t, m, a, k), result in zip(pieces, results):
+        if result is not None:
+            drawn.append(result)
+        if a + k == t + m and drawn:
+            score(t, m, drawn)
+            drawn = []
     for i, j in enumerate(cont):
         x = laws[j].skorokhod_quantile(u_cont[i])
         left = np.asarray(dists[j].sf_left(x), dtype=float)

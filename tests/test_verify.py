@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness, exact enumeration, and KS check."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -341,6 +342,61 @@ class TestFixtureTemplateFrozen:
         assert res == SimulationResult(0.90858, 0.0012888939723654537, 50_000)
 
 
+class TestFixtureTemplateAtSize:
+    """The fixture template at SIZE trials (tests/bulk.py), against the per-cell loop."""
+
+    def test_size_and_power_draw_each_chunk_once(self, monkeypatch):
+        template = tuple(null_distributions(ingest(listeriosis_fixture_path()), 9.703e-7))
+        n = len(template)
+        calls = []
+        random_at = verify._random_at
+
+        def recorded(bits, offsets):
+            calls.append(np.array(offsets))
+            return random_at(bits, offsets)
+
+        monkeypatch.setattr(verify, "_random_at", recorded)
+        swap = Alternative(5, Poisson(8 * template[5].mean))
+        for cfg in (
+            SimulationConfig(template, 0.05, SIZE, 123),
+            SimulationConfig(template, 0.05, SIZE, 456, swap),
+        ):
+            calls.clear()
+            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg.seed
+            # The v positions of every piece that reads at most its share, by chunk:
+            # a candidate at trial r, cell c of the chunk at trial t, of m trials, is
+            # read at draw (t + m + r)n + c, inside the chunk's v block.
+            laws = list(template)
+            if cfg.alternative is not None:
+                laws[5] = swap.alt_dist
+            cuts = verify._Tables.build(template, laws, _survival_cut(0.05, n)).cuts
+            stream, expected, chunks, filled = RandomStream(cfg.seed), [], [], 0
+            for t in range(0, SIZE, verify._CHUNK):
+                m = min(verify._CHUNK, SIZE - t)
+                past = stream.uniform_open((m, n)) > cuts
+                stream.uniform_open((m, n))
+                reads = []
+                for a, k in [(a, k) for c, _, a, k in verify._pieces(SIZE, n) if c == t]:
+                    rows = past[a - t : a - t + k]
+                    if rows.sum() > verify._FILL_SHARE * k * n:
+                        filled += 1
+                    else:
+                        reads.append((t + m + a) * n + np.flatnonzero(rows))
+                if reads:
+                    expected.append(np.concatenate(reads))
+                    chunks.append((t, m))
+            assert len(calls) == len(expected), cfg.seed
+            for (t, m), got, want in zip(chunks, calls, expected):
+                assert np.all((2 * t + m) * n <= got) and np.all(got < 2 * (t + m) * n)
+                assert np.array_equal(np.sort(got), want)
+            if cfg.alternative is None:
+                # The size run reads about 0.3% of its cells: its chunks are drawn.
+                assert len(calls) >= 1
+            else:
+                # The power run's swapped cell passes its cut in about 2.6% of its cells.
+                assert filled >= 1
+
+
 class TestPieces:
     """The same stream cut into row pieces that run on worker threads."""
 
@@ -449,13 +505,13 @@ class TestPieces:
         chosen = np.flatnonzero(past == candidate)
         zero = 80_000 + int(chosen[chosen.size // 2])
         lifted = []
-        reject_rows = verify._Tables.reject_rows
+        rejecting = verify._Tables.rejecting
 
-        def recorded_rows(tables, u, v):
-            lifted.extend(v[1][v[1] <= 2.0**-54].tolist())
-            return reject_rows(tables, u, v)
+        def recorded_rejecting(tables, cells, u, v):
+            lifted.extend(v[v <= 2.0**-54].tolist())
+            return rejecting(tables, cells, u, v)
 
-        monkeypatch.setattr(verify._Tables, "reject_rows", recorded_rows)
+        monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
         hits = zero_draws(monkeypatch, (zero,))
         expected = reference_simulate(cfg)
         assert hits == [zero]
@@ -473,7 +529,7 @@ class TestPieces:
             return buffer(size)
 
         def recorded_random_at(bits, offsets):
-            draws.append(offsets.size)
+            draws.append(np.array(offsets))
             return random_at(bits, offsets)
 
         monkeypatch.setattr(verify, "_buffer", recorded_buffer)
@@ -487,8 +543,13 @@ class TestPieces:
             assert simulate_size_and_power(cfg) == reference_simulate(cfg)
             # Three pieces of 1000 rows; a filling piece takes a second block for its v rows.
             assert sizes == [4000] * (6 if fills else 3)
-            assert len(draws) == (0 if fills else 3)
-            assert all(0 < d <= verify._FILL_SHARE * 4000 for d in draws)
+            # The one chunk's v block is draws 12,000 to 23,999; the calling thread
+            # draws what its pieces read in one call, each piece under the share.
+            assert len(draws) == (0 if fills else 1)
+            for offsets in draws:
+                assert offsets.min() >= 12_000 and offsets.max() < 24_000
+                reads = np.bincount((offsets - 12_000) // 4000, minlength=3)
+                assert all(0 < r <= verify._FILL_SHARE * 4000 for r in reads)
 
     @pytest.mark.parametrize("share", [0.0, 1.0], ids=["always-fill", "never-fill"])
     def test_random_configs_on_either_side_of_the_share(self, monkeypatch, share):
@@ -520,13 +581,13 @@ class TestPieces:
             Poisson(2.0),
         )
         pieces = set()
-        reject_rows = verify._Tables.reject_rows
+        candidates = verify._Tables.candidates
 
-        def recorded_rows(tables, u, v):
+        def recorded_candidates(tables, u):
             pieces.add(threading.get_ident())
-            return reject_rows(tables, u, v)
+            return candidates(tables, u)
 
-        monkeypatch.setattr(verify._Tables, "reject_rows", recorded_rows)
+        monkeypatch.setattr(verify._Tables, "candidates", recorded_candidates)
         callers.clear()
         for alternative in (None, Alternative(3, Poisson(6.0)), Alternative(0, Binomial(8, 0.5))):
             pieces.clear()
@@ -583,15 +644,15 @@ class TestKeptPool:
     def test_a_call_after_more_workers_than_cpus_uses_at_most_the_cpus(self, monkeypatch):
         monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
         threads = set()
-        reject_rows = verify._Tables.reject_rows
+        buffer = verify._buffer
 
-        def slow_rows(tables, u, v):
+        def slow_buffer(size):
             # Each piece holds its thread a while, so a pool of 8 starts all 8.
             threads.add(threading.get_ident())
             time.sleep(0.02)
-            return reject_rows(tables, u, v)
+            return buffer(size)
 
-        monkeypatch.setattr(verify._Tables, "reject_rows", slow_rows)
+        monkeypatch.setattr(verify, "_buffer", slow_buffer)
         cpus = verify._workers
         monkeypatch.setattr(verify, "_workers", lambda: 8)
         expected = simulate_size_and_power(self.config)
@@ -769,6 +830,50 @@ class TestOneCutRule:
                 assert cuts[j] == expected, (d, law, s)
                 finite += math.isfinite(expected)
         assert finite >= 50
+
+
+class TestCandidates:
+    """``_Tables.candidates`` finds the set ``np.flatnonzero(u > cuts)``."""
+
+    def test_equal_to_the_broadcast_compare_as_a_set(self):
+        rng = np.random.default_rng(2033)
+        base = verify._Tables.build((Poisson(1.0),), (Poisson(1.0),), 0.5)
+        rechecked = split_cases = 0
+        for case in range(1200):
+            n = 1 if case % 5 == 0 else int(rng.integers(2, 100))
+            split = 1.0 - 1.0 / n
+            # Cuts at or above 1 - 1/n, some exactly at it and some +inf, and cuts below
+            # it, some -inf. Cells are below with probability 0.3, all or none of them
+            # are, or from 1 to n/16 of them are, so both ways of comparing them run.
+            high = rng.uniform(split, 1.0, n)
+            high[rng.random(n) < 0.1] = split
+            high[rng.random(n) < 0.2] = math.inf
+            low = np.where(
+                (rng.random(n) < 0.3) | (split == 0.0), -math.inf, rng.uniform(0.0, split, n)
+            )
+            mode = case % 4
+            if mode == 3:
+                few = int(rng.integers(1, max(n // 16, 1) + 1))
+                below = np.zeros(n, dtype=bool)
+                below[rng.choice(n, few, replace=False)] = True
+            else:
+                below = rng.random(n) < (0.3, 1.0, 0.0)[mode]
+            cuts = np.where(below, low, high)
+            u = rng.random((int(rng.integers(1, 600)), n))
+            # Draws equal to their cell's cut do not pass it.
+            ties = rng.integers(u.size, size=3)
+            ties = ties[np.isfinite(cuts[ties % n])]
+            u.flat[ties] = cuts[ties % n]
+            got = dataclasses.replace(base, cuts=cuts).candidates(u)
+            assert got.dtype == np.intp
+            assert np.array_equal(np.sort(got), np.flatnonzero(u > cuts)), (n, cuts)
+            if 16 * below.sum() <= n:
+                split_cases += below.any()
+                # Draws past the smallest cut at or above 1 - 1/n that only the check
+                # of each hit against its own cell's cut leaves out.
+                scan = np.where(below, math.inf, cuts).min()
+                rechecked += np.count_nonzero((u > scan) & ~(u > cuts))
+        assert rechecked >= 1000 and split_cases >= 100
 
 
 def assert_relative_match(exact, analytic):
