@@ -71,7 +71,12 @@ class DataError(ExtremeSentinelError):
 
 
 class SizeError(ExtremeSentinelError):
-    """Problem instance too large (or unsupported) for exact enumeration."""
+    """A size too large to serve.
+
+    A draw size, a ``convexity_check`` grid, a harness trial count or CDF
+    ladders that numpy refuses to allocate; a CDF ladder window reaching
+    2**53; exact enumeration past 4 cells or 200,000 support points.
+    """
 
 
 class PanelFormatError(ExtremeSentinelError):

@@ -112,10 +112,12 @@ _PIECE_CELLS = 2**18
 
 # Past this share of its cells read, a piece fills its whole v block and scores
 # on its worker; below it, the calling thread draws what the chunk's pieces read
-# by ``_random_at``.  The fill releases the GIL and ``_random_at``'s small numpy
-# calls hold it: on a 2-CPU host a 2e5-cell piece broke even at 4-5% read inline
-# and at about 1% on two workers, measured when each piece drew its own.  The
-# benchmark's size runs read 0.3%, its power runs 0.9-2.6%.
+# by one ``_random_at`` call per chunk.  The fill releases the GIL and
+# ``_random_at``'s small numpy calls hold it: on a 2-CPU host, 50,000-trial
+# fixture calls with every piece drawn against every piece filled broke even
+# near 2% read inline and near 1-1.3% on two workers (there 7.9 against 10.3 ms
+# at 0.3% read, 17.7 against 12.7 ms at 2.6%).  The benchmark's size runs read
+# 0.3%, its power runs 0.9-2.6%.
 _FILL_SHARE = 0.01
 
 _MAX_SUPPORT = 200_000

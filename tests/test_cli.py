@@ -74,10 +74,13 @@ class TestIngest:
         with pytest.raises(PanelFormatError, match=":2:"):
             ingest(write_csv(tmp_path, body))
 
-    def test_duplicate_key_names_both_lines(self, tmp_path):
+    def test_duplicate_key_names_both_lines(self, capsys, tmp_path):
         body = "region,period,count,population\nA,1,0,10\nA,1,2,10\n"
+        path = write_csv(tmp_path, body)
         with pytest.raises(PanelFormatError, match=r":3:.*line 2"):
-            ingest(write_csv(tmp_path, body))
+            ingest(path)
+        says = f"error: {path}:3: duplicate key, first seen at line 2\n"
+        assert run_main(capsys, "--input", path) == (1, "", says)
 
     def test_negative_count(self, tmp_path):
         body = "region,period,count,population\nA,1,-1,10\n"
@@ -120,11 +123,15 @@ class TestIngest:
         assert err.startswith(f"error: {path}:2: count must be a non-negative integer")
         assert "Traceback" not in err
 
-    def test_file_is_read_before_its_cells_are_checked(self, tmp_path):
+    def test_file_is_read_before_its_cells_are_checked(self, capsys, tmp_path):
         # Line 2 holds a bad value and line 3 a bad literal: the literal is reported.
-        body = "region,period,count,population\nA,1,-1,10\nB,1,two,10\n"
-        with pytest.raises(PanelFormatError, match=":3:.*count must be an integer"):
-            ingest(write_csv(tmp_path, body))
+        for literal in ("two", "1_0"):
+            body = f"region,period,count,population\nA,1,-1,10\nB,1,{literal},10\n"
+            path = write_csv(tmp_path, body)
+            with pytest.raises(PanelFormatError, match=":3:.*count must be an integer"):
+                ingest(path)
+            says = f"error: {path}:3: count must be an integer, got {literal!r}\n"
+            assert run_main(capsys, "--input", path) == (1, "", says)
         body = "region,period,count,population\nA,1,0,10\nA,1,0,10\nB,1,0,\n"
         with pytest.raises(PanelFormatError, match=":4:.*missing population"):
             ingest(write_csv(tmp_path, body))
@@ -487,7 +494,7 @@ def dialect_csv(path, forms, rng):
 
 
 class TestDialects:
-    def test_every_form_matches_the_per_row_reference(self, tmp_path):
+    def test_every_form_matches_the_per_row_reference(self, capsys, tmp_path):
         rng = np.random.default_rng(2020)
         path = tmp_path / "panel.csv"
         names = list(DIALECT_FORMS)
@@ -506,6 +513,19 @@ class TestDialects:
                 assert str(read.value) == expected, (trial, forms)
                 outcomes["error"] += 1
         assert min(outcomes.values()) > 150, outcomes
+        # The fixture's CRLF and fully quoted copies give its panel and report.
+        data = Path(FIXTURE).read_bytes()
+        quoted = "".join(
+            ",".join(f'"{f}"' for f in line.split(",")) + "\n"
+            for line in data.decode().splitlines()
+        )
+        args = ("--alpha", "0.01", "--lambda", "9.703e-7", "--format", "json")
+        report = run_main(capsys, "--input", FIXTURE, *args)
+        assert report[0] == 2
+        for copy in (data.replace(b"\n", b"\r\n"), quoted.encode()):
+            path.write_bytes(copy)
+            assert ingest(path) == ingest(FIXTURE)
+            assert run_main(capsys, "--input", str(path), *args) == report
 
     def test_only_files_that_are_not_plain_reach_the_csv_reader(self, tmp_path, monkeypatch):
         class Reached(Exception):
@@ -559,6 +579,7 @@ class TestWritePanel:
         out = tmp_path / "ids.csv"
         panels = [panel_of([(x, "1", 1, 10.0), ("B", x, 2, 20.5)]) for x in ids]
         panels.append(panel_of([(x, y, 3, 30.0) for x in ids for y in ids]))
+        panels.append(panel_of([("A\rX", "1", 9, 1000.0), ("B\nY", "1", 0, 2000.0)]))
         for panel in panels:
             write_panel(panel, out)
             assert ingest(out) == panel
@@ -567,7 +588,7 @@ class TestWritePanel:
         assert out.read_bytes() == want
         args = ("--lambda", "0.01", "--format", "json")
         report = run_main(capsys, "--input", str(out), *args)
-        assert json.loads(report[1])["flagged_region"] == "A\rX"
+        assert report[0] == 2 and json.loads(report[1])["flagged_region"] == "A\rX"
         copy = tmp_path / "copy.csv"
         write_panel(ingest(out), copy)
         assert run_main(capsys, "--input", str(copy), *args) == report
@@ -721,8 +742,11 @@ class TestRunPeelMode:
         rounds = payload["rounds"]
         assert len(rounds) == 2
         assert rounds[0]["branch"] == "reject"
-        assert rounds[0]["flagged_region"] == "BG"
-        assert rounds[1]["rejected"] is False
+        assert [(r["flagged_region"], r["flagged_period"]) for r in rounds] == [
+            ("BG", "2010"),
+            ("BG", "2011"),
+        ]
+        assert [r["rejected"] for r in rounds] == [True, False]
         assert rounds[1]["n"] == 39
 
     def test_max_rounds_flag(self, capsys):

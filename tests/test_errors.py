@@ -54,6 +54,8 @@ def test_cdf_callables_that_are_not_or_do_not_return_numbers():
         (ParameterError, lambda: ContinuousByCdf(lambda x: "a")),
         (ContractError, lambda: convexity_check(lambda y: "a", 5)),
         (ContractError, lambda: convexity_check(lambda y: [0.0, 1.0], 5)),
+        (ParameterError, lambda: ContinuousByCdf(lambda x: np.where(x < 0.5, x, np.nan))),
+        (ContractError, lambda: convexity_check(lambda y: np.where(y < 1.0, y, np.inf), 5)),
     ]
     for error, call in probes:
         with pytest.raises(error):

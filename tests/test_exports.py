@@ -3,15 +3,12 @@ and importing it loads no more of scipy than the CLI needs."""
 
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
+
+from fresh_process import PACKAGE_ROOT, run_python
 
 import extreme_sentinel
 from extreme_sentinel import errors
-from extreme_sentinel.cli import ENV_SEED
 
 
 def test_every_export_resolves():
@@ -36,6 +33,10 @@ def test_exports_are_the_library_modules_public_names():
 
 COLD_START = """
 import sys
+
+import extreme_sentinel
+
+assert extreme_sentinel.__file__.startswith(sys.argv[1]), extreme_sentinel.__file__
 
 import numpy as np
 
@@ -83,25 +84,17 @@ assert value == binom.cdf(3, 10, 0.3), value
 
 def test_binomial_paths_leave_scipy_stats_unloaded():
     # A fresh interpreter: this test session has long since imported scipy.stats.
-    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python(COLD_START, PACKAGE_ROOT)
     assert done.returncode == 0, done.stderr
 
 
 def test_importing_the_package_starts_no_thread():
     # The harness's worker pool starts with its first parallel call, not at import.
-    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import threading\n"
         "before = threading.active_count()\n"
         "import extreme_sentinel\n"
         "assert threading.active_count() == before, (before, threading.active_count())\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python(code)
     assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 """Tests for count-panel surveillance: estimation, testing, peeling."""
 
+import csv
 import dataclasses
 import math
 
@@ -429,6 +430,7 @@ class TestColumnPanel:
         assert type(panel.cells[1].count) is int and type(panel.cells[0].population) is float
         same = panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 0, pop=2.5)))
         assert panel == same and hash(panel) == hash(same)
+        assert panel != columns(panel)  # another type holding the same columns
         assert panel != panel_of((cell("A", "1", 3, pop=7.0), cell("B", "2", 1, pop=2.5)))
         assert panel != panel_of((cell("B", "2", 0, pop=2.5), cell("A", "1", 3, pop=7.0)))
 
@@ -658,14 +660,17 @@ class TestPanelBrackets:
             for g, e in zip(got, expected, strict=True):
                 assert np.array_equal(g, e)
 
-    def test_row_order_changes_no_report(self):
+    def test_row_order_changes_no_report(self, capsys, tmp_path):
         # A 20 x 52 region-major panel with three 8x outbreaks, and the same
         # cells period-major: the first scores runs of equal means, the second none.
         rng = np.random.default_rng(2052)
         pops = np.repeat(np.rint(rng.lognormal(np.log(5e5), 0.6, 20)), 52)
         means = 2e-5 * pops
-        means[rng.choice(pops.size, 3, replace=False)] *= 8.0
+        outbreaks = rng.choice(pops.size, 3, replace=False)
+        means[outbreaks] *= 8.0
         region_major = CountPanel(*region_week_ids(20, 52), rng.poisson(means), pops)
+        keys = list(zip(region_major.region_ids, region_major.period_ids))
+        outbreaks = {keys[i] for i in outbreaks}
         order = np.arange(pops.size).reshape(20, 52).T.ravel()
         period_major = CountPanel(*(np.asarray(c)[order] for c in columns(region_major)))
         runs = (
@@ -679,11 +684,22 @@ class TestPanelBrackets:
             for panel in (region_major, period_major):
                 reports = run(panel)
                 assert reports[0].rejected is True  # an outbreak is found
+                assert reports[0].flagged_cell in outbreaks
                 keys, rounds = list(zip(panel.region_ids, panel.period_ids)), []
                 for report in reports:  # each round's kept rows, in panel order
                     rounds.append(order_free(report, keys))
                     keys.remove(report.flagged_cell)
                 said.append(rounds)
+            assert said[0] == said[1]
+        # The same through the CLI, from each order's CSV: the same bytes out.
+        paths = [tmp_path / "region.csv", tmp_path / "period.csv"]
+        for panel, path in zip((region_major, period_major), paths):
+            write_panel(panel, path)
+        for args in (("--alpha", "0.001"), ("--mode", "peel", "--lambda", "2e-5", "--seed", "7")):
+            said = []
+            for path in paths:
+                assert cli.main(["--input", str(path), *args, "--format", "json"]) == 2
+                said.append(capsys.readouterr())
             assert said[0] == said[1]
 
     def test_mean_out_of_range_raises_what_poisson_raises(self):
@@ -871,6 +887,16 @@ class TestFixtureFile:
 
     def test_shape_and_totals(self):
         panel = fixture_panel()
+        # Its four columns, read without ingest, build the same panel.
+        with open(listeriosis_fixture_path(), newline="", encoding="utf-8") as fh:
+            regions, periods, counts, pops = zip(*list(csv.reader(fh))[1:])
+        counts = np.array(counts, dtype=np.int64)
+        rebuilt = CountPanel(regions, periods, counts, list(map(float, pops)))
+        assert rebuilt == panel
+        for lam in (PUBLISHED_RATE, None):
+            assert epidemic_test(rebuilt, lam=lam, alpha=0.01) == epidemic_test(
+                panel, lam=lam, alpha=0.01
+            )
         assert panel.n == 40
         assert sum(panel.counts.tolist()) == 35
         regions = sorted(set(panel.region_ids))

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import itertools
+import json
 import math
 import os
 import signal
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from bulk import BULK_MODELS, SIZE
+from fresh_process import run_python
 from zero_draws import zero_draws
 
 from extreme_sentinel import CountPanel, distributions, verify
@@ -27,6 +29,7 @@ from extreme_sentinel.distributions import (
     Uniform01,
 )
 from extreme_sentinel.errors import (
+    ContractError,
     DomainError,
     ParameterError,
     ShapeError,
@@ -59,6 +62,10 @@ class TestSimulationConfig:
             SimulationConfig(panel_template=dists, alpha=0.05, n_trials=999, seed=1)
         with pytest.raises(ParameterError):
             SimulationConfig(panel_template=dists, alpha=0.05, n_trials=1000, seed=None)
+        with pytest.raises(ParameterError, match="must hold NullDistribution"):
+            SimulationConfig(panel_template=(*dists, 1.0), alpha=0.05, n_trials=1000, seed=1)
+        with pytest.raises(ParameterError, match="alternative model must be"):
+            SimulationConfig(dists, 0.05, 1000, 1, alternative=Alternative(0, 2.0))
         with pytest.raises(DomainError):
             SimulationConfig(panel_template=dists, alpha=1.0, n_trials=1000, seed=1)
         for alpha in (True, "0.05", None, math.nan, math.inf):
@@ -641,6 +648,12 @@ class TestKeptPool:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
         assert reply == repr(expected)
 
+    def test_workers_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert verify._workers() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+        assert verify._workers() == 1
+
     def test_a_call_after_more_workers_than_cpus_uses_at_most_the_cpus(self, monkeypatch):
         monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
         threads = set()
@@ -690,6 +703,38 @@ class TestKeptPool:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
         assert errors == [] and results == [expected] * 12
+
+    # A child pinned to the CPUs in argv[1] runs argv[2] 50,000-trial fixture
+    # calls, ten pieces each, so a second call reuses the first one's threads.
+    PINNED = """
+import json
+import os
+import sys
+
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+from extreme_sentinel import cli, listeriosis_fixture_path, verify
+
+args = ["--mode", "simulate-null", "--seed", "1", "--trials", "50000"]
+for _ in range(int(sys.argv[2])):
+    assert cli.main(["--input", str(listeriosis_fixture_path()), *args]) == 0
+print(json.dumps([verify._workers(), verify._POOL is not None]), file=sys.stderr)
+"""
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs this process may pin a child to",
+    )
+    def test_two_pinned_cpus_run_a_kept_pool_and_one_runs_inline(self):
+        two = sorted(os.sched_getaffinity(0))[:2]
+        runs = {}
+        for cpus, calls in ((two, 2), (two[:1], 1)):
+            done = run_python(self.PINNED, json.dumps(cpus), str(calls))
+            assert done.returncode == 0, done.stderr
+            runs[len(cpus)] = (done.stdout, json.loads(done.stderr.splitlines()[-1]))
+        assert runs[2][1] == [2, True]  # two threads on a kept pool
+        assert runs[1][1] == [1, False]  # pieces inline, no pool built
+        assert "trials=50000  rejection rate=" in runs[1][0]
+        assert runs[2][0] == runs[1][0] * 2
 
 
 class PoissonByCell(Poisson):
@@ -1002,6 +1047,10 @@ class TestEnumeratePValueBounds:
     def test_size_and_shape_errors(self):
         with pytest.raises(SizeError):
             enumerate_pvalue_bounds([Poisson(1.0)] * 5, [0] * 5)
+        support = np.arange(verify._MAX_SUPPORT + 1.0)
+        wide = TabulatedDiscrete(support, np.full(support.size, 1.0 / support.size))
+        with pytest.raises(SizeError, match="support of 200001 points"):
+            enumerate_pvalue_bounds([wide], [0])
         with pytest.raises(ShapeError):
             enumerate_pvalue_bounds([], [])
         with pytest.raises(ShapeError):
@@ -1014,6 +1063,16 @@ class TestEnumeratePValueBounds:
             enumerate_pvalue_bounds([Poisson(1.0)], [[1, 2]])
         with pytest.raises(ParameterError, match="must hold NullDistribution instances"):
             enumerate_pvalue_bounds([1.0], [0])
+
+    def test_brackets_that_lose_mass_are_a_contract_error(self):
+        class Leaky(Poisson):
+            """A Poisson model whose left brackets are its right ones, so they hold no mass."""
+
+            def sf_left(self, x):
+                return self.sf(x)
+
+        with pytest.raises(ContractError, match="lost probability mass"):
+            enumerate_pvalue_bounds([Leaky(1.0)], [0])
 
 
 class TestKsUniformity:
