@@ -431,12 +431,17 @@ def _ladder_window(mean, sd, top=math.inf):
     """The first windows [lo, hi] of ``_integer_ladders``, as integer-valued floats.
 
     Chernoff bounds the tail 40 standard deviations below the mean by
-    about exp(-800), so F has underflowed to 0 there, and the tail 10
-    above by about exp(-50), so F has rounded to 1.  The builder widens
-    a window where a bound is loose.  Arrays of means and sds.
+    about exp(-800), so F has underflowed to 0 there.  Above, the pad of
+    10 carries the small means, whose sd is below 1: the Poisson tail past
+    mean + 10 sd + 10 is at most about 3e-21 at any mean, so F has
+    rounded to 1 at hi.  A ladder ends at its first F == 1.0, and every
+    point past it is evaluated only to be dropped, so a wider pad costs
+    F calls; one of 40 put most of a small mean's window there.  The
+    builder widens a window where a bound is loose.  Arrays of means and
+    sds.
     """
     lo = np.maximum(np.floor(mean - 40.0 * sd - 40.0), 0.0)
-    hi = np.ceil(np.minimum(mean + 10.0 * sd + 40.0, top))
+    hi = np.ceil(np.minimum(mean + 10.0 * sd + 10.0, top))
     return lo, hi
 
 

@@ -32,12 +32,13 @@ one, and a piece's PCG64 starts at the seed and is advanced to its u
 rows, so the pieces can run in any order.  A piece fills its u block and
 finds its candidates, ``_Tables.candidates``.  It reads v only at its
 candidates and continuous cells.  While those are at most
-``_FILL_SHARE`` of its cells, it returns its candidates and their u;
-once a chunk's pieces are in, the calling thread draws every v they
-read in one ``distributions._random_at`` call, at offsets from the
-seed, and scores all their candidates in one search, while the workers
-fill the next chunk.  A piece past the share fills its v block and
-scores its own candidates.  Pieces run inline when there is one piece
+``_FILL_SHARE`` of its cells, it returns its candidates, their u and
+its continuous cells' u; once a chunk's pieces are in, the calling
+thread draws every v they read in one ``distributions._random_at``
+call, at offsets from the seed, while the workers fill the next chunk.
+A piece past the share fills its v block and reads its v there.  One
+routine scores both: it searches the candidates on their ladders in
+one call and keeps the continuous cells' draws.  Pieces run inline when there is one piece
 or one CPU the process may use (``os.sched_getaffinity``, else
 ``os.cpu_count()``), and otherwise on a pool of one worker thread per
 such CPU.  The pool is started by the
@@ -46,9 +47,8 @@ built again after a fork, whose child has none of its threads, or when
 the usable CPUs change.  Python 3.12+ warns on ``os.fork()`` in a
 process with more than one thread, which a kept pool makes every process
 that has run a parallel call.  Workers fill reused blocks and run numpy
-on plain arrays only, and only the filling pieces take a lock, one at a
-time scoring their candidates; every model method, and every ``cdf_fn``
-of a continuous cell, runs on the calling thread, in one call over all
+on plain arrays only; every model method, and every ``cdf_fn`` of a
+continuous cell, runs on the calling thread, in one call over all
 trials.  A drawn 0.0 is lifted as ``uniform_open`` does, so a result
 does not depend on the number of CPUs, bit for bit.
 
@@ -115,8 +115,8 @@ _PIECE_CELLS = 2**18
 # by one ``_random_at`` call per chunk.  The fill releases the GIL and
 # ``_random_at``'s small numpy calls hold it: on a 2-CPU host, 50,000-trial
 # fixture calls with every piece drawn against every piece filled broke even
-# near 2% read inline and near 1-1.3% on two workers (there 7.9 against 10.3 ms
-# at 0.3% read, 17.7 against 12.7 ms at 2.6%).  The benchmark's size runs read
+# near 1.5% read inline and near 0.9-1.5% on two workers (there 7.0 against 8.7 ms
+# at 0.3% read, 18.4 against 11.6 ms at 2.6%).  The benchmark's size runs read
 # 0.3%, its power runs 0.9-2.6%.
 _FILL_SHARE = 0.01
 
@@ -387,9 +387,9 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     The draws are cut into equal row pieces of at most 2^18 cells, which
     run on the kept worker threads as the module docstring describes: a
     piece that reads v at under 1% of its cells hands its candidates to
-    the calling thread, which scores them once per chunk, and only the
-    pieces that fill their v blocks score on the workers, one at a time.
-    The result is the same on any number of CPUs.
+    the calling thread, which draws their v once per chunk, and a piece
+    that fills its v block reads them there; one ``score`` routine serves
+    both.  The result is the same on any number of CPUs.
     """
     dists = config.panel_template
     n = len(dists)
@@ -402,7 +402,7 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     trials = config.n_trials
     try:
         rejected = np.zeros(trials, dtype=bool)
-        # Pieces write disjoint trials of these; u_cont and v_cont hold the continuous cells' draws.
+        # Each score writes its own trials; u_cont and v_cont hold the continuous cells' draws.
         u_cont = np.empty((len(cont), trials))
         v_cont = np.empty((len(cont), trials))
     except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
@@ -416,44 +416,35 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     ]
     origin = stream._generator_at(0).bit_generator
 
-    # A filling piece scores on its worker.  The scoring is many small numpy calls,
-    # each taking the GIL; one piece at a time runs it, so two threads do not pass
-    # it back and forth call by call, and the fills, which release it, run alongside.
-    serial = threading.Lock()
+    def score(rows, cells, u_at, u_rows, read_v):
+        """Score the trials ``rows``: their candidates ``cells``, as flat indices trial
+        n + cell, with uniforms ``u_at``, and their continuous cells' uniforms ``u_rows``.
+        ``read_v(at)`` gives the randomizers at flat indices ``at``."""
+        at = np.concatenate([cells, (rows[:, None] * n + cont).ravel()])
+        v = _lift_zeros(read_v(at))
+        rejected[tables.rejecting(cells, u_at, v[: cells.size])] = True
+        u_cont[:, rows] = u_rows.T
+        v_cont[:, rows] = v[cells.size :].reshape(rows.size, len(cont)).T
 
     def fill(piece):
-        """Fill the piece's u block.  Past the share, fill its v block and score it;
-        else return (a, k, its candidates as flat cell indices, their u)."""
+        """Fill the piece's u block and find its candidates.  Past the share, fill its
+        v block and score them; else return them as ``score`` takes them."""
         gen, t, m, a, k = piece
         blocks = [_buffer(k * n)]
         try:
             u = blocks[0][: k * n].reshape(k, n)
             _lift_zeros(gen.random(out=u))
-            u_cont[:, a : a + k] = u[:, cont].T
             cand = tables.candidates(u)
-            cells, u_at = a * n + cand, u.ravel()[cand]
+            found = np.arange(a, a + k), a * n + cand, u.ravel()[cand], u[:, cont]
             # The piece reads v at its candidates and its continuous cells' rows.
             if cand.size + k * len(cont) <= _FILL_SHARE * k * n:
-                return a, k, cells, u_at
-            at = np.concatenate([cand, (np.arange(k)[:, None] * n + cont).ravel()])
+                return found
             gen.bit_generator.advance((m - k) * n)
             blocks.append(_buffer(k * n))
-            v = _lift_zeros(gen.random(out=blocks[1][: k * n])[at])
-            with serial:
-                rejected[tables.rejecting(cells, u_at, v[: cand.size])] = True
-            v_cont[:, a : a + k] = v[cand.size :].reshape(k, len(cont)).T
+            block = gen.random(out=blocks[1][: k * n])
+            score(*found, lambda at: block[at - a * n])
         finally:
             _SPARE.extend(blocks)
-
-    def score(t, m, drawn):
-        """Draw, in one call, the v that the chunk's returned pieces ``drawn`` read; score them."""
-        rows = np.concatenate([np.arange(a, a + k) for a, k, _, _ in drawn])
-        cells = np.concatenate([cells for _, _, cells, _ in drawn])
-        u_at = np.concatenate([u_at for *_, u_at in drawn])
-        at = np.concatenate([cells, (rows[:, None] * n + cont).ravel()])
-        v = _lift_zeros(_random_at(origin, (t + m) * n + at))
-        rejected[tables.rejecting(cells, u_at, v[: cells.size])] = True
-        v_cont[:, rows] = v[cells.size :].reshape(rows.size, len(cont)).T
 
     workers = _workers()
     if min(workers, len(pieces)) == 1:
@@ -466,7 +457,8 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
         if result is not None:
             drawn.append(result)
         if a + k == t + m and drawn:
-            score(t, m, drawn)
+            # One draw of every v the chunk's returned pieces read, at offsets from the seed.
+            score(*map(np.concatenate, zip(*drawn)), lambda at: _random_at(origin, (t + m) * n + at))
             drawn = []
     for i, j in enumerate(cont):
         x = laws[j].skorokhod_quantile(u_cont[i])

@@ -541,6 +541,52 @@ def test_ladder_widens_below_a_loose_first_window():
         assert dist.skorokhod_quantile(omega) == support[np.argmax(cdf >= omega)]
 
 
+def integer_ladder_families(rng):
+    """(cdf_at, mean, sd, top) of random Poisson means, from 1e-4 to 1e7, and of random Binomials.
+
+    The small means, where the window's pad above the mean matters most,
+    get 2000 of the Poisson means, and the whole range 50.
+    """
+    mean = 10.0 ** np.concatenate([rng.uniform(-4.0, 7.0, 50), rng.uniform(-4.0, 2.0, 2000)])
+    trials = np.floor(10.0 ** rng.uniform(0.0, 4.0, 2000))
+    edges = rng.choice((0.0, 1e-300, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0), 2000)
+    prob = np.where(rng.random(2000) < 0.2, edges, rng.random(2000))
+
+    def poisson_at(k, i):
+        return distributions._poisson_cdf(k, mean[i])
+
+    def binomial_at(k, i):
+        return distributions._binom_at("_binom_cdf", k, trials[i], prob[i], 0.0, 1.0)
+
+    return [
+        (poisson_at, mean, np.sqrt(mean), math.inf),
+        (binomial_at, trials * prob, np.sqrt(trials * prob * (1.0 - prob)), trials),
+    ]
+
+
+def test_ladders_are_those_of_a_ten_times_wider_pad(monkeypatch):
+    # A ladder is cut at its first F == 1.0, so the points the pad adds past
+    # it change nothing.
+    families = integer_ladder_families(np.random.default_rng(2035))
+    ours = [distributions._integer_ladders(*family) for family in families]
+    window = distributions._ladder_window
+
+    def wide(mean, sd, top=math.inf):
+        return window(mean, sd, top)[0], np.ceil(np.minimum(mean + 10.0 * sd + 100.0, top))
+
+    monkeypatch.setattr(distributions, "_ladder_window", wide)
+    for family, ladders in zip(families, ours):
+        theirs = distributions._integer_ladders(*family)
+        assert [a.tobytes() for a in ladders] == [a.tobytes() for a in theirs]
+
+
+def test_first_ladder_windows_reach_f_one():
+    # No window needs widening above; at a pad of 5, 501 of these Poisson windows would.
+    for cdf_at, mean, sd, top in integer_ladder_families(np.random.default_rng(2035)):
+        hi = distributions._ladder_window(mean, sd, top)[1]
+        assert np.all(cdf_at(hi, np.arange(mean.size)) == 1.0)
+
+
 INTEGER_MODELS = (Poisson(3.7), Poisson(250.0), Binomial(40, 0.3), Binomial(7, 1.0))
 BRACKET_METHODS = ("cdf", "sf", "cdf_left", "sf_left")
 

@@ -470,6 +470,48 @@ class TestPieces:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_chunk_of_filled_and_drawn_pieces_on_eight_workers(self, monkeypatch):
+        # The calling thread scores a chunk's drawn pieces while the workers
+        # score the next chunk's filled ones, into the same result arrays.
+        monkeypatch.setattr(verify, "_CHUNK", 1000)
+        monkeypatch.setattr(verify, "_PIECE_CELLS", 200)
+        monkeypatch.setattr(verify, "_FILL_SHARE", 0.525)
+        monkeypatch.setattr(verify, "_workers", lambda: 8)
+        sizes, draws = [], []
+        buffer, random_at = verify._buffer, verify._random_at
+
+        def recorded_buffer(size):
+            sizes.append(size)
+            return buffer(size)
+
+        def recorded_random_at(bits, offsets):
+            draws.append(np.array(offsets))
+            return random_at(bits, offsets)
+
+        monkeypatch.setattr(verify, "_buffer", recorded_buffer)
+        monkeypatch.setattr(verify, "_random_at", recorded_random_at)
+        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01())
+        cfg = SimulationConfig(template, 0.2, 10_000, 13, Alternative(2, Poisson(3.0)))
+        expected = reference_simulate(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                sizes.clear()
+                draws.clear()
+                assert simulate_size_and_power(cfg) == expected
+                # Ten chunks of 20 pieces of 50 rows; chunk c has its v block at draws
+                # 8000c + 4000 to 8000c + 7999.  A drawn piece reads its uniform cell's
+                # v in its chunk's one call; a filled piece takes a second block.
+                drawn = []
+                for c, offsets in enumerate(draws):
+                    assert offsets.min() >= 8000 * c + 4000 and offsets.max() < 8000 * c + 8000
+                    drawn.append(np.unique((offsets - 8000 * c - 4000) // 200).size)
+                assert len(drawn) == 10 and all(0 < k < 20 for k in drawn)
+                assert sizes == [200] * (400 - sum(drawn))
+        finally:
+            sys.setswitchinterval(interval)
+
     # Positions in the stream of 21,000 trials of 4 cells, each in a piece's
     # u or v block: the first and last draw of each block of the first
     # chunk, draws of the continuous cells 2 and 3, and the second chunk.
