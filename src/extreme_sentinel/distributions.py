@@ -428,7 +428,7 @@ class _Continuous(NullDistribution):
 
 
 def _ladder_window(mean, sd, top=math.inf):
-    """The first windows [lo, hi] of ``_integer_ladders``, as integer-valued floats.
+    """The first window [lo, hi] of ``_integer_ladder``, as integer-valued floats.
 
     Chernoff bounds the tail 40 standard deviations below the mean by
     about exp(-800), so F has underflowed to 0 there.  Above, the pad of
@@ -437,8 +437,7 @@ def _ladder_window(mean, sd, top=math.inf):
     rounded to 1 at hi.  A ladder ends at its first F == 1.0, and every
     point past it is evaluated only to be dropped, so a wider pad costs
     F calls; one of 40 put most of a small mean's window there.  The
-    builder widens a window where a bound is loose.  Arrays of means and
-    sds.
+    builder widens a window where a bound is loose.  Scalars or arrays.
     """
     lo = np.maximum(np.floor(mean - 40.0 * sd - 40.0), 0.0)
     hi = np.ceil(np.minimum(mean + 10.0 * sd + 10.0, top))
@@ -466,43 +465,33 @@ def _window_sizes(lo, hi):
     return hi - lo + 1.0
 
 
-def _integer_ladders(cdf_at, mean, sd, top=math.inf):
-    """The CDF ladders of many integer-support models, in one array pass.
+def _integer_ladder(cdf_at, mean, sd, top=math.inf):
+    """The CDF ladder of an integer-support model: its points and F at them.
 
-    ``cdf_at(k, i)`` is F of model i at the integer-valued k, elementwise.
-    Each window from ``_ladder_window`` is widened by whole steps until
-    F(lo - 1) == 0 and F(hi) == 1.0; a ladder keeps its window's points
-    from just after the last F == 0.0 to the first F == 1.0, so F rises
-    along it even where a special function returns a stray 0 in the far
-    lower tail.  Returns the concatenated points and F, and each ladder's
-    number of points.  A window reaching 2**53, before or after widening,
-    or ladders whose arrays the allocator refuses raise ``SizeError``.
+    ``cdf_at(k)`` is F at the integer-valued k, elementwise.  The window
+    from ``_ladder_window`` is widened by whole steps until F(lo - 1) == 0
+    and F(hi) == 1.0; the ladder keeps its points from just after the last
+    F == 0.0 to the first F == 1.0, so F rises along it even where a
+    special function returns a stray 0 in the far lower tail.  A window
+    reaching 2**53, before or after widening, or a ladder whose arrays the
+    allocator refuses raise ``SizeError``.
     """
-    mean = np.asarray(mean, dtype=float)
-    lo, hi = _ladder_window(mean, np.asarray(sd, dtype=float), top)
+    lo, hi = _ladder_window(mean, sd, top)
     _window_sizes(lo, hi)  # before widening too: past 2**53 a step may not move a window
-    step = np.maximum(hi - lo, 1.0)
-    i = np.flatnonzero(lo > 0.0)
-    while i.size:
-        i = i[cdf_at(lo[i] - 1.0, i) > 0.0]
-        lo[i] = np.maximum(lo[i] - step[i], 0.0)
-        i = i[lo[i] > 0.0]
-    i = np.arange(mean.size)
-    while i.size:
-        i = i[cdf_at(hi[i], i) < 1.0]
-        hi[i] += step[i]
-    sizes = _window_sizes(lo, hi).astype(np.intp)
+    step = max(hi - lo, 1.0)
+    while lo > 0.0 and cdf_at(lo - 1.0) > 0.0:
+        lo = max(lo - step, 0.0)
+    while cdf_at(hi) < 1.0:
+        hi += step
+    size = _window_sizes(lo, hi)
     try:
-        pts = _spans(lo, sizes)
-        cdf = cdf_at(pts, np.repeat(np.arange(mean.size), sizes))
+        pts = lo + np.arange(size)
+        cdf = cdf_at(pts)
     except MemoryError:
-        raise SizeError(f"CDF ladders of {sizes.sum():.3g} points are too large to build") from None
-    starts = np.cumsum(sizes) - sizes
-    at = np.arange(pts.size)
-    first = np.maximum(np.maximum.reduceat(np.where(cdf <= 0.0, at, -1), starts) + 1, starts)
-    sizes = np.minimum.reduceat(np.where(cdf >= 1.0, at, pts.size), starts) + 1 - first
-    keep = _spans(first, sizes)
-    return pts[keep], cdf[keep], sizes
+        raise SizeError(f"CDF ladders of {size:.3g} points are too large to build") from None
+    zeros = np.flatnonzero(cdf <= 0.0)
+    keep = slice(zeros[-1] + 1 if zeros.size else 0, np.argmax(cdf >= 1.0) + 1)
+    return pts[keep], cdf[keep]
 
 
 def _on_integers(fn, k):
@@ -616,10 +605,7 @@ class Poisson(_IntegerSupport):
 
     @cached_property
     def _ladder(self):
-        pts, cdf, _ = _integer_ladders(
-            lambda k, i: self._cdf_at(k), [self.mean], [math.sqrt(self.mean)]
-        )
-        return pts, cdf
+        return _integer_ladder(self._cdf_at, self.mean, math.sqrt(self.mean))
 
 
 def _binom_ufunc(name):
@@ -695,8 +681,7 @@ class Binomial(_IntegerSupport):
     def _ladder(self):
         mean = self.trials * self.success_prob
         sd = math.sqrt(mean * (1.0 - self.success_prob))
-        pts, cdf, _ = _integer_ladders(lambda k, i: self._cdf_at(k), [mean], [sd], self.trials)
-        return pts, cdf
+        return _integer_ladder(self._cdf_at, mean, sd, self.trials)
 
 
 @dataclass(frozen=True)

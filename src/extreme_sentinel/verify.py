@@ -9,20 +9,17 @@ observed cells' survival brackets, the cut s = 1 - t, the clamped
 survival score and, through ``umptest._bounds``, the cells attaining
 the smallest brackets, ties to the lowest cell.
 
-The harness and the enumeration work in survival space, on the brackets [1 - F(x), 1 - F(x-)], so
-they reach levels far below the double resolution near 1.  The harness
-keeps one table per discrete cell, built once per call: its sampling
-law's CDF ladder, the null's survival brackets at the ladder's points,
-and a cut cdf[k* - 1], where k* is the first ladder point whose lower
-bracket falls below s = 1 - t.  A draw at or below the cut lands on a
-point whose score cannot fall below s, so only the draws past it are
-searched and scored; a trial rejects when any cell's score falls below
-s.  The cells whose null and law are both Poisson take their ladders
-from one ``distributions._integer_ladders`` call and their brackets from
-one ``_poisson_brackets`` call; every other discrete cell reads its
-law's cached ``_ladder``.  The tables are concatenated, one cut rule
-runs over all their segments, and one search covers every candidate of
-a block, each on its own cell's ladder.
+The harness and the enumeration work in survival space, on the brackets
+[1 - F(x), 1 - F(x-)], so they reach levels far below the double
+resolution near 1.  The harness keeps four numbers per discrete cell,
+built once per call (``_Tables``): with k* the cell's first count whose
+null bracket falls below s = 1 - t, its sampling law's F(k* - 1), the
+cut, and F(k*), the top, and the null's brackets at k*.  A draw at or
+below the cut cannot score below s; one in (cut, top] lands on k* and is
+scored from its brackets; one past the top always rejects.  A trial
+rejects when any cell's draw does.  Cells whose null and law are both
+Poisson find k* by one bisection over all of them; every other discrete
+cell scans the null's brackets on its law's cached ``_ladder``.
 
 The harness reads what ``RandomStream(seed)`` would draw: each chunk of
 at most ``_CHUNK`` trials has its whole u block, then its whole v block,
@@ -37,11 +34,11 @@ its continuous cells' u; once a chunk's pieces are in, the calling
 thread draws every v they read in one ``distributions._random_at``
 call, at offsets from the seed, while the workers fill the next chunk.
 A piece past the share fills its v block and reads its v there.  One
-routine scores both: it searches the candidates on their ladders in
-one call and keeps the continuous cells' draws.  Pieces run inline when there is one piece
-or one CPU the process may use (``os.sched_getaffinity``, else
-``os.cpu_count()``), and otherwise on a pool of one worker thread per
-such CPU.  The pool is started by the
+routine scores both: it decides the candidates from their cells' four
+numbers in one call and keeps the continuous cells' draws.  Pieces run
+inline when there is one piece or one CPU the process may use
+(``os.sched_getaffinity``, else ``os.cpu_count()``), and otherwise on a
+pool of one worker thread per such CPU.  The pool is started by the
 first call that needs it and kept for the life of the process; it is
 built again after a fork, whose child has none of its threads, or when
 the usable CPUs change.  Python 3.12+ warns on ``os.fork()`` in a
@@ -69,11 +66,11 @@ from .distributions import (
     NullDistribution,
     Poisson,
     RandomStream,
-    _integer_ladders,
     _lift_zeros,
-    _poisson_brackets,
     _poisson_cdf,
+    _poisson_sf,
     _random_at,
+    _window_sizes,
 )
 from .errors import (
     ContractError,
@@ -171,32 +168,25 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class _Tables:
-    """The discrete cells' tables of one call, concatenated.
+    """Four numbers per cell of one call, which decide every draw of its discrete cells.
 
-    Cell j's table is segment ``seg[j]``: its sampling law's CDF ladder
-    and the null's survival brackets at the ladder's points.  Its keys
-    are (seg[j], cdf) as complex numbers, so ``keys`` is sorted in the
-    lexicographic order numpy gives complex values, and one
-    ``searchsorted`` of (seg[j], u) bisects cell j's own segment.
-    ``last[j]`` is the segment's last index, the clamp of the search.
-
-    The cut of cell j is cdf[k* - 1] for the first ladder index k* whose
-    bracket reaches below s: the search of a uniform u lands at or past
-    k* exactly when u > cdf[k* - 1], and a score is clipped into its
-    bracket, so no draw u <= cut can score below s.  It is -inf when
-    k* == 0 and +inf when no bracket reaches below s.  k* is the first
-    such index, not the start of a monotone tail, so the draws past the
-    cut are a superset of those that can reject.  A continuous cell has
-    cut +inf: no draw of it is a candidate, and the calling thread
-    scores it.
+    Let k* be cell j's first count whose null bracket reaches below s.
+    ``cuts[j]`` and ``tops[j]`` are its sampling law's F(k* - 1) and
+    F(k*), and ``lefts[j]`` and ``rights[j]`` the null's brackets
+    sf(k* - 1) and sf(k*).  A draw u <= cut lands below k*, where no
+    bracket reaches below s, and a score is clipped into its bracket, so
+    it cannot reject.  A draw in (cut, top] lands on k* and rejects when
+    its score falls below s.  A draw past top lands on some x > k*, whose
+    upper bracket sf(x - 1) <= sf(k*) < s, so it rejects.  The cut is
+    -inf where F(k* - 1) == 0.0, and +inf where it is 1.0, where there is
+    no k*, and at a continuous cell: no draw of that cell is a candidate,
+    and the calling thread scores it.
     """
 
-    keys: np.ndarray
+    cuts: np.ndarray
+    tops: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
-    cuts: np.ndarray
-    seg: np.ndarray
-    last: np.ndarray
     s: float
     # Set from cuts: the cells whose cut is below 1 - 1/n, and the cuts with +inf at those.
     low: np.ndarray = field(init=False, repr=False)
@@ -209,52 +199,32 @@ class _Tables:
 
     @classmethod
     def build(cls, dists, laws, s: float) -> "_Tables":
-        n = len(dists)
+        """Poisson/Poisson cells find k* by ``_first_below``; every other discrete
+        cell scans its null's brackets on its law's cached ``_ladder``."""
+        cuts, tops, lefts, rights = np.full((4, len(dists)), math.inf)
         pair = [type(d) is Poisson and type(law) is Poisson for d, law in zip(dists, laws)]
-        pois = [j for j in range(n) if pair[j]]
-        other = [
-            j for j in range(n)
-            if not (pair[j] or dists[j].continuous or laws[j].continuous)
-        ]
-        parts, sizes = [], []
-        if pois:
-            # One ladder pass for every Poisson/Poisson cell, one gammainc call over its points.
-            mean = np.array([laws[j].mean for j in pois])
-            pts, cdf, counts = _integer_ladders(
-                lambda k, i: _poisson_cdf(k, mean[i]), mean, np.sqrt(mean)
+        pois = np.array(pair, dtype=bool)
+        if pois.any():
+            nulls, alts = (
+                np.array([c.mean for c, p in zip(cells, pair) if p]) for cells in (dists, laws)
             )
-            lefts, rights = _poisson_brackets(pts, np.repeat([dists[j].mean for j in pois], counts))
-            parts.append((cdf, lefts, rights))
-            sizes.extend(counts)
-        for j in other:
-            pts, cdf = laws[j]._ladder
-            lefts = np.asarray(dists[j].sf_left(pts), dtype=float)
-            rights = np.asarray(dists[j].sf(pts), dtype=float)
-            parts.append((cdf, lefts, rights))
-            sizes.append(cdf.size)
-        empty = np.empty(0)
-        cdf, lefts, rights = (np.concatenate(col) for col in zip((empty,) * 3, *parts))
-        order = pois + other
-        sizes = np.asarray(sizes, dtype=np.intp)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        # Each segment's first index whose bracket reaches below s, its end if none;
-        # np.clip bounds a score by the smaller of the two brackets from below.
-        below = np.minimum.reduceat(
-            np.where(np.minimum(lefts, rights) < s, np.arange(cdf.size), cdf.size), starts
-        )
-        cut = np.where(below == starts, -math.inf, cdf[np.maximum(below, 1) - 1])
-        cut[below >= ends] = math.inf
-        cuts = np.full(n, math.inf)
-        cuts[order] = cut
-        seg = np.zeros(n)
-        seg[order] = np.arange(len(order))
-        last = np.zeros(n, dtype=np.intp)
-        last[order] = ends - 1
-        keys = np.empty(cdf.size, dtype=complex)
-        keys.real = np.repeat(np.arange(len(order)), sizes)
-        keys.imag = cdf
-        return cls(keys, lefts, rights, cuts, seg, last, s)
+            k, lefts[pois], rights[pois] = _first_below(nulls, s)
+            cut, tops[pois] = _poisson_cdf(k - np.array([[1.0], [0.0]]), alts)
+            cut[~(rights[pois] < s)] = 1.0  # no k*
+            cuts[pois] = np.where(cut == 0.0, -math.inf, np.where(cut == 1.0, math.inf, cut))
+        for j in np.flatnonzero(~pois):
+            d, law = dists[j], laws[j]
+            if d.continuous or law.continuous:
+                continue
+            pts, cdf = law._ladder
+            left, right = (np.asarray(f(pts), dtype=float) for f in (d.sf_left, d.sf))
+            # np.clip bounds a score by the smaller of the two brackets from below.
+            below = np.flatnonzero(np.minimum(left, right) < s)
+            if below.size:
+                i = below[0]
+                cuts[j] = cdf[i - 1] if i else -math.inf
+                tops[j], lefts[j], rights[j] = cdf[i], left[i], right[i]
+        return cls(cuts, tops, lefts, rights, s)
 
     def candidates(self, u) -> np.ndarray:
         """Flat indices of the draws of the block u (trials by cells) past their cell's cut.
@@ -286,11 +256,39 @@ class _Tables:
         cell's cut; ``u`` and ``v`` are their uniforms and randomizers.
         """
         rows, cols = np.divmod(cells, self.cuts.size)
-        query = np.empty(cells.size, dtype=complex)
-        query.real = self.seg[cols]
-        query.imag = u
-        k = np.minimum(np.searchsorted(self.keys, query, side="left"), self.last[cols])
-        return rows[_survival_scores(self.lefts[k], self.rights[k], v) < self.s]
+        scores = _survival_scores(self.lefts[cols], self.rights[cols], v)
+        return rows[(u > self.tops[cols]) | (scores < self.s)]
+
+
+def _first_below(means, s: float):
+    """k* of each Poisson(mean), the first count with sf(k*) < s, and sf(k* - 1) and sf(k*).
+
+    One bisection of every mean keeps sf(lo) >= s > sf(hi) on counts.  lo
+    starts at -1, where sf is 1.0, or, when s <= 1/2, two counts below
+    ceil(mean - ln 2) - 1, where sf > 1/2 since the median is at least
+    mean - ln 2 (Choi 1994), so lo moves before k* is found.  By Bennett's
+    inequality P(X >= mean + a) <= exp(-a^2 / (2 (mean + a / 3))), sf(hi)
+    starts at most s / e; it is evaluated only where hi never moves, and
+    where it is not below s, as at s == 0, there is no k*.  A window
+    reaching 2**53 raises ``SizeError``: there a step of 1 may not move it.
+    """
+    log = 1.0 - math.log(max(s, math.ulp(0.0)))
+    lo = np.full(means.size, -1.0)
+    if s <= 0.5:
+        lo = np.maximum(np.ceil(means - math.log(2.0)) - 3.0, lo)
+    top = np.ceil(means + log / 3.0 + np.sqrt(log * log / 9.0 + 2.0 * log * means))
+    _window_sizes(lo, top)
+    hi, left, right = top, np.ones(means.size), np.zeros(means.size)
+    # Each step halves every window; one of width 1 keeps its ends.
+    for _ in range(int(np.max(hi - lo) - 1.0).bit_length()):
+        mid = np.floor((lo + hi) / 2.0)
+        sf = _poisson_sf(mid, means)
+        below = sf < s
+        hi, right = np.where(below, mid, hi), np.where(below, sf, right)
+        lo, left = np.where(below, lo, mid), np.where(below, left, sf)
+    kept = hi == top
+    right[kept] = _poisson_sf(top[kept], means[kept])
+    return hi, left, right
 
 
 def _workers() -> int:
@@ -375,14 +373,12 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     Each trial draws one panel (from the template, or with one cell's
     sampling law swapped to the alternative), scores every cell in
     survival space with fresh randomizers, and rejects when some score
-    1 - Y falls below s = 1 - t.  A discrete cell carries a cut
-    cdf[k* - 1] on its sampling law's CDF ladder, the one that law's
-    ``skorokhod_quantile`` searches: only the draws past the cut can
-    score below s, so only those are searched on the ladder and scored
-    against the null's survival brackets, tabulated at the ladder's
-    points once per call.  Any other cell draws through
-    ``skorokhod_quantile`` and evaluates the null's survival brackets at
-    every draw.
+    1 - Y falls below s = 1 - t.  A discrete cell draws by the inverse
+    its law's ``skorokhod_quantile`` computes, but only its draws past the
+    cut F(k* - 1) are read: past F(k*) they reject, and the others land
+    on k* and are scored from the null's brackets there.  Any other
+    cell draws through ``skorokhod_quantile`` and evaluates the null's
+    survival brackets at every draw.
 
     The draws are cut into equal row pieces of at most 2^18 cells, which
     run on the kept worker threads as the module docstring describes: a

@@ -564,20 +564,27 @@ def integer_ladder_families(rng):
     ]
 
 
+def integer_ladders(families):
+    """Each model's ladder from the one-model builder, as bytes."""
+    for cdf_at, mean, sd, top in families:
+        tops = np.broadcast_to(top, mean.shape)
+        for i in range(mean.size):
+            ladder = distributions._integer_ladder(lambda k: cdf_at(k, i), mean[i], sd[i], tops[i])
+            yield tuple(a.tobytes() for a in ladder)
+
+
 def test_ladders_are_those_of_a_ten_times_wider_pad(monkeypatch):
     # A ladder is cut at its first F == 1.0, so the points the pad adds past
     # it change nothing.
     families = integer_ladder_families(np.random.default_rng(2035))
-    ours = [distributions._integer_ladders(*family) for family in families]
+    ours = list(integer_ladders(families))
     window = distributions._ladder_window
 
     def wide(mean, sd, top=math.inf):
         return window(mean, sd, top)[0], np.ceil(np.minimum(mean + 10.0 * sd + 100.0, top))
 
     monkeypatch.setattr(distributions, "_ladder_window", wide)
-    for family, ladders in zip(families, ours):
-        theirs = distributions._integer_ladders(*family)
-        assert [a.tobytes() for a in ladders] == [a.tobytes() for a in theirs]
+    assert list(integer_ladders(families)) == ours
 
 
 def test_first_ladder_windows_reach_f_one():

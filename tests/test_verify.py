@@ -780,10 +780,34 @@ print(json.dumps([verify._workers(), verify._POOL is not None]), file=sys.stderr
 
 
 class PoissonByCell(Poisson):
-    """A Poisson model that ``_Tables.build`` tabulates cell by cell, as any other law."""
+    """A Poisson model that ``_Tables.build`` scans on its ladder, as any other law."""
+
+
+FOUR = ("cuts", "tops", "lefts", "rights")
+
+
+def assert_same_decisions(rng, tables):
+    """Two tables of one panel have equal cuts, and equal tops and brackets where a cut
+    is finite; at a -inf cut k* may sit below the ladder, so every draw past the cut
+    must reject or score alike."""
+    ours, theirs = tables
+    assert np.array_equal(ours.cuts, theirs.cuts)
+    finite = np.isfinite(ours.cuts)
+    for field in FOUR[1:]:
+        a, b = getattr(ours, field)[finite], getattr(theirs, field)[finite]
+        assert a.tobytes() == b.tobytes(), field
+    u, v = rng.random((2, 200, ours.cuts.size))
+    # Half the rows at or below top, and none below 2**-54, as the lifted stream draws.
+    u[:100] = np.maximum(u[:100] * np.where(np.isfinite(ours.tops), ours.tops, 1.0), 2.0**-54)
+    cells = np.flatnonzero(u > ours.cuts)
+    at = u.ravel()[cells], v.ravel()[cells]
+    assert np.array_equal(ours.rejecting(cells, *at), theirs.rejecting(cells, *at))
 
 
 class TestOnePassPoissonTables:
+    """Poisson/Poisson cells take their four numbers from one bisection, without a ladder;
+    a per-cell scan of each law's ladder must give the same."""
+
     @staticmethod
     def check_pairs(rng, pairs):
         cuts = []
@@ -794,9 +818,7 @@ class TestOnePassPoissonTables:
                 verify._Tables.build(tuple(map(cls, nulls)), tuple(map(cls, laws)), s)
                 for cls in (Poisson, PoissonByCell)
             ]
-            for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
-                ours, theirs = (getattr(table, field) for table in tables)
-                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (field, s)
+            assert_same_decisions(rng, tables)
             cuts.extend(tables[0].cuts)
         return np.array(cuts)
 
@@ -806,7 +828,7 @@ class TestOnePassPoissonTables:
         assert np.any(np.isfinite(cuts))
 
     def test_widened_windows(self, monkeypatch):
-        # Windows of +-2 sd: both widening loops run, in both builds.
+        # Ladder windows of +-2 sd: both widening loops of the scanned ladders run.
         def narrow(mean, sd, top=math.inf):
             lo = np.maximum(np.floor(mean - 2.0 * sd), 0.0)
             return lo, np.ceil(np.minimum(mean + 2.0 * sd, top))
@@ -815,8 +837,8 @@ class TestOnePassPoissonTables:
         self.check_pairs(np.random.default_rng(2025), 1000)
 
     @staticmethod
-    def counting_sf(monkeypatch):
-        """The points of every ``distributions._poisson_sf`` call, as a list."""
+    def counting_sf(monkeypatch, module=verify):
+        """The points of every ``_poisson_sf`` call made through ``module``, as a list."""
         points = []
         sf = distributions._poisson_sf
 
@@ -824,26 +846,32 @@ class TestOnePassPoissonTables:
             points.append(np.size(k))
             return sf(k, mean)
 
-        monkeypatch.setattr(distributions, "_poisson_sf", counting)
+        monkeypatch.setattr(module, "_poisson_sf", counting)
         return points
 
-    def test_fixture_template_takes_one_sf_call(self, monkeypatch):
+    def test_fixture_template_sf_calls_do_not_grow_with_cells(self, monkeypatch):
         template = tuple(null_distributions(ingest(listeriosis_fixture_path()), 9.703e-7))
         points = self.counting_sf(monkeypatch)
-        tables = verify._Tables.build(template, template, _survival_cut(0.05, len(template)))
-        # Each ladder's points and the one before its first; a cell whose null
-        # mean is its left neighbour's shares that cell's ladder, and adds no point.
-        sizes = np.diff(tables.last, prepend=-1)
-        means = np.array([d.mean for d in template])
-        shared = np.flatnonzero(means[1:] == means[:-1]) + 1
-        assert shared.size == 1  # one region's population repeats from one year to the next
-        assert points == [tables.keys.size + len(template) - (sizes[shared] + 1).sum()]
+        n = len(template)
+        built = []
+        for copies in (1, 250):
+            points.clear()
+            built.append(verify._Tables.build(template * copies, template * copies, 0.05 / n))
+            calls = list(points)
+            # One call per bisection step over every cell, and one over the cells
+            # whose k* is the bisection's first upper end: none here.
+            assert calls[:-1] == [n * copies] * (len(calls) - 1) and calls[-1] == 0
+        one, tiled = built
+        assert len(calls) <= 8 and len(points) == len(calls)
+        for field in FOUR:
+            assert np.array_equal(np.tile(getattr(one, field), 250), getattr(tiled, field))
 
     def test_adjacent_cells_sharing_a_null_mean(self, monkeypatch):
-        # Cells 2 and 3 share their null mean, so their ladders form one run;
-        # swapping cell 3's law far out makes that run's range outgrow the table.
+        # Cells 2 and 3 share their null mean, so they share k* and its brackets;
+        # swapping cell 3's law far out moves only its cut and top.
         means = (0.7, 2.5, 4.0, 4.0, 1.3, 9.0)
         points = self.counting_sf(monkeypatch)
+        rng = np.random.default_rng(2026)
         calls = []
         for law in (None, 1e4):
             built = []
@@ -853,16 +881,17 @@ class TestOnePassPoissonTables:
                 points.clear()
                 built.append(verify._Tables.build(dists, laws, 1e-3))
                 calls.append(len(points))
-            for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
-                ours, theirs = (getattr(tables, field) for tables in built)
-                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (law, field)
-        # The shared run takes the table; the swapped one falls back to two calls.
-        assert calls[0] == 1 and calls[2] == 2
+            assert_same_decisions(rng, built)
+            ours = built[0]
+            assert ours.lefts[2] == ours.lefts[3] and ours.rights[2] == ours.rights[3]
+            assert (ours.cuts[2] == ours.cuts[3]) == (law is None)
+        # The laws do not enter the bisection; a scanned ladder calls the model's own sf.
+        assert calls[0] == calls[2] > 0 and calls[1] == calls[3] == 0
 
     def test_bulk_brackets_against_the_per_model_pass(self, monkeypatch):
         # A panel of SIZE cells, regions x 25 periods, in both row orders, and a
         # template of SIZE means: bit for bit what one model per cell gives.
-        points = self.counting_sf(monkeypatch)
+        points = self.counting_sf(monkeypatch, distributions)
         rng = np.random.default_rng(2029)
         regions, periods, rate = SIZE // 25, 25, 2e-5
         pops = np.repeat(np.rint(rng.lognormal(np.log(5e5), 0.6, regions)), periods)
@@ -881,13 +910,39 @@ class TestOnePassPoissonTables:
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True)), name
         means = rng.uniform(0.2, 3.0, SIZE)
         s = 0.05 / means.size
-        one, per_cell = (
-            verify._Tables.build(t, t, s)
-            for t in (tuple(map(cls, means)) for cls in (Poisson, PoissonByCell))
-        )
-        for field in ("keys", "lefts", "rights", "cuts", "seg", "last"):
-            a, b = getattr(one, field), getattr(per_cell, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        templates = (tuple(map(cls, means)) for cls in (Poisson, PoissonByCell))
+        assert_same_decisions(rng, [verify._Tables.build(t, t, s) for t in templates])
+
+
+class TestHugeMeans:
+    """Means the bisection reaches without a ladder; past 2**53 see tests/test_errors.py."""
+
+    @staticmethod
+    def first_below(dist, s):
+        """k*, the first count with sf(k*) < s, by a scalar search over Python integers."""
+        lo, hi = -1, 2**53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if dist.sf(float(mid)) < s else (mid, hi)
+        return hi
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 1e-12, 1e-300])
+    def test_four_numbers_of_a_mean_of_two_to_the_52(self, alpha):
+        # Its ladder would hold 3.36e9 points; the bisection needs none.
+        big = Poisson(2.0**52)
+        s = _survival_cut(alpha, 1)
+        tables = verify._Tables.build((big,), (big,), s)
+        k = self.first_below(big, s)
+        assert tables.rights[0] == big.sf(float(k)) < s <= big.sf(float(k - 1)) == tables.lefts[0]
+        assert tables.tops[0] == big.cdf(float(k))
+        cut = big.cdf(float(k - 1))
+        assert tables.cuts[0] == (math.inf if cut == 1.0 else cut)
+
+    def test_a_law_past_two_to_the_53_rejects_every_draw(self):
+        # Only the null's counts are bisected; the law's F is read at k* - 1 and k*.
+        cfg = SimulationConfig((Poisson(1.0),), 0.05, 1000, 1, Alternative(0, Poisson(1e30)))
+        assert verify._Tables.build((Poisson(1.0),), (Poisson(1e30),), 0.05).cuts[0] == -math.inf
+        assert simulate_size_and_power(cfg).rejection_rate == 1.0
 
 
 class TestOneCutRule:
@@ -900,7 +955,8 @@ class TestOneCutRule:
             # Half the laws are swapped, most often to another family.
             laws = tuple(random_law(rng) if rng.random() < 0.5 else d for d in dists)
             s = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
-            cuts = verify._Tables.build(dists, laws, s).cuts
+            tables = verify._Tables.build(dists, laws, s)
+            cuts = tables.cuts
             for j, (d, law) in enumerate(zip(dists, laws)):
                 if d.continuous or law.continuous:
                     assert cuts[j] == math.inf
@@ -916,6 +972,17 @@ class TestOneCutRule:
                     expected = cdf[below[0] - 1]
                 assert cuts[j] == expected, (d, law, s)
                 finite += math.isfinite(expected)
+                if below.size:
+                    # The premise of the four numbers: a draw past top lands on a
+                    # point whose upper bracket is below s, so it rejects.
+                    k = below[0]
+                    assert np.all(d.sf_left(pts[k + 1 :]) < s), (d, law, s)
+                    # A Poisson cell's k* may sit below a law's ladder, where F is 0.
+                    top = tables.tops[j]
+                    assert top == cdf[k] or (expected == -math.inf and top == 0.0), (d, law, s)
+                    if math.isfinite(expected):
+                        brackets = (tables.lefts[j], tables.rights[j])
+                        assert brackets == (d.sf_left(pts[k]), d.sf(pts[k])), (d, law, s)
         assert finite >= 50
 
 
