@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -109,84 +109,10 @@ class RandomStream:
             raise SizeError(f"size is too large to allocate: {_Short().repr(size)}") from None
         return _lift_zeros(u)
 
-    def _generator_at(self, offset: int) -> np.random.Generator:
-        """A new generator whose draws are this stream's from draw ``offset`` of its seed on.
-
-        Its doubles are raw: a 0.0 among them is not lifted.  This stream is not moved.
-        """
-        bits = np.random.PCG64(self._seq)
-        bits.advance(offset)
-        return np.random.Generator(bits)
-
     def spawn(self, n: int) -> list["RandomStream"]:
         """Derive n independent child streams (seed splitting)."""
         children = self._seq.spawn(_integer(n, "number of child streams", 0))
         return [RandomStream(child) for child in children]
-
-
-# PCG64's LCG multiplier M: state' = M state + inc mod 2**128.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(values) -> np.ndarray:
-    """128-bit ints as uint64 words, high then low on a new first axis."""
-    return np.array([[v >> 64 for v in values], [v % 2**64 for v in values]], dtype=np.uint64)
-
-
-@cache
-def _jumps() -> tuple:
-    """Per 9-bit digit p < 7 of an intp offset, the jumps j = d 512**p, d < 512, as uint64 words:
-    [0] the power M**j and [1] the sum (M**j - 1) / (M - 1), built on first use."""
-    tables, step = [], (_PCG64_MULT, 1)
-    for _ in range(7):
-        power, total, rows = 1, 0, []
-        for _ in range(512):
-            rows.append((power, total))
-            power, total = power * step[0] % 2**128, (total * step[0] + step[1]) % 2**128
-        tables.append(np.stack([_words(col) for col in zip(*rows)]))
-        step = (power, total)
-    return tuple(tables)
-
-
-def _mul(a, b):
-    """a * b mod 2**128 on (high, low) uint64 words; no word product overflows."""
-    (ah, al), (bh, bl) = a, b
-    a1, a0, b1, b0 = al >> 32, al & 0xFFFFFFFF, bl >> 32, bl & 0xFFFFFFFF
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    low_mid = a0 * b1 + (mid & 0xFFFFFFFF)
-    return a1 * b1 + (mid >> 32) + (low_mid >> 32) + ah * bl + al * bh, al * bl
-
-
-def _add(a, b):
-    """a + b mod 2**128 on (high, low) uint64 words."""
-    (ah, al), (bh, bl) = a, b
-    lo = al + bl
-    return ah + bh + (lo < bl), lo
-
-
-def _random_at(bits: np.random.PCG64, offsets) -> np.ndarray:
-    """The raw doubles ``Generator(bits).random()`` draws at ``offsets`` on; ``bits`` is not moved.
-
-    Draw e reads the state M**(e+1) s + inc (M**(e+1) - 1) / (M - 1),
-    jumped by 9-bit digits: one product gives the states at every top-digit
-    jump and each digit's sums times inc, then each lower digit takes one
-    multiply-add per offset.  PCG64's XSL-RR output x gives (x >> 11) 2**-53.
-    """
-    state = bits.state["state"]
-    e = np.asarray(offsets, dtype=np.uint64)
-    levels = max(1, (int(e.max(initial=0)).bit_length() + 8) // 9)
-    tables = _jumps()[:levels]
-    inc = state["inc"]
-    first = (state["state"] * _PCG64_MULT + inc) % 2**128
-    rows = np.stack([tables[-1][0]] + [t[1] for t in tables], axis=1)
-    prod = np.stack(_mul(rows, _words([first] + [inc] * levels)[:, :, None]))
-    x = np.stack(_add(prod[:, 0], prod[:, levels]))[:, e >> 9 * (levels - 1)]
-    for p in range(levels - 2, -1, -1):
-        d = e >> 9 * p & 511
-        x = _add(_mul(tables[p][0][:, d], x), prod[:, p + 1, d])
-    hi, lo = x
-    rot, x = hi >> 58, hi ^ lo
-    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
 def _draw(stream, size):
@@ -454,14 +380,15 @@ def _spans(lo, sizes):
 _EXACT_INTEGERS = 2.0**53
 
 
-def _window_sizes(lo, hi):
+def _window_sizes(lo, hi, what="a CDF ladder", use="build"):
     """The number of points of each window [lo, hi], as floats.
 
     ``SizeError`` for a window reaching 2**53, where its points are not all
-    floats and a widening step may not move it.
+    floats and a step may not move it; the message names ``what`` the
+    window holds and the ``use`` it is too large for.
     """
     if hi.max(initial=0.0) >= _EXACT_INTEGERS:
-        raise SizeError("a CDF ladder reaching 2**53 is too large to build")
+        raise SizeError(f"{what} reaching 2**53 is too large to {use}")
     return hi - lo + 1.0
 
 

@@ -74,8 +74,9 @@ class SizeError(ExtremeSentinelError):
     """A size too large to serve.
 
     A draw size, a ``convexity_check`` grid, a harness trial count or CDF
-    ladders that numpy refuses to allocate; a CDF ladder window reaching
-    2**53; exact enumeration past 4 cells or 200,000 support points.
+    ladders that numpy refuses to allocate; a CDF ladder window, or the
+    harness's Poisson count window, reaching 2**53; exact enumeration
+    past 4 cells or 200,000 support points.
     """
 
 

@@ -1,53 +1,36 @@
 """Independent oracles for the analytic modules.
 
-Three cross-checks that reach their answers by other routes than the
-functions they validate: a vectorized Monte Carlo harness for size and
-power of the randomized test, an exact enumeration of the p-value bounds
-over small product supports, and a one-sample Kolmogorov-Smirnov
-uniformity check.  They share with the test only its definitions: the
-observed cells' survival brackets, the cut s = 1 - t, the clamped
-survival score and, through ``umptest._bounds``, the cells attaining
-the smallest brackets, ties to the lowest cell.
+Four cross-checks that reach their answers by other routes than the
+functions they validate: a Monte Carlo harness for size and power of the
+randomized test, the exact rejection rate it estimates, an exact
+enumeration of the p-value bounds over small product supports, and a
+one-sample Kolmogorov-Smirnov uniformity check.  They share with the test
+only its definitions: the observed cells' survival brackets, the cut
+s = 1 - t, the clamped survival score and, through ``umptest._bounds``,
+the cells attaining the smallest brackets, ties to the lowest cell.
 
-The harness and the enumeration work in survival space, on the brackets
-[1 - F(x), 1 - F(x-)], so they reach levels far below the double
-resolution near 1.  The harness keeps four numbers per discrete cell,
-built once per call (``_Tables``): with k* the cell's first count whose
-null bracket falls below s = 1 - t, its sampling law's F(k* - 1), the
-cut, and F(k*), the top, and the null's brackets at k*.  A draw at or
-below the cut cannot score below s; one in (cut, top] lands on k* and is
-scored from its brackets; one past the top always rejects.  A trial
-rejects when any cell's draw does.  Cells whose null and law are both
-Poisson find k* by one bisection over all of them; every other discrete
-cell scans the null's brackets on its law's cached ``_ladder``.
+The harness, the exact rate and the enumeration work in survival space,
+on the brackets [1 - F(x), 1 - F(x-)], so they reach levels far below the
+double resolution near 1.  The harness and the exact rate read four
+numbers per discrete cell, built once per call (``_Tables``): with k* the
+cell's first count whose null bracket falls below s, its sampling law's
+F(k* - 1), the cut, and F(k*), the top, and the null's brackets at k*.
+A draw at or below the cut cannot score below s; one in (cut, top] lands
+on k* and is scored from its brackets; one past the top always rejects.
+A trial rejects when any cell's draw does.  Cells whose null and law are
+both Poisson find k* by one bisection over all of them; every other
+discrete cell scans the null's brackets on its law's cached ``_ladder``,
+and an integer law's counts past it by ``_first_count_below``.
 
-The harness reads what ``RandomStream(seed)`` would draw: each chunk of
-at most ``_CHUNK`` trials has its whole u block, then its whole v block,
-in the stream.  Each chunk is cut into equal row pieces of at most
-``_PIECE_CELLS`` (2^18) cells, their row counts differing by at most
-one, and a piece's PCG64 starts at the seed and is advanced to its u
-rows, so the pieces can run in any order.  A piece fills its u block and
-finds its candidates, ``_Tables.candidates``.  It reads v only at its
-candidates and continuous cells.  While those are at most
-``_FILL_SHARE`` of its cells, it returns its candidates, their u and
-its continuous cells' u; once a chunk's pieces are in, the calling
-thread draws every v they read in one ``distributions._random_at``
-call, at offsets from the seed, while the workers fill the next chunk.
-A piece past the share fills its v block and reads its v there.  One
-routine scores both: it decides the candidates from their cells' four
-numbers in one call and keeps the continuous cells' draws.  Pieces run
-inline when there is one piece or one CPU the process may use
-(``os.sched_getaffinity``, else ``os.cpu_count()``), and otherwise on a
-pool of one worker thread per such CPU.  The pool is started by the
-first call that needs it and kept for the life of the process; it is
-built again after a fork, whose child has none of its threads, or when
-the usable CPUs change.  Python 3.12+ warns on ``os.fork()`` in a
-process with more than one thread, which a kept pool makes every process
-that has run a parallel call.  Workers fill reused blocks and run numpy
-on plain arrays only; every model method, and every ``cdf_fn`` of a
-continuous cell, runs on the calling thread, in one call over all
-trials.  A drawn 0.0 is lifted as ``uniform_open`` does, so a result
-does not depend on the number of CPUs, bit for bit.
+Cells are independent, so the harness draws only the exceedances.  Over T
+trials, the draws of a discrete cell past its cut fall in a Binomial(T,
+1 - cut) count of trials, uniform among the T, and each such draw is
+uniform on (cut, 1).  The harness draws every cell's count in one call,
+then each cell's trials, then the draw u and the randomizer v of every
+exceedance, and scores them all in one call.  A continuous cell draws u
+and v at every trial and is scored over them in one call, before the next
+cell draws.  Every draw comes from one ``RandomStream(seed)`` generator on
+the calling thread, and a drawn 0.0 is lifted as ``uniform_open`` does.
 
 The enumeration integrates each cell's brackets below the levels
 min 1 - F(x) and min 1 - F(x-).
@@ -56,9 +39,7 @@ min 1 - F(x) and min 1 - F(x-).
 from __future__ import annotations
 
 import math
-import os
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,10 +47,10 @@ from .distributions import (
     NullDistribution,
     Poisson,
     RandomStream,
+    _IntegerSupport,
     _lift_zeros,
     _poisson_cdf,
     _poisson_sf,
-    _random_at,
     _window_sizes,
 )
 from .errors import (
@@ -94,6 +75,7 @@ __all__ = [
     "SimulationResult",
     "KsResult",
     "simulate_size_and_power",
+    "exact_rejection_rate",
     "enumerate_pvalue_bounds",
     "ks_uniformity",
 ]
@@ -101,21 +83,6 @@ __all__ = [
 # Multiplier of 1/sqrt(N) giving the asymptotic 1% critical value of the
 # one-sample KS statistic.
 KS_CRITICAL_SCALE = 1.628
-
-_CHUNK = 20_000
-
-# Cells of uniforms per piece of a chunk, in each of its u and v blocks.
-_PIECE_CELLS = 2**18
-
-# Past this share of its cells read, a piece fills its whole v block and scores
-# on its worker; below it, the calling thread draws what the chunk's pieces read
-# by one ``_random_at`` call per chunk.  The fill releases the GIL and
-# ``_random_at``'s small numpy calls hold it: on a 2-CPU host, 50,000-trial
-# fixture calls with every piece drawn against every piece filled broke even
-# near 1.5% read inline and near 0.9-1.5% on two workers (there 7.0 against 8.7 ms
-# at 0.3% read, 18.4 against 11.6 ms at 2.6%).  The benchmark's size runs read
-# 0.3%, its power runs 0.9-2.6%.
-_FILL_SHARE = 0.01
 
 _MAX_SUPPORT = 200_000
 
@@ -170,37 +137,34 @@ class SimulationResult:
 class _Tables:
     """Four numbers per cell of one call, which decide every draw of its discrete cells.
 
-    Let k* be cell j's first count whose null bracket reaches below s.
-    ``cuts[j]`` and ``tops[j]`` are its sampling law's F(k* - 1) and
-    F(k*), and ``lefts[j]`` and ``rights[j]`` the null's brackets
-    sf(k* - 1) and sf(k*).  A draw u <= cut lands below k*, where no
-    bracket reaches below s, and a score is clipped into its bracket, so
-    it cannot reject.  A draw in (cut, top] lands on k* and rejects when
-    its score falls below s.  A draw past top lands on some x > k*, whose
-    upper bracket sf(x - 1) <= sf(k*) < s, so it rejects.  The cut is
-    -inf where F(k* - 1) == 0.0, and +inf where it is 1.0, where there is
-    no k*, and at a continuous cell: no draw of that cell is a candidate,
-    and the calling thread scores it.
+    Let k* be cell j's first count whose null bracket reaches below s;
+    ``ks[j]`` is k*, or nan where there is none.  ``cuts[j]`` and
+    ``tops[j]`` are its sampling law's F(k* - 1) and F(k*), and
+    ``lefts[j]`` and ``rights[j]`` the null's brackets sf_left(k*) and
+    sf(k*).  A draw u <= cut lands below k*, where no bracket reaches
+    below s, and a score is clipped into its bracket, so it cannot reject.
+    A draw in (cut, top] lands on k* and rejects when its score falls
+    below s.  A draw past top lands on some x > k*, whose upper bracket
+    sf_left(x) <= sf(k*) < s, so it rejects.  The cut is -inf where
+    F(k* - 1) == 0.0, and +inf where it is 1.0, where there is no k*, and
+    at a continuous cell: no draw of that cell is past it.
     """
 
+    ks: np.ndarray
     cuts: np.ndarray
     tops: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
     s: float
-    # Set from cuts: the cells whose cut is below 1 - 1/n, and the cuts with +inf at those.
-    low: np.ndarray = field(init=False, repr=False)
-    high: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        low = self.cuts < 1.0 - 1.0 / self.cuts.size
-        object.__setattr__(self, "low", np.flatnonzero(low))
-        object.__setattr__(self, "high", np.where(low, math.inf, self.cuts))
 
     @classmethod
     def build(cls, dists, laws, s: float) -> "_Tables":
         """Poisson/Poisson cells find k* by ``_first_below``; every other discrete
-        cell scans its null's brackets on its law's cached ``_ladder``."""
+        cell scans its null's brackets on its law's cached ``_ladder``.  Past an
+        integer law's ladder its F is 1.0, so no draw lands there and the cut
+        stays +inf, but its survival tail may reach a k* that
+        ``_first_count_below`` finds, for the exact rate."""
+        ks = np.full(len(dists), math.nan)
         cuts, tops, lefts, rights = np.full((4, len(dists)), math.inf)
         pair = [type(d) is Poisson and type(law) is Poisson for d, law in zip(dists, laws)]
         pois = np.array(pair, dtype=bool)
@@ -210,7 +174,9 @@ class _Tables:
             )
             k, lefts[pois], rights[pois] = _first_below(nulls, s)
             cut, tops[pois] = _poisson_cdf(k - np.array([[1.0], [0.0]]), alts)
-            cut[~(rights[pois] < s)] = 1.0  # no k*
+            found = rights[pois] < s
+            ks[np.flatnonzero(pois)[found]] = k[found]
+            cut[~found] = 1.0
             cuts[pois] = np.where(cut == 0.0, -math.inf, np.where(cut == 1.0, math.inf, cut))
         for j in np.flatnonzero(~pois):
             d, law = dists[j], laws[j]
@@ -223,39 +189,16 @@ class _Tables:
             if below.size:
                 i = below[0]
                 cuts[j] = cdf[i - 1] if i else -math.inf
-                tops[j], lefts[j], rights[j] = cdf[i], left[i], right[i]
-        return cls(cuts, tops, lefts, rights, s)
+                ks[j], tops[j], lefts[j], rights[j] = pts[i], cdf[i], left[i], right[i]
+            elif isinstance(law, _IntegerSupport):
+                k = _first_count_below(d, pts[-1] + 1.0, getattr(law, "trials", math.inf), s)
+                if not math.isnan(k):
+                    ks[j], tops[j], lefts[j], rights[j] = k, 1.0, d.sf_left(k), d.sf(k)
+        return cls(ks, cuts, tops, lefts, rights, s)
 
-    def candidates(self, u) -> np.ndarray:
-        """Flat indices of the draws of the block u (trials by cells) past their cell's cut.
-
-        The same set as ``np.flatnonzero(u > cuts)``.  A cell whose cut is
-        at least 1 - 1/n passes at most 1/n of its draws, so one compare
-        with the smallest such cut finds about one hit per row, and each
-        hit is then checked against its own cell's cut.  The cells with
-        lower cuts, such as a swapped law's or a -inf cut, are compared on
-        their own.  Gathering and comparing a column costs about four
-        times comparing it in place, so past n/16 such cells the split
-        saves little or nothing, and one broadcast compare of the block
-        takes its place.
-        """
-        n = u.shape[1]
-        if 16 * self.low.size > n:
-            return np.flatnonzero(u > self.cuts)
-        flat = u.ravel()
-        hits = np.flatnonzero(flat > self.high.min())
-        hits = hits[flat[hits] > self.high[hits % n]]
-        low = self.low
-        rows, i = np.divmod(np.flatnonzero(u[:, low] > self.cuts[low]), low.size)
-        return np.concatenate([hits, rows * n + low[i]])
-
-    def rejecting(self, cells, u, v) -> np.ndarray:
-        """The trials in which a draw (u, v) of a discrete cell scores below s.
-
-        ``cells`` are flat indices, trial n + cell, of draws past their
-        cell's cut; ``u`` and ``v`` are their uniforms and randomizers.
-        """
-        rows, cols = np.divmod(cells, self.cuts.size)
+    def rejecting(self, rows, cols, u, v) -> np.ndarray:
+        """The trials ``rows`` in which the draw u, with randomizer v, of cell ``cols``
+        past its cut scores below s."""
         scores = _survival_scores(self.lefts[cols], self.rights[cols], v)
         return rows[(u > self.tops[cols]) | (scores < self.s)]
 
@@ -277,7 +220,7 @@ def _first_below(means, s: float):
     if s <= 0.5:
         lo = np.maximum(np.ceil(means - math.log(2.0)) - 3.0, lo)
     top = np.ceil(means + log / 3.0 + np.sqrt(log * log / 9.0 + 2.0 * log * means))
-    _window_sizes(lo, top)
+    _window_sizes(lo, top, "a count window", "bisect")
     hi, left, right = top, np.ones(means.size), np.zeros(means.size)
     # Each step halves every window; one of width 1 keeps its ends.
     for _ in range(int(np.max(hi - lo) - 1.0).bit_length()):
@@ -291,80 +234,33 @@ def _first_below(means, s: float):
     return hi, left, right
 
 
-def _workers() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _first_count_below(dist, lo: float, hi: float, s: float) -> float:
+    """The first integer k in [lo, hi] with dist.sf(k) < s, or nan where there is none.
 
-
-# The kept worker pool, ((process id, threads), executor), or None before
-# the first parallel call.
-_POOL = None
-_POOL_LOCK = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    # A fork waits for a call that holds the lock: a child's copy of a held lock is never released.
-    os.register_at_fork(
-        before=_POOL_LOCK.acquire,
-        after_in_parent=_POOL_LOCK.release,
-        after_in_child=_POOL_LOCK.release,
-    )
-
-
-def _pool_map(fn, items, workers: int):
-    """``fn`` over ``items`` on the kept pool of ``workers`` threads, as ``Executor.map``.
-
-    The pool is built again when this process or the thread count is not
-    the one it was built for: a forked child has none of its parent's
-    threads, and its queued items would never run.  Items are submitted
-    under the lock, so no other call shuts the pool down before they are.
+    sf does not rise, so the step from lo doubles until sf falls below s,
+    and a bisection finds k in the last step.  No count is sought past
+    2**53, where a step of 1 may not move.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _POOL
-    key = (os.getpid(), workers)
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != key:
-            if _POOL is not None:
-                _POOL[1].shutdown(wait=False)
-            _POOL = (key, ThreadPoolExecutor(workers))
-        return _POOL[1].map(fn, items)
-
-
-def _pieces(trials: int, n: int):
-    """(chunk start, chunk rows, piece start, piece rows) of every row piece.
-
-    A chunk of m rows is cut into p = ceil(m / rows) pieces, where rows =
-    max(``_PIECE_CELLS`` // n, 1), and piece i holds the chunk's rows
-    [i m // p, (i + 1) m // p): at most rows each, and no two differing
-    by more than one row, so the workers finish together.
-    """
-    rows = max(_PIECE_CELLS // n, 1)
-    for t in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - t)
-        p = -(-m // rows)
-        ends = [t + i * m // p for i in range(p + 1)]
-        for a, b in zip(ends, ends[1:]):
-            yield t, m, a, b - a
+    hi, step, at = min(hi, 2.0**53), 1.0, lo
+    while at <= hi and dist.sf(at) >= s:
+        lo, at, step = at + 1.0, min(at + step, hi) if at < hi else math.inf, 2.0 * step
+    if at > hi:
+        return math.nan
+    # sf is at least s below lo and below s at at.
+    while lo < at:
+        mid = math.floor((lo + at) / 2.0)
+        lo, at = (lo, mid) if dist.sf(mid) < s else (mid + 1.0, at)
+    return at
 
 
-# Uniform blocks that finished pieces gave back, for the next piece or call.
-# A piece overwrites the part it reads; list.pop and list.append are atomic.
-_SPARE: list[np.ndarray] = []
-
-
-def _buffer(size: int) -> np.ndarray:
-    """A spare float block of at least ``size`` cells; give it back to ``_SPARE``.
-
-    Kept blocks are not faulted in again on every call, as fresh ones
-    may be when the allocator hands their pages back to the system.
-    """
-    try:
-        block = _SPARE.pop()
-    except IndexError:
-        return np.empty(size)
-    return block if block.size >= size else np.empty(size)
+def _tables(config: SimulationConfig):
+    """The config's ``_Tables`` and its sampling laws: the template's, with the
+    alternative's law swapped in."""
+    dists = config.panel_template
+    laws = list(dists)
+    if config.alternative is not None:
+        laws[config.alternative.cell_index] = config.alternative.alt_dist
+    return _Tables.build(dists, laws, _survival_cut(config.alpha, len(dists))), laws
 
 
 def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
@@ -373,97 +269,77 @@ def simulate_size_and_power(config: SimulationConfig) -> SimulationResult:
     Each trial draws one panel (from the template, or with one cell's
     sampling law swapped to the alternative), scores every cell in
     survival space with fresh randomizers, and rejects when some score
-    1 - Y falls below s = 1 - t.  A discrete cell draws by the inverse
-    its law's ``skorokhod_quantile`` computes, but only its draws past the
-    cut F(k* - 1) are read: past F(k*) they reject, and the others land
-    on k* and are scored from the null's brackets there.  Any other
-    cell draws through ``skorokhod_quantile`` and evaluates the null's
-    survival brackets at every draw.
-
-    The draws are cut into equal row pieces of at most 2^18 cells, which
-    run on the kept worker threads as the module docstring describes: a
-    piece that reads v at under 1% of its cells hands its candidates to
-    the calling thread, which draws their v once per chunk, and a piece
-    that fills its v block reads them there; one ``score`` routine serves
-    both.  The result is the same on any number of CPUs.
+    1 - Y falls below s = 1 - t.  Only a discrete cell's draws past its
+    cut F(k* - 1) can reject, so only they are drawn, as the module
+    docstring describes: past F(k*) they reject, and the others land on
+    k* and are scored from the null's brackets there.  A continuous cell
+    draws through its law's ``skorokhod_quantile`` at every trial and
+    evaluates the null's survival brackets at every draw.  The same
+    config gives the same result; ``exact_rejection_rate`` gives the rate
+    it estimates.
     """
-    dists = config.panel_template
-    n = len(dists)
-    s = _survival_cut(config.alpha, n)
-    laws = list(dists)
-    if config.alternative is not None:
-        laws[config.alternative.cell_index] = config.alternative.alt_dist
-    tables = _Tables.build(dists, laws, s)
-    cont = np.flatnonzero([d.continuous or law.continuous for d, law in zip(dists, laws)])
-    trials = config.n_trials
+    tables, laws = _tables(config)
+    dists, trials = config.panel_template, config.n_trials
     try:
         rejected = np.zeros(trials, dtype=bool)
-        # Each score writes its own trials; u_cont and v_cont hold the continuous cells' draws.
-        u_cont = np.empty((len(cont), trials))
-        v_cont = np.empty((len(cont), trials))
     except (ValueError, MemoryError):  # numpy's refusals of a size it cannot allocate
         raise SizeError(f"n_trials is too large to allocate: {_shown(trials)}") from None
-    stream = RandomStream(config.seed)
-    # The chunk at trial t, of m trials, has its u block 2tn draws in and its v
-    # block mn draws later: cell c of trial r has its u at draw (t + r)n + c and
-    # its v at draw (t + m + r)n + c.
-    pieces = [
-        (stream._generator_at((t + a) * n), t, m, a, k) for t, m, a, k in _pieces(trials, n)
-    ]
-    origin = stream._generator_at(0).bit_generator
-
-    def score(rows, cells, u_at, u_rows, read_v):
-        """Score the trials ``rows``: their candidates ``cells``, as flat indices trial
-        n + cell, with uniforms ``u_at``, and their continuous cells' uniforms ``u_rows``.
-        ``read_v(at)`` gives the randomizers at flat indices ``at``."""
-        at = np.concatenate([cells, (rows[:, None] * n + cont).ravel()])
-        v = _lift_zeros(read_v(at))
-        rejected[tables.rejecting(cells, u_at, v[: cells.size])] = True
-        u_cont[:, rows] = u_rows.T
-        v_cont[:, rows] = v[cells.size :].reshape(rows.size, len(cont)).T
-
-    def fill(piece):
-        """Fill the piece's u block and find its candidates.  Past the share, fill its
-        v block and score them; else return them as ``score`` takes them."""
-        gen, t, m, a, k = piece
-        blocks = [_buffer(k * n)]
-        try:
-            u = blocks[0][: k * n].reshape(k, n)
-            _lift_zeros(gen.random(out=u))
-            cand = tables.candidates(u)
-            found = np.arange(a, a + k), a * n + cand, u.ravel()[cand], u[:, cont]
-            # The piece reads v at its candidates and its continuous cells' rows.
-            if cand.size + k * len(cont) <= _FILL_SHARE * k * n:
-                return found
-            gen.bit_generator.advance((m - k) * n)
-            blocks.append(_buffer(k * n))
-            block = gen.random(out=blocks[1][: k * n])
-            score(*found, lambda at: block[at - a * n])
-        finally:
-            _SPARE.extend(blocks)
-
-    workers = _workers()
-    if min(workers, len(pieces)) == 1:
-        results = map(fill, pieces)
-    else:
-        results = _pool_map(fill, pieces, workers)
-    # In piece order: a chunk's pieces are scored once its last one is in.
-    drawn = []
-    for (_, t, m, a, k), result in zip(pieces, results):
-        if result is not None:
-            drawn.append(result)
-        if a + k == t + m and drawn:
-            # One draw of every v the chunk's returned pieces read, at offsets from the seed.
-            score(*map(np.concatenate, zip(*drawn)), lambda at: _random_at(origin, (t + m) * n + at))
-            drawn = []
-    for i, j in enumerate(cont):
-        x = laws[j].skorokhod_quantile(u_cont[i])
-        left = np.asarray(dists[j].sf_left(x), dtype=float)
-        right = np.asarray(dists[j].sf(x), dtype=float)
-        rejected |= _survival_scores(left, right, v_cont[i]) < s
+    gen = RandomStream(config.seed)._gen
+    cells = np.flatnonzero(tables.cuts < math.inf)
+    low = np.maximum(tables.cuts[cells], 0.0)  # a -inf cut passes every draw
+    counts = gen.binomial(trials, 1.0 - low)
+    drawn = counts > 0
+    cells, low, counts = cells[drawn], low[drawn], counts[drawn]
+    # numpy picks by Floyd's algorithm or, past a share of the trials, by a partial shuffle.
+    picked = [gen.choice(trials, k, replace=False, shuffle=False) for k in counts.tolist()]
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *picked])
+    low = np.repeat(low, counts)
+    u = low + (1.0 - low) * _lift_zeros(gen.random(rows.size))
+    v = _lift_zeros(gen.random(rows.size))
+    rejected[tables.rejecting(rows, np.repeat(cells, counts), u, v)] = True
+    for d, law in zip(dists, laws):
+        if d.continuous or law.continuous:
+            x = law.skorokhod_quantile(_lift_zeros(gen.random(trials)))
+            left, right = (np.asarray(f(x), dtype=float) for f in (d.sf_left, d.sf))
+            rejected |= _survival_scores(left, right, _lift_zeros(gen.random(trials))) < tables.s
     rate = int(np.count_nonzero(rejected)) / trials
     se = math.sqrt(rate * (1.0 - rate) / trials)
     return SimulationResult(rejection_rate=rate, std_error=se, n_trials=trials)
+
+
+def exact_rejection_rate(config: SimulationConfig) -> float:
+    """The rejection rate ``simulate_size_and_power`` estimates, without Monte Carlo error.
+
+    Cells are independent, so the rate is 1 - prod(1 - q_j), summed in
+    log1p, where q_j is the chance that cell j's score falls below s.  A
+    discrete cell's draw rejects past k*, and at k* with the chance w =
+    (s - sf(k*)) / (sf_left(k*) - sf(k*)), clipped to [0, 1], that its
+    score falls below s; so q = sf_law(k*) + w (sf_left_law(k*) -
+    sf_law(k*)), read in survival space.  A cell with no k* has q = 0, and
+    a continuous cell whose law is its null has q = s.  Any other
+    continuous cell raises ``ContractError``: its law's chance to score
+    below s is not available in survival space.  An integer law's mass
+    past its ladder, where its F rounds to 1.0, counts here, though no
+    draw of the harness lands there: at most 2**-53 per cell.
+    """
+    tables, laws = _tables(config)
+    s = tables.s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Equal brackets score sf(k*) < s: (s - sf(k*)) / 0 is inf, clipped to 1.
+        w = np.clip((s - tables.rights) / (tables.lefts - tables.rights), 0.0, 1.0)
+    q = np.zeros(len(laws))
+    for j, (d, law) in enumerate(zip(config.panel_template, laws)):
+        if d.continuous or law.continuous:
+            if law != d:
+                raise ContractError(
+                    f"no exact rate for cell {j}: its sampling law is not its continuous null"
+                )
+            q[j] = s
+        elif not math.isnan(k := tables.ks[j]):
+            sf = law.sf(k)
+            q[j] = sf + w[j] * (law.sf_left(k) - sf)
+    with np.errstate(divide="ignore"):  # a certain cell: log1p(-1) is -inf, and the rate 1
+        return _unit(-math.expm1(math.fsum(np.log1p(-q))))
 
 
 def _unit(p: float) -> float:

@@ -825,7 +825,7 @@ class TestRunSimulateNull:
         assert (code, err) == (0, "")
         assert out == (
             "n=40 cells  alpha=0.01  lambda=9.452773538283868e-07\n"
-            "trials=1000  rejection rate=0.007  std error=0.0026364749192814255\n"
+            "trials=1000  rejection rate=0.003  std error=0.001729450779872038\n"
             "seed=1\n"
         )
 
@@ -835,13 +835,13 @@ class TestRunSimulateNull:
         assert "seed" in err
 
     def test_a_ladder_too_large_to_build_exits_one(self, capsys, tmp_path):
-        # A cell of mean 1e30 needs a ladder window past 2**53, of 5e16 points.
+        # A cell of mean 1e30 needs a count window past 2**53, of 5e16 points.
         body = "region,period,count,population\nA,1,3,1e30\nB,1,2,5\n"
         path = write_csv(tmp_path, body)
         args = ("--input", path, "--lambda", "1", "--mode", "simulate-null", "--seed", "1")
         code, out, err = run_main(capsys, *args, "--trials", "1000")
         assert (code, out) == (1, "")
-        assert err.startswith("error: a CDF ladder reaching 2**53 is too large to build")
+        assert err.startswith("error: a count window reaching 2**53 is too large to bisect")
         assert "Traceback" not in err
 
     def test_a_trial_count_too_large_to_allocate_exits_one(self, capsys):

@@ -432,28 +432,6 @@ class TestRandomStream:
         assert hits == list(zeros)
         assert np.all(RandomStream(3).uniform_open(20) == want)
 
-    def test_random_access_draws_equal_generator_random(self):
-        rng = np.random.default_rng(2031)
-        span = 2**20
-        # Each digit boundary of the 9-bit jump tables, and offsets far past them.
-        edges = [0, 1, 511, 512, 2**18 - 1, 2**18, 2**18 + 1, span - 1]
-        far = np.array([2**27 + 5, 2**36 - 1, 2**45 + 2**18, 2**62 + 3])
-        for _ in range(4):
-            seed, start = int(rng.integers(2**63)), int(rng.integers(2**40))
-            bits = RandomStream(seed)._generator_at(start).bit_generator
-            picked = rng.integers(0, span, SIZE)
-            # Unsorted, with repeats: the picks, some of them again reversed, the edges both ways.
-            offsets = np.concatenate([edges, picked, picked[:50][::-1], edges[::-1]])
-            drawn = RandomStream(seed)._generator_at(start).random(span)
-            for top in (512, 2**18, span):
-                at = offsets[offsets < top]
-                assert distributions._random_at(bits, at).tobytes() == drawn[at].tobytes(), top
-            want = [RandomStream(seed)._generator_at(start + int(e)).random() for e in far]
-            assert distributions._random_at(bits, far).tobytes() == np.array(want).tobytes()
-            assert distributions._random_at(bits, np.array([], dtype=np.intp)).size == 0
-            # The bit generator was not moved.
-            assert bits.random_raw() == RandomStream(seed)._generator_at(start).bit_generator.random_raw()
-
     def test_lift_zeros(self):
         u = np.array([0.5, 0.0, 2.0**-53, 0.0])
         assert distributions._lift_zeros(u) is u

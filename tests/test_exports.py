@@ -89,7 +89,7 @@ def test_binomial_paths_leave_scipy_stats_unloaded():
 
 
 def test_importing_the_package_starts_no_thread():
-    # The harness's worker pool starts with its first parallel call, not at import.
+    # No module starts a thread at import; the harness starts none either.
     code = (
         "import threading\n"
         "before = threading.active_count()\n"

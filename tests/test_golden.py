@@ -212,7 +212,7 @@ def test_simulation_results():
         result = simulate_size_and_power(config)
         digest.add(result.rejection_rate, result.std_error, result.n_trials)
     assert digest.hexdigest() == (
-        "d9a612051e2f6165ee992ff1f852f8afdb4f5d30cd2ce1707ab8a2e6d985c553"
+        "e32e77cdf672e7a1b8a0b6600bc181ee146b946a7eee075b832aca68a39b495c"
     )
 
 
@@ -233,5 +233,5 @@ def test_fixture_cli_stdout(monkeypatch):
                 status = cli.main(["--input", FIXTURE, *args, "--format", fmt])
             digest.add(status, out.getvalue())
     assert digest.hexdigest() == (
-        "cb2462aef3adf70bbe2a66aa24ff8f7b37bd2378cdac015ae36d82df1bf57bc0"
+        "9f26b3a1f7dde786fa975306198cdf3dc00f887b88eecbfc6e8da98e030b5a8c"
     )

@@ -1,21 +1,13 @@
-"""Tests for the Monte Carlo harness, exact enumeration, and KS check."""
+"""Tests for the Monte Carlo harness, its exact rate, exact enumeration, and KS check."""
 
-import contextlib
 import dataclasses
-import itertools
-import json
 import math
-import os
-import signal
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from bulk import BULK_MODELS, SIZE
-from fresh_process import run_python
 from zero_draws import zero_draws
 
 from extreme_sentinel import CountPanel, distributions, verify
@@ -48,6 +40,7 @@ from extreme_sentinel.verify import (
     SimulationConfig,
     SimulationResult,
     enumerate_pvalue_bounds,
+    exact_rejection_rate,
     ks_uniformity,
     simulate_size_and_power,
 )
@@ -165,25 +158,25 @@ class TestSimulateSizeAndPower:
     @pytest.mark.parametrize(
         "alternative, rate, std_error",
         [
-            (Alternative(0, Poisson(4.0)), 0.50775, 0.00790474442186463),
-            (Alternative(1, Binomial(10, 0.7)), 0.75825, 0.006769544620947557),
+            (Alternative(0, Poisson(4.0)), 0.5005, 0.007905690197572885),
+            (Alternative(1, Binomial(10, 0.7)), 0.7535, 0.00681428187705792),
             (
                 Alternative(2, TabulatedDiscrete((0.0, 1.5, 2.0), (0.05, 0.15, 0.8))),
-                0.1175,
-                0.005091506407734355,
+                0.11475,
+                0.005039405656920268,
             ),
             (
                 Alternative(1, ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0)),
-                0.4695,
-                0.007890971898315188,
+                0.47475,
+                0.007895606966851884,
             ),
-            (Alternative(3, Poisson(0.4)), 0.3865, 0.007699314092826711),
+            (Alternative(3, Poisson(0.4)), 0.383, 0.007686205175507612),
         ],
         ids=["poisson", "binomial", "tabulated", "continuous-law", "poisson-in-uniform"],
     )
     def test_swapped_cell_results_frozen(self, alternative, rate, std_error):
-        # Frozen from the harness that evaluated the null CDF at every draw
-        # of the swapped cell; the tabulated brackets must not move a bit.
+        # Frozen from the harness that draws only the exceedances; the seed
+        # must give the same result on every run and machine.
         template = (
             Poisson(1.3),
             Binomial(10, 0.3),
@@ -205,20 +198,98 @@ class TestSimulateSizeAndPower:
         cfg = SimulationConfig((Poisson(1.0),), 1e-200, 1000, 17)
         assert simulate_size_and_power(cfg).rejection_rate == 0.0
 
+    def test_a_call_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        template = tuple(Poisson(m) for m in np.linspace(0.2, 3.0, 40))
+        before = threading.active_count()
+        for alternative in (None, Alternative(5, Poisson(20.0))):
+            simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 3, alternative))
+            assert threading.active_count() == before and started == []
+
+    def test_forty_continuous_cells_at_200000_trials_peak_under_16_mb(self):
+        # Each continuous cell's draws are scored and freed before the next cell
+        # draws: a whole-call store of u and v would take 128 MB.
+        cfg = SimulationConfig((Uniform01(),) * 40, 0.05, 200_000, 5)
+        tracemalloc.start()
+        try:
+            res = simulate_size_and_power(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert within_z_se(res, 0.05)
+
+    # The harness draws its doubles in this order: the exceedances' u, their v,
+    # then the continuous cell's u and v at every trial.
+    @pytest.mark.parametrize(
+        "draw", ["exceedance u", "exceedance v", "continuous u", "continuous v"]
+    )
+    def test_a_zero_draw_is_lifted_as_uniform_open_lifts_it(self, monkeypatch, draw):
+        template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
+        cfg = SimulationConfig(template, 0.2, 2000, 17, Alternative(0, Poisson(4.0)))
+        seen = {}
+        rejecting, scores = verify._Tables.rejecting, verify._survival_scores
+        quantile = Uniform01.skorokhod_quantile
+
+        def recorded_rejecting(tables, rows, cols, u, v):
+            seen.update({"exceedance u": u, "exceedance v": v, "cuts": tables.cuts[cols]})
+            return rejecting(tables, rows, cols, u, v)
+
+        def recorded_scores(left, right, v):
+            seen["continuous v"] = v  # the last call scores the continuous cell
+            return scores(left, right, v)
+
+        def recorded_quantile(dist, omega):
+            seen["continuous u"] = omega.copy()
+            return quantile(dist, omega)
+
+        monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
+        monkeypatch.setattr(verify, "_survival_scores", recorded_scores)
+        monkeypatch.setattr(Uniform01, "skorokhod_quantile", recorded_quantile)
+        simulate_size_and_power(cfg)
+        drawn = seen["exceedance u"].size
+        # The stream position of each draw's first double; its eighth is zeroed.
+        first = {"exceedance u": 0, "exceedance v": drawn, "continuous u": 2 * drawn}
+        first["continuous v"] = first["continuous u"] + cfg.n_trials
+        hits = zero_draws(monkeypatch, (first[draw] + 7,))
+        # Unlifted, the continuous cell's quantile would refuse the 0.0.
+        simulate_size_and_power(cfg)
+        assert hits == [first[draw] + 7] and seen["exceedance u"].size == drawn
+        low = max(seen["cuts"][7], 0.0)
+        lifted = low + (1.0 - low) * 2.0**-54 if draw == "exceedance u" else 2.0**-54
+        assert seen[draw][7] == lifted
+
+
+# The per-cell reference's chunk of trials: each chunk draws its u block, then its v block.
+REFERENCE_CHUNK = 20_000
+
+
+def sampling_laws(config):
+    """The config's sampling laws: the template's, with the alternative's swapped in."""
+    laws = list(config.panel_template)
+    if config.alternative is not None:
+        laws[config.alternative.cell_index] = config.alternative.alt_dist
+    return laws
+
 
 def reference_simulate(config):
     """The harness as a per-cell loop: every draw of every cell searched and scored."""
     dists = config.panel_template
     n = len(dists)
     s = _survival_cut(config.alpha, n)
-    laws = list(dists)
-    if config.alternative is not None:
-        laws[config.alternative.cell_index] = config.alternative.alt_dist
+    laws = sampling_laws(config)
     stream = RandomStream(config.seed)
     hits = 0
     done = 0
     while done < config.n_trials:
-        m = min(verify._CHUNK, config.n_trials - done)
+        m = min(REFERENCE_CHUNK, config.n_trials - done)
         u = stream.uniform_open((m, n))
         v = stream.uniform_open((m, n))
         min_score = np.ones(m)
@@ -238,6 +309,87 @@ def reference_simulate(config):
     rate = hits / config.n_trials
     se = math.sqrt(rate * (1.0 - rate) / config.n_trials)
     return SimulationResult(rejection_rate=rate, std_error=se, n_trials=config.n_trials)
+
+
+def reference_rate(config):
+    """The exact rejection rate as a per-cell sum over every point, without k*.
+
+    Each discrete cell sums its law's mass at each point of both ladders,
+    as sf_left - sf, times the chance that the point's score, uniform on
+    its null brackets [sf, sf_left], falls below s.  An integer law's
+    points run on past both ladders until the null's sf falls below s,
+    past which every point rejects, and the law's mass there, its sf at
+    the last point, is added whole.  A continuous cell's law must be its
+    null, whose score falls below s with chance s.
+    """
+    dists = config.panel_template
+    s = _survival_cut(config.alpha, len(dists))
+    logs = []
+    for d, law in zip(dists, sampling_laws(config)):
+        if d.continuous or law.continuous:
+            assert law == d, "no reference rate for a swapped continuous law"
+            logs.append(math.log1p(-s))
+            continue
+        pts = np.union1d(d._ladder[0], law._ladder[0])
+        if isinstance(law, (Poisson, Binomial)):
+            end = getattr(law, "trials", math.inf)
+            while d.sf(pts[-1]) >= s and pts[-1] < end and law.sf(pts[-1]) > 0.0:
+                pts = np.concatenate([pts, np.floor(pts[-1]) + np.arange(1.0, pts.size + 1.0)])
+        left, right = np.asarray(d.sf_left(pts)), np.asarray(d.sf(pts))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chance = np.where(right < s, np.clip((s - right) / (left - right), 0.0, 1.0), 0.0)
+        mass = np.asarray(law.sf_left(pts)) - np.asarray(law.sf(pts))
+        tail = law.sf(pts[-1]) if d.sf(pts[-1]) < s else 0.0
+        q = math.fsum(mass * chance) + tail
+        logs.append(math.log1p(-q) if q < 1.0 else -math.inf)
+    return -math.expm1(math.fsum(logs))
+
+
+def swaps_a_continuous_law(config):
+    """Whether some cell's sampling law is continuous and not its null: no exact rate yet."""
+    pairs = zip(config.panel_template, sampling_laws(config))
+    return any((d.continuous or law.continuous) and law != d for d, law in pairs)
+
+
+# The harness must fall within Z se of the exact rate, se taken from that
+# rate, plus one trial, the rate's resolution.  Without that trial, a run of
+# T trials at a rate p below 1/(Z^2 T) would fail with chance about pT
+# whenever a single trial rejects.  ``false_failure`` gives the chance that
+# a correct harness fails the rule; the tests that apply it to many configs
+# bound its sum over them.
+Z = 5.0
+
+
+def within_z_se(result, rate, se=None):
+    """Whether a harness result lies within Z se of ``rate``, plus one trial."""
+    trials = result.n_trials
+    if se is None:
+        se = math.sqrt(rate * (1.0 - rate) / trials)
+    return abs(result.rejection_rate - rate) <= Z * se + 1.0 / trials
+
+
+def false_failure(rate, trials):
+    """The chance that a harness whose exact rate is ``rate`` fails ``within_z_se``:
+    the Binomial(trials, rate) tails outside the rule's window of counts."""
+    if rate in (0.0, 1.0):
+        return 0.0
+    mean, width = trials * rate, Z * math.sqrt(trials * rate * (1.0 - rate)) + 1.0
+    count = Binomial(trials, rate)
+    return float(count.cdf(math.ceil(mean - width) - 1.0) + count.sf(math.floor(mean + width)))
+
+
+def agree_within_z_se(ours, theirs):
+    """Two independent harness results of one config within Z se of their difference."""
+    pooled = (ours.rejection_rate + theirs.rejection_rate) / 2.0
+    se = math.sqrt(2.0 * pooled * (1.0 - pooled) / ours.n_trials)
+    return within_z_se(ours, theirs.rejection_rate, se)
+
+
+def assert_exact_rate(config):
+    """``exact_rejection_rate`` equals the per-cell sum within relative 1e-12; returns it."""
+    rate = exact_rejection_rate(config)
+    assert rate == pytest.approx(reference_rate(config), rel=1e-12, abs=0.0), config
+    return rate
 
 
 def random_law(rng):
@@ -273,17 +425,28 @@ def random_config(rng):
 
 
 class TestCutMatchesEveryDrawScored:
+    """The exact rate from each cell's four numbers equals the sum over every point of
+    each law, and the harness drawing only the exceedances estimates it."""
+
     def test_random_configs(self):
         rng = np.random.default_rng(20141)
-        rates = []
+        rates, swapped = [], 0
         for _ in range(300):
             cfg = random_config(rng)
-            res = simulate_size_and_power(cfg)
-            assert res == reference_simulate(cfg), cfg
-            rates.append(res.rejection_rate)
-        # The sweep must reach trials that reject, not only all-accept runs.
-        assert sum(0.0 < r < 1.0 for r in rates) >= 30
-        assert any(r == 1.0 for r in rates)
+            if swaps_a_continuous_law(cfg):
+                swapped += 1
+                with pytest.raises(ContractError, match="not its continuous null"):
+                    exact_rejection_rate(cfg)
+                assert agree_within_z_se(simulate_size_and_power(cfg), reference_simulate(cfg)), cfg
+                continue
+            rate = assert_exact_rate(cfg)
+            if cfg.alternative is None and not any(d.continuous for d in cfg.panel_template):
+                assert rate == pytest.approx(cfg.alpha, rel=1e-12, abs=0.0), cfg
+            rates.append(rate)
+        # The sweep must reach rates strictly inside (0, 1), certain rejection, and swapped
+        # continuous laws.
+        assert sum(0.0 < r < 1.0 for r in rates) >= 200
+        assert any(r == 1.0 for r in rates) and swapped >= 30
 
     def test_one_point_null_makes_every_draw_a_candidate(self):
         point = TabulatedDiscrete((0.0,), (1.0,))
@@ -291,9 +454,9 @@ class TestCutMatchesEveryDrawScored:
         s = _survival_cut(0.05, 2)
         assert verify._Tables.build(template, template, s).cuts[0] == -math.inf
         cfg = SimulationConfig(template, 0.05, 5000, 3)
+        assert assert_exact_rate(cfg) == pytest.approx(0.05, rel=1e-12)
         res = simulate_size_and_power(cfg)
-        assert res == reference_simulate(cfg)
-        assert 0.0 < res.rejection_rate < 1.0
+        assert within_z_se(res, 0.05) and 0.0 < res.rejection_rate < 1.0
 
     def test_cell_that_cannot_reject_has_no_cut(self):
         # Poisson(1)'s brackets stay far above s at alpha 1e-200; the swapped cell rejects.
@@ -301,24 +464,26 @@ class TestCutMatchesEveryDrawScored:
         s = _survival_cut(1e-200, 2)
         assert verify._Tables.build(template, template, s).cuts[0] == math.inf
         cfg = SimulationConfig(template, 1e-200, 3000, 5, Alternative(1, Poisson(300.0)))
-        res = simulate_size_and_power(cfg)
-        assert res == reference_simulate(cfg)
-        assert res.rejection_rate == 1.0
+        assert assert_exact_rate(cfg) == 1.0
+        assert simulate_size_and_power(cfg).rejection_rate == 1.0
 
     def test_chunk_without_candidates(self):
+        # About one trial in 1e5 passes the cut: 1000 trials draw no exceedance.
         template = (Poisson(1.0),)
         cfg = SimulationConfig(template, 1e-5, 1000, 8)
         cut = verify._Tables.build(template, template, _survival_cut(1e-5, 1)).cuts[0]
         assert 0.0 < cut < 1.0
-        u = RandomStream(8).uniform_open((1000, 1))
-        assert not np.any(u > cut)
-        assert simulate_size_and_power(cfg) == reference_simulate(cfg)
+        assert assert_exact_rate(cfg) == pytest.approx(1e-5, rel=1e-12)
+        assert simulate_size_and_power(cfg).rejection_rate == 0.0
 
     def test_one_trial_last_chunk(self):
+        # A trial count that no chunk of the reference divides.
         template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
         for alternative in (None, Alternative(0, Poisson(4.0))):
             cfg = SimulationConfig(template, 0.1, 20_001, 6, alternative)
-            assert simulate_size_and_power(cfg) == reference_simulate(cfg)
+            rate = assert_exact_rate(cfg)
+            assert within_z_se(simulate_size_and_power(cfg), rate), alternative
+            assert within_z_se(reference_simulate(cfg), rate), alternative
 
     def test_continuous_law_swap(self):
         template = (Poisson(1.3), Binomial(10, 0.3), TabulatedDiscrete((0.0, 1.5), (0.4, 0.6)))
@@ -326,14 +491,47 @@ class TestCutMatchesEveryDrawScored:
         cfg = SimulationConfig(template, 0.1, 4000, 9, swap)
         laws = (template[0], swap.alt_dist, template[2])
         assert verify._Tables.build(template, laws, 0.5).cuts[1] == math.inf
+        with pytest.raises(ContractError, match="cell 1"):
+            exact_rejection_rate(cfg)
         res = simulate_size_and_power(cfg)
-        assert res == reference_simulate(cfg)
+        assert agree_within_z_se(res, reference_simulate(cfg))
         assert 0.0 < res.rejection_rate < 1.0
+
+
+class TestHarnessWithinExactRate:
+    def test_random_configs(self):
+        # Z = 5 with one trial of slack: over these 250 configs the chance that a
+        # correct harness fails somewhere, the sum of ``false_failure``, is below 0.1%.
+        # Alpha is drawn from [1e-3, 0.5], so that most runs reject in some trials.
+        rng = np.random.default_rng(2037)
+        budget, interior, checked = [], 0, 0
+        while checked < 250:
+            alpha = float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+            cfg = dataclasses.replace(random_config(rng), alpha=alpha)
+            if swaps_a_continuous_law(cfg):
+                continue
+            rate = exact_rejection_rate(cfg)
+            res = simulate_size_and_power(cfg)
+            assert within_z_se(res, rate), (cfg, res, rate)
+            budget.append(false_failure(rate, cfg.n_trials))
+            interior += 0.0 < res.rejection_rate < 1.0
+            checked += 1
+        assert math.fsum(budget) < 1e-3
+        assert interior >= 200
+
+    def test_exact_rate_is_alpha_on_null_panels(self):
+        # Each cell scores below s with chance s, and 1 - (1 - s)^n is alpha.
+        rng = np.random.default_rng(2038)
+        for alpha in (0.5, 0.05, 1e-3, 1e-8, 1e-12, 1e-16, 1e-100, 1e-300):
+            for n in (1, 2, 7, 40):
+                template = tuple(random_law(rng) for _ in range(n))
+                cfg = SimulationConfig(template, alpha, 1000, 1)
+                assert exact_rejection_rate(cfg) == pytest.approx(alpha, rel=1e-12), cfg
 
 
 class TestFixtureTemplateFrozen:
     """The benchmark-scale runs on the bundled panel, frozen from the harness
-    that searched and scored every draw."""
+    that draws only the exceedances."""
 
     @pytest.fixture(scope="class")
     def template(self):
@@ -341,443 +539,27 @@ class TestFixtureTemplateFrozen:
 
     def test_size(self, template):
         res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 123))
-        assert res == SimulationResult(0.0494, 0.0009691196004621927, 50_000)
+        assert res == SimulationResult(0.04822, 0.0009580692208812472, 50_000)
 
     def test_power(self, template):
         swap = Alternative(5, Poisson(8 * template[5].mean))
         res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 456, swap))
-        assert res == SimulationResult(0.90858, 0.0012888939723654537, 50_000)
+        assert res == SimulationResult(0.91008, 0.001279331025184647, 50_000)
 
 
 class TestFixtureTemplateAtSize:
-    """The fixture template at SIZE trials (tests/bulk.py), against the per-cell loop."""
+    """The fixture template at SIZE trials (tests/bulk.py), against the exact rate."""
 
-    def test_size_and_power_draw_each_chunk_once(self, monkeypatch):
+    def test_size_and_power_draw_each_chunk_once(self):
         template = tuple(null_distributions(ingest(listeriosis_fixture_path()), 9.703e-7))
-        n = len(template)
-        calls = []
-        random_at = verify._random_at
-
-        def recorded(bits, offsets):
-            calls.append(np.array(offsets))
-            return random_at(bits, offsets)
-
-        monkeypatch.setattr(verify, "_random_at", recorded)
         swap = Alternative(5, Poisson(8 * template[5].mean))
         for cfg in (
             SimulationConfig(template, 0.05, SIZE, 123),
             SimulationConfig(template, 0.05, SIZE, 456, swap),
         ):
-            calls.clear()
-            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg.seed
-            # The v positions of every piece that reads at most its share, by chunk:
-            # a candidate at trial r, cell c of the chunk at trial t, of m trials, is
-            # read at draw (t + m + r)n + c, inside the chunk's v block.
-            laws = list(template)
-            if cfg.alternative is not None:
-                laws[5] = swap.alt_dist
-            cuts = verify._Tables.build(template, laws, _survival_cut(0.05, n)).cuts
-            stream, expected, chunks, filled = RandomStream(cfg.seed), [], [], 0
-            for t in range(0, SIZE, verify._CHUNK):
-                m = min(verify._CHUNK, SIZE - t)
-                past = stream.uniform_open((m, n)) > cuts
-                stream.uniform_open((m, n))
-                reads = []
-                for a, k in [(a, k) for c, _, a, k in verify._pieces(SIZE, n) if c == t]:
-                    rows = past[a - t : a - t + k]
-                    if rows.sum() > verify._FILL_SHARE * k * n:
-                        filled += 1
-                    else:
-                        reads.append((t + m + a) * n + np.flatnonzero(rows))
-                if reads:
-                    expected.append(np.concatenate(reads))
-                    chunks.append((t, m))
-            assert len(calls) == len(expected), cfg.seed
-            for (t, m), got, want in zip(chunks, calls, expected):
-                assert np.all((2 * t + m) * n <= got) and np.all(got < 2 * (t + m) * n)
-                assert np.array_equal(np.sort(got), want)
-            if cfg.alternative is None:
-                # The size run reads about 0.3% of its cells: its chunks are drawn.
-                assert len(calls) >= 1
-            else:
-                # The power run's swapped cell passes its cut in about 2.6% of its cells.
-                assert filled >= 1
-
-
-class TestPieces:
-    """The same stream cut into row pieces that run on worker threads."""
-
-    def test_random_configs_in_pieces(self, monkeypatch):
-        rng = np.random.default_rng(20141)
-        short = 0
-        for _ in range(300):
-            cfg = random_config(rng)
-            # Six pieces of a first chunk. Unless the last chunk's rows divide by
-            # rows, at least one of its pieces is shorter than rows.
-            n, rows = len(cfg.panel_template), min(cfg.n_trials, verify._CHUNK) // 5 - 1
-            monkeypatch.setattr(verify, "_PIECE_CELLS", n * rows)
-            short += cfg.n_trials % verify._CHUNK % rows != 0
-            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg
-        assert short >= 290
-
-    def test_equal_pieces_cover_each_chunk_once(self, monkeypatch):
-        rng = np.random.default_rng(2027)
-        cases = [(50_000, 40, 2**18), (20_001, 3, 12), (1000, 7, 1), (45_000, 1, 2**18)]
-        for _ in range(300):
-            trials, n = int(rng.integers(1000, 60_000)), int(rng.integers(1, 300))
-            cases.append((trials, n, int(rng.integers(1, 2**19))))
-        for trials, n, cells in cases:
-            monkeypatch.setattr(verify, "_PIECE_CELLS", cells)
-            pieces = list(verify._pieces(trials, n))
-            covered = np.concatenate([np.arange(a, a + k) for _, _, a, k in pieces])
-            assert np.array_equal(covered, np.arange(trials)), (trials, n, cells)
-            for t in range(0, trials, verify._CHUNK):
-                chunk = [(m, a, k) for c, m, a, k in pieces if c == t]
-                sizes = [k for _, _, k in chunk]
-                assert {m for m, _, _ in chunk} == {min(verify._CHUNK, trials - t)}
-                assert {a // verify._CHUNK * verify._CHUNK for _, a, _ in chunk} == {t}
-                assert max(sizes) <= max(cells // n, 1) and max(sizes) - min(sizes) <= 1
-        # The benchmark's fixture runs: four pieces of 5000 rows per full chunk, two per half chunk.
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 2**18)
-        assert [k for *_, k in verify._pieces(50_000, 40)] == [5000] * 10
-
-    def test_pieces_of_three_rows(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 12)
-        template = (
-            Poisson(1.3),
-            Binomial(10, 0.3),
-            TabulatedDiscrete((0.0, 1.5, 2.0), (0.2, 0.3, 0.5)),
-            ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0),
-        )
-        cfg = SimulationConfig(template, 0.1, 2000, 21, Alternative(0, Poisson(4.0)))
-        res = simulate_size_and_power(cfg)
-        assert res == reference_simulate(cfg)
-        assert 0.0 < res.rejection_rate < 1.0
-
-    def test_more_workers_than_cpus_with_a_short_switch_interval(self, monkeypatch):
-        # Pieces share the result arrays and the spare blocks: a lost or
-        # crossed write would move the rate.
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 40)
-        monkeypatch.setattr(verify, "_workers", lambda: 8)
-        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01())
-        cfg = SimulationConfig(template, 0.2, 6000, 13, Alternative(2, Poisson(3.0)))
-        expected = reference_simulate(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert simulate_size_and_power(cfg) == expected
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_a_chunk_of_filled_and_drawn_pieces_on_eight_workers(self, monkeypatch):
-        # The calling thread scores a chunk's drawn pieces while the workers
-        # score the next chunk's filled ones, into the same result arrays.
-        monkeypatch.setattr(verify, "_CHUNK", 1000)
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 200)
-        monkeypatch.setattr(verify, "_FILL_SHARE", 0.525)
-        monkeypatch.setattr(verify, "_workers", lambda: 8)
-        sizes, draws = [], []
-        buffer, random_at = verify._buffer, verify._random_at
-
-        def recorded_buffer(size):
-            sizes.append(size)
-            return buffer(size)
-
-        def recorded_random_at(bits, offsets):
-            draws.append(np.array(offsets))
-            return random_at(bits, offsets)
-
-        monkeypatch.setattr(verify, "_buffer", recorded_buffer)
-        monkeypatch.setattr(verify, "_random_at", recorded_random_at)
-        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01())
-        cfg = SimulationConfig(template, 0.2, 10_000, 13, Alternative(2, Poisson(3.0)))
-        expected = reference_simulate(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                sizes.clear()
-                draws.clear()
-                assert simulate_size_and_power(cfg) == expected
-                # Ten chunks of 20 pieces of 50 rows; chunk c has its v block at draws
-                # 8000c + 4000 to 8000c + 7999.  A drawn piece reads its uniform cell's
-                # v in its chunk's one call; a filled piece takes a second block.
-                drawn = []
-                for c, offsets in enumerate(draws):
-                    assert offsets.min() >= 8000 * c + 4000 and offsets.max() < 8000 * c + 8000
-                    drawn.append(np.unique((offsets - 8000 * c - 4000) // 200).size)
-                assert len(drawn) == 10 and all(0 < k < 20 for k in drawn)
-                assert sizes == [200] * (400 - sum(drawn))
-        finally:
-            sys.setswitchinterval(interval)
-
-    # Positions in the stream of 21,000 trials of 4 cells, each in a piece's
-    # u or v block: the first and last draw of each block of the first
-    # chunk, draws of the continuous cells 2 and 3, and the second chunk.
-    @pytest.mark.parametrize(
-        "zero", [0, 12_071, 79_999, 80_000, 100_002, 159_999, 162_003, 167_999]
-    )
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_a_zero_draw_scores_as_the_lifted_stream(self, monkeypatch, zero, workers):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
-        monkeypatch.setattr(verify, "_workers", lambda: workers)
-        template = (
-            Poisson(1.3),
-            Binomial(10, 0.3),
-            Uniform01(),
-            ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0),
-        )
-        cfg = SimulationConfig(template, 0.2, 21_000, 17, Alternative(0, Poisson(4.0)))
-        hits = zero_draws(monkeypatch, (zero,))
-        # uniform_open lifts the 0.0; a continuous cell's quantile would refuse it.
-        expected = reference_simulate(cfg)
-        assert hits == [zero]
-        assert simulate_size_and_power(cfg) == expected
-        assert hits == [zero, zero]
-
-    # A discrete template's pieces draw v at their candidates only: a 0.0 at a
-    # candidate's v position is drawn and lifted, and one at any other v
-    # position is drawn by the reference's stream alone.
-    @pytest.mark.parametrize("candidate", [True, False], ids=["candidate", "non-candidate"])
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_a_zero_draw_at_random_access_scores_as_the_lifted_stream(
-        self, monkeypatch, candidate, workers
-    ):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
-        monkeypatch.setattr(verify, "_workers", lambda: workers)
-        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Poisson(2.2))
-        cfg = SimulationConfig(template, 0.005, 21_000, 17)
-        cuts = verify._Tables.build(template, template, _survival_cut(0.005, 4)).cuts
-        past = (RandomStream(17).uniform_open((verify._CHUNK, 4)) > cuts).ravel()
-        # The first chunk's v block follows its 80,000 u draws.
-        chosen = np.flatnonzero(past == candidate)
-        zero = 80_000 + int(chosen[chosen.size // 2])
-        lifted = []
-        rejecting = verify._Tables.rejecting
-
-        def recorded_rejecting(tables, cells, u, v):
-            lifted.extend(v[v <= 2.0**-54].tolist())
-            return rejecting(tables, cells, u, v)
-
-        monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
-        hits = zero_draws(monkeypatch, (zero,))
-        expected = reference_simulate(cfg)
-        assert hits == [zero]
-        assert simulate_size_and_power(cfg) == expected
-        assert hits == ([zero, zero] if candidate else [zero])
-        assert lifted == ([2.0**-54] if candidate else [])
-
-    def test_a_piece_fills_its_v_block_only_past_the_share(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 4000)
-        sizes, draws = [], []
-        buffer, random_at = verify._buffer, verify._random_at
-
-        def recorded_buffer(size):
-            sizes.append(size)
-            return buffer(size)
-
-        def recorded_random_at(bits, offsets):
-            draws.append(np.array(offsets))
-            return random_at(bits, offsets)
-
-        monkeypatch.setattr(verify, "_buffer", recorded_buffer)
-        monkeypatch.setattr(verify, "_random_at", recorded_random_at)
-        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Poisson(2.2))
-        # Under 1% of the null draws are candidates; the far swap makes every draw of cell 0 one.
-        for alternative, fills in ((None, False), (Alternative(0, Poisson(40.0)), True)):
-            sizes.clear()
-            draws.clear()
-            cfg = SimulationConfig(template, 0.005, 3000, 5, alternative)
-            assert simulate_size_and_power(cfg) == reference_simulate(cfg)
-            # Three pieces of 1000 rows; a filling piece takes a second block for its v rows.
-            assert sizes == [4000] * (6 if fills else 3)
-            # The one chunk's v block is draws 12,000 to 23,999; the calling thread
-            # draws what its pieces read in one call, each piece under the share.
-            assert len(draws) == (0 if fills else 1)
-            for offsets in draws:
-                assert offsets.min() >= 12_000 and offsets.max() < 24_000
-                reads = np.bincount((offsets - 12_000) // 4000, minlength=3)
-                assert all(0 < r <= verify._FILL_SHARE * 4000 for r in reads)
-
-    @pytest.mark.parametrize("share", [0.0, 1.0], ids=["always-fill", "never-fill"])
-    def test_random_configs_on_either_side_of_the_share(self, monkeypatch, share):
-        monkeypatch.setattr(verify, "_FILL_SHARE", share)
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 5000)
-        rng = np.random.default_rng(2031)
-        for _ in range(40):
-            cfg = random_config(rng)
-            assert simulate_size_and_power(cfg) == reference_simulate(cfg), cfg
-
-    def test_model_methods_run_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 64)
-        callers = []
-
-        def recorded(fn):
-            def call(*args, **kwargs):
-                callers.append(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return call
-
-        for cls in (Poisson, Binomial, ContinuousByCdf):
-            for name in ("cdf", "sf", "cdf_left", "sf_left", "mass", "skorokhod_quantile"):
-                monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
-        template = (
-            Poisson(1.3),
-            Binomial(10, 0.3),
-            ContinuousByCdf(recorded(lambda x: (x / 8.0) ** 2), 0.0, 8.0),
-            Poisson(2.0),
-        )
-        pieces = set()
-        candidates = verify._Tables.candidates
-
-        def recorded_candidates(tables, u):
-            pieces.add(threading.get_ident())
-            return candidates(tables, u)
-
-        monkeypatch.setattr(verify._Tables, "candidates", recorded_candidates)
-        callers.clear()
-        for alternative in (None, Alternative(3, Poisson(6.0)), Alternative(0, Binomial(8, 0.5))):
-            pieces.clear()
-            simulate_size_and_power(SimulationConfig(template, 0.1, 3000, 8, alternative))
-            # The pieces ran on the workers, or inline on one CPU.
-            inline = verify._workers() == 1
-            assert (threading.get_ident() in pieces) == inline
-            assert len(pieces) <= verify._workers()
-        assert callers and set(callers) == {threading.get_ident()}
-
-
-class TestKeptPool:
-    """The worker pool is kept across calls and built again where it cannot serve."""
-
-    config = SimulationConfig(
-        (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01()),
-        0.2,
-        6000,
-        13,
-        Alternative(2, Poisson(3.0)),
-    )
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-    def test_a_child_forked_after_a_parallel_call_runs_one(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
-        monkeypatch.setattr(verify, "_workers", lambda: 2)
-        expected = simulate_size_and_power(self.config)
-        read, write = os.pipe()
-        # Python 3.12+ warns on a fork in a process with threads, as the kept pool's are.
-        forked = (
-            pytest.warns(DeprecationWarning, match="multi-threaded")
-            if sys.version_info >= (3, 12)
-            else contextlib.nullcontext()
-        )
-        with forked:
-            pid = os.fork()
-            if pid == 0:
-                # The child: a hang on the parent's pool ends in SIGALRM, not a blocked test.
-                status = 1
-                try:
-                    signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                    signal.alarm(30)
-                    os.write(write, repr(simulate_size_and_power(self.config)).encode())
-                    status = 0
-                finally:
-                    os._exit(status)
-        os.close(write)
-        with os.fdopen(read) as fh:
-            reply = fh.read()
-        _, status = os.waitpid(pid, 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
-        assert reply == repr(expected)
-
-    def test_workers_without_an_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert verify._workers() == (os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
-        assert verify._workers() == 1
-
-    def test_a_call_after_more_workers_than_cpus_uses_at_most_the_cpus(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
-        threads = set()
-        buffer = verify._buffer
-
-        def slow_buffer(size):
-            # Each piece holds its thread a while, so a pool of 8 starts all 8.
-            threads.add(threading.get_ident())
-            time.sleep(0.02)
-            return buffer(size)
-
-        monkeypatch.setattr(verify, "_buffer", slow_buffer)
-        cpus = verify._workers
-        monkeypatch.setattr(verify, "_workers", lambda: 8)
-        expected = simulate_size_and_power(self.config)
-        assert len(threads) == 8
-        monkeypatch.setattr(verify, "_workers", cpus)
-        threads.clear()
-        assert simulate_size_and_power(self.config) == expected
-        assert len(threads) <= verify._workers()
-
-    def test_concurrent_calls_that_build_the_pool_again(self, monkeypatch):
-        # Each call sees another thread count and replaces the pool that
-        # other calls may be about to submit to.
-        monkeypatch.setattr(verify, "_PIECE_CELLS", 400)
-        expected = simulate_size_and_power(self.config)
-        counts = itertools.cycle((2, 3))
-        monkeypatch.setattr(verify, "_workers", lambda: next(counts))
-        results, errors = [], []
-
-        def caller():
-            try:
-                for _ in range(3):
-                    results.append(simulate_size_and_power(self.config))
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        callers = [threading.Thread(target=caller) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        assert errors == [] and results == [expected] * 12
-
-    # A child pinned to the CPUs in argv[1] runs argv[2] 50,000-trial fixture
-    # calls, ten pieces each, so a second call reuses the first one's threads.
-    PINNED = """
-import json
-import os
-import sys
-
-os.sched_setaffinity(0, json.loads(sys.argv[1]))
-from extreme_sentinel import cli, listeriosis_fixture_path, verify
-
-args = ["--mode", "simulate-null", "--seed", "1", "--trials", "50000"]
-for _ in range(int(sys.argv[2])):
-    assert cli.main(["--input", str(listeriosis_fixture_path()), *args]) == 0
-print(json.dumps([verify._workers(), verify._POOL is not None]), file=sys.stderr)
-"""
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs two CPUs this process may pin a child to",
-    )
-    def test_two_pinned_cpus_run_a_kept_pool_and_one_runs_inline(self):
-        two = sorted(os.sched_getaffinity(0))[:2]
-        runs = {}
-        for cpus, calls in ((two, 2), (two[:1], 1)):
-            done = run_python(self.PINNED, json.dumps(cpus), str(calls))
-            assert done.returncode == 0, done.stderr
-            runs[len(cpus)] = (done.stdout, json.loads(done.stderr.splitlines()[-1]))
-        assert runs[2][1] == [2, True]  # two threads on a kept pool
-        assert runs[1][1] == [1, False]  # pieces inline, no pool built
-        assert "trials=50000  rejection rate=" in runs[1][0]
-        assert runs[2][0] == runs[1][0] * 2
-
+            rate = assert_exact_rate(cfg)
+            assert within_z_se(simulate_size_and_power(cfg), rate), cfg.seed
+            assert within_z_se(reference_simulate(cfg), rate), cfg.seed
 
 class PoissonByCell(Poisson):
     """A Poisson model that ``_Tables.build`` scans on its ladder, as any other law."""
@@ -789,9 +571,11 @@ FOUR = ("cuts", "tops", "lefts", "rights")
 def assert_same_decisions(rng, tables):
     """Two tables of one panel have equal cuts, and equal tops and brackets where a cut
     is finite; at a -inf cut k* may sit below the ladder, so every draw past the cut
-    must reject or score alike."""
+    must reject or score alike.  Elsewhere k* is the same count, or none."""
     ours, theirs = tables
     assert np.array_equal(ours.cuts, theirs.cuts)
+    kept = ours.cuts > -math.inf
+    assert np.array_equal(ours.ks[kept], theirs.ks[kept], equal_nan=True)
     finite = np.isfinite(ours.cuts)
     for field in FOUR[1:]:
         a, b = getattr(ours, field)[finite], getattr(theirs, field)[finite]
@@ -799,9 +583,9 @@ def assert_same_decisions(rng, tables):
     u, v = rng.random((2, 200, ours.cuts.size))
     # Half the rows at or below top, and none below 2**-54, as the lifted stream draws.
     u[:100] = np.maximum(u[:100] * np.where(np.isfinite(ours.tops), ours.tops, 1.0), 2.0**-54)
-    cells = np.flatnonzero(u > ours.cuts)
-    at = u.ravel()[cells], v.ravel()[cells]
-    assert np.array_equal(ours.rejecting(cells, *at), theirs.rejecting(cells, *at))
+    rows, cols = np.nonzero(u > ours.cuts)
+    at = rows, cols, u[rows, cols], v[rows, cols]
+    assert np.array_equal(ours.rejecting(*at), theirs.rejecting(*at))
 
 
 class TestOnePassPoissonTables:
@@ -978,56 +762,13 @@ class TestOneCutRule:
                     k = below[0]
                     assert np.all(d.sf_left(pts[k + 1 :]) < s), (d, law, s)
                     # A Poisson cell's k* may sit below a law's ladder, where F is 0.
+                    assert tables.ks[j] == pts[k] or expected == -math.inf, (d, law, s)
                     top = tables.tops[j]
                     assert top == cdf[k] or (expected == -math.inf and top == 0.0), (d, law, s)
                     if math.isfinite(expected):
                         brackets = (tables.lefts[j], tables.rights[j])
                         assert brackets == (d.sf_left(pts[k]), d.sf(pts[k])), (d, law, s)
         assert finite >= 50
-
-
-class TestCandidates:
-    """``_Tables.candidates`` finds the set ``np.flatnonzero(u > cuts)``."""
-
-    def test_equal_to_the_broadcast_compare_as_a_set(self):
-        rng = np.random.default_rng(2033)
-        base = verify._Tables.build((Poisson(1.0),), (Poisson(1.0),), 0.5)
-        rechecked = split_cases = 0
-        for case in range(1200):
-            n = 1 if case % 5 == 0 else int(rng.integers(2, 100))
-            split = 1.0 - 1.0 / n
-            # Cuts at or above 1 - 1/n, some exactly at it and some +inf, and cuts below
-            # it, some -inf. Cells are below with probability 0.3, all or none of them
-            # are, or from 1 to n/16 of them are, so both ways of comparing them run.
-            high = rng.uniform(split, 1.0, n)
-            high[rng.random(n) < 0.1] = split
-            high[rng.random(n) < 0.2] = math.inf
-            low = np.where(
-                (rng.random(n) < 0.3) | (split == 0.0), -math.inf, rng.uniform(0.0, split, n)
-            )
-            mode = case % 4
-            if mode == 3:
-                few = int(rng.integers(1, max(n // 16, 1) + 1))
-                below = np.zeros(n, dtype=bool)
-                below[rng.choice(n, few, replace=False)] = True
-            else:
-                below = rng.random(n) < (0.3, 1.0, 0.0)[mode]
-            cuts = np.where(below, low, high)
-            u = rng.random((int(rng.integers(1, 600)), n))
-            # Draws equal to their cell's cut do not pass it.
-            ties = rng.integers(u.size, size=3)
-            ties = ties[np.isfinite(cuts[ties % n])]
-            u.flat[ties] = cuts[ties % n]
-            got = dataclasses.replace(base, cuts=cuts).candidates(u)
-            assert got.dtype == np.intp
-            assert np.array_equal(np.sort(got), np.flatnonzero(u > cuts)), (n, cuts)
-            if 16 * below.sum() <= n:
-                split_cases += below.any()
-                # Draws past the smallest cut at or above 1 - 1/n that only the check
-                # of each hit against its own cell's cut leaves out.
-                scan = np.where(below, math.inf, cuts).min()
-                rechecked += np.count_nonzero((u > scan) & ~(u > cuts))
-        assert rechecked >= 1000 and split_cases >= 100
 
 
 def assert_relative_match(exact, analytic):
