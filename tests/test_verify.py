@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -560,6 +562,221 @@ class TestFixtureTemplateAtSize:
             rate = assert_exact_rate(cfg)
             assert within_z_se(simulate_size_and_power(cfg), rate), cfg.seed
             assert within_z_se(reference_simulate(cfg), rate), cfg.seed
+
+
+def scored_draws(monkeypatch) -> list:
+    """Record the bytes of every draw the harness scores: the exceedances' u and v,
+    and each continuous cell's u, as its quantile reads it, and v."""
+    scored = []
+    rejecting, scores = verify._Tables.rejecting, verify._survival_scores
+
+    def recorded_rejecting(tables, rows, cols, u, v):
+        scored.extend([rows.tobytes(), u.tobytes()])
+        return rejecting(tables, rows, cols, u, v)
+
+    def recorded_scores(left, right, v):
+        scored.append(v.tobytes())
+        return scores(left, right, v)
+
+    monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
+    monkeypatch.setattr(verify, "_survival_scores", recorded_scores)
+    for cls in (Uniform01, ContinuousByCdf):
+
+        def recorded_quantile(dist, omega, quantile=cls.skorokhod_quantile):
+            scored.append(omega.tobytes())
+            return quantile(dist, omega)
+
+        monkeypatch.setattr(cls, "skorokhod_quantile", recorded_quantile)
+    return scored
+
+
+class TestPieces:
+    """The harness's draws, taken in pieces on the calling thread: each discrete
+    cell's count of exceedances and its trials, the exceedances' u and v, then
+    each continuous cell's u and v in turn."""
+
+    template = (
+        Poisson(1.3),
+        Binomial(10, 0.3),
+        Uniform01(),
+        ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0),
+    )
+
+    def test_more_workers_than_cpus_with_a_short_switch_interval(self):
+        # Calls on more threads than CPUs, switching every microsecond, share one
+        # template whose ladders the first calls build: a crossed draw or a
+        # half-built ladder would move the rate.
+        def config():
+            template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Uniform01())
+            return SimulationConfig(template, 0.2, 6000, 13, Alternative(2, Poisson(3.0)))
+
+        expected = simulate_size_and_power(config())
+        shared = config()
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(3):
+                    results.append(simulate_size_and_power(shared))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller) for _ in range((os.cpu_count() or 1) + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == [] and results == [expected] * (3 * len(callers))
+
+    # Positions in the stream of 37,000 null trials.  For one copy of the
+    # template and for eight, they fall in the exceedances' u and their v, and
+    # in the continuous cells' u and v.
+    @pytest.mark.parametrize(
+        "zero", [0, 12_071, 79_999, 80_000, 100_002, 159_999, 162_003, 167_999]
+    )
+    @pytest.mark.parametrize("copies", [1, 8])
+    def test_a_zero_draw_scores_as_the_lifted_stream(self, monkeypatch, zero, copies):
+        cfg = SimulationConfig(self.template * copies, 0.2, 37_000, 17)
+        runs = []
+        # uniform_open lifts a 0.0 to 2**-54; a continuous cell's quantile would refuse it.
+        for value in (0.0, 2.0**-54):
+            with monkeypatch.context() as patched:
+                hits = zero_draws(patched, (zero,), value)
+                scored = scored_draws(patched)
+                runs.append((simulate_size_and_power(cfg), scored))
+            assert hits == [zero]
+        assert runs[0] == runs[1]
+
+    # A discrete template draws u and v at its exceedances only, the trials
+    # picked at random past each cut: a 0.0 at an exceedance's v is drawn and
+    # lifted, and no trial past no cut draws a double.
+    @pytest.mark.parametrize("candidate", [True, False], ids=["candidate", "non-candidate"])
+    @pytest.mark.parametrize("copies", [1, 8])
+    def test_a_zero_draw_at_random_access_scores_as_the_lifted_stream(
+        self, monkeypatch, candidate, copies
+    ):
+        template = (Poisson(1.3), Binomial(10, 0.3), Poisson(0.4), Poisson(2.2)) * copies
+        cfg = SimulationConfig(template, 0.005, 21_000, 17)
+        drawn, lifted = [], []
+        rejecting = verify._Tables.rejecting
+
+        def recorded_rejecting(tables, rows, cols, u, v):
+            drawn.append(rows.size)
+            lifted.extend(v[v <= 2.0**-54].tolist())
+            return rejecting(tables, rows, cols, u, v)
+
+        monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
+        expected = simulate_size_and_power(cfg)
+        # The exceedances' u come first, then their v, and nothing after them.
+        (exceedances,) = drawn
+        zero = exceedances + exceedances // 2 if candidate else 2 * exceedances
+        lifted.clear()
+        runs = []
+        for value in (0.0, 2.0**-54):
+            with monkeypatch.context() as patched:
+                hits = zero_draws(patched, (zero,), value)
+                runs.append(simulate_size_and_power(cfg))
+            assert hits == ([zero] if candidate else [])
+        assert lifted == ([2.0**-54] * 2 if candidate else [])
+        assert runs[0] == runs[1]
+        if not candidate:
+            assert runs[0] == expected
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["always-fill", "never-fill"])
+    def test_random_configs_on_either_side_of_the_share(self, monkeypatch, dense):
+        # numpy picks k of T > 10,000 trials by a partial shuffle of an array it
+        # fills with all T once k passes T // 20, and by Floyd's algorithm, which
+        # fills none, below.  Each side gets configs of 10,001 to 45,000 trials
+        # whose every drawn share 1 - cut is at least 0.15, or at most 0.01, so
+        # each count lies tens of se from T // 20; alpha is drawn from [0.2, 0.5]
+        # on the first side and from [1e-3, 0.05] on the second, so that most
+        # configs pick some trials.  Z = 5 with one trial of slack: the chance
+        # that a correct harness fails one of the 40 is below 0.1%.
+        picks, scored = [], []
+        init, rejecting = RandomStream.__init__, verify._Tables.rejecting
+
+        class Picks:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+            def choice(self, trials, k, **kwargs):
+                picks.append((trials, k))
+                return self.gen.choice(trials, k, **kwargs)
+
+        def picking_init(stream, seed):
+            init(stream, seed)
+            stream._gen = Picks(stream._gen)
+
+        def recorded_rejecting(tables, rows, cols, u, v):
+            scored.append((rows, cols))
+            return rejecting(tables, rows, cols, u, v)
+
+        monkeypatch.setattr(RandomStream, "__init__", picking_init)
+        monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
+        rng = np.random.default_rng(2031)
+        budget, picked = [], 0
+        while len(budget) < 40:
+            trials = int(rng.integers(10_001, 45_001))
+            cfg = dataclasses.replace(random_config(rng), n_trials=trials)
+            alpha = rng.uniform(0.2, 0.5) if dense else 10.0 ** rng.uniform(-3.0, math.log10(0.05))
+            cfg = dataclasses.replace(cfg, alpha=float(alpha))
+            cuts = verify._tables(cfg)[0].cuts
+            shares = 1.0 - np.maximum(cuts[cuts < math.inf], 0.0)
+            if swaps_a_continuous_law(cfg) or not shares.size:
+                continue
+            if not (shares.min() >= 0.15 if dense else shares.max() <= 0.01):
+                continue
+            picks.clear()
+            scored.clear()
+            res = simulate_size_and_power(cfg)
+            assert all((k > trials // 20) == dense for _, k in picks), (cfg, picks)
+            picked += bool(picks)
+            # Each cell's picked trials are distinct trials of the call.
+            ((rows, cols),) = scored
+            for j in np.unique(cols):
+                mine = rows[cols == j]
+                assert np.unique(mine).size == mine.size, cfg
+                assert 0 <= mine.min() and mine.max() < trials, cfg
+            rate = exact_rejection_rate(cfg)
+            assert within_z_se(res, rate), (cfg, res, rate)
+            budget.append(false_failure(rate, trials))
+        assert math.fsum(budget) < 1e-3
+        assert picked >= 30
+
+    def test_model_methods_run_on_the_calling_thread(self, monkeypatch):
+        callers = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                callers.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return call
+
+        for cls in (Poisson, Binomial, ContinuousByCdf):
+            for name in ("cdf", "sf", "cdf_left", "sf_left", "mass", "skorokhod_quantile"):
+                monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
+        monkeypatch.setattr(verify._Tables, "rejecting", recorded(verify._Tables.rejecting))
+        template = (
+            Poisson(1.3),
+            Binomial(10, 0.3),
+            ContinuousByCdf(recorded(lambda x: (x / 8.0) ** 2), 0.0, 8.0),
+            Poisson(2.0),
+        )
+        callers.clear()
+        for alternative in (None, Alternative(3, Poisson(6.0)), Alternative(0, Binomial(8, 0.5))):
+            simulate_size_and_power(SimulationConfig(template, 0.1, 3000, 8, alternative))
+        assert callers and set(callers) == {threading.get_ident()}
+
 
 class PoissonByCell(Poisson):
     """A Poisson model that ``_Tables.build`` scans on its ladder, as any other law."""
