@@ -212,7 +212,7 @@ def test_simulation_results():
         result = simulate_size_and_power(config)
         digest.add(result.rejection_rate, result.std_error, result.n_trials)
     assert digest.hexdigest() == (
-        "e32e77cdf672e7a1b8a0b6600bc181ee146b946a7eee075b832aca68a39b495c"
+        "36545d8648abecb13194ffb3f4070d3030e8e0329e0f44d3c54d98d41f5e4b54"
     )
 
 

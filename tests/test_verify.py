@@ -160,24 +160,25 @@ class TestSimulateSizeAndPower:
     @pytest.mark.parametrize(
         "alternative, rate, std_error",
         [
-            (Alternative(0, Poisson(4.0)), 0.5005, 0.007905690197572885),
-            (Alternative(1, Binomial(10, 0.7)), 0.7535, 0.00681428187705792),
+            (Alternative(0, Poisson(4.0)), 0.50825, 0.007904617914548431),
+            (Alternative(1, Binomial(10, 0.7)), 0.76525, 0.006701537836571543),
             (
                 Alternative(2, TabulatedDiscrete((0.0, 1.5, 2.0), (0.05, 0.15, 0.8))),
-                0.11475,
-                0.005039405656920268,
+                0.1155,
+                0.005053705323819346,
             ),
             (
                 Alternative(1, ContinuousByCdf(lambda x: (x / 8.0) ** 2, 0.0, 8.0)),
-                0.47475,
-                0.007895606966851884,
+                0.4745,
+                0.007895406101018491,
             ),
-            (Alternative(3, Poisson(0.4)), 0.383, 0.007686205175507612),
+            (Alternative(3, Poisson(0.4)), 0.37625, 0.007659731351359523),
         ],
         ids=["poisson", "binomial", "tabulated", "continuous-law", "poisson-in-uniform"],
     )
     def test_swapped_cell_results_frozen(self, alternative, rate, std_error):
-        # Frozen from the harness that draws only the exceedances; the seed
+        # Frozen from the harness that draws the exceedances, and every trial of a
+        # cell past its cut in more than a quarter of them; the seed
         # must give the same result on every run and machine.
         template = (
             Poisson(1.3),
@@ -228,21 +229,52 @@ class TestSimulateSizeAndPower:
         assert peak < 16 * 2**20
         assert within_z_se(res, 0.05)
 
+    def test_cells_drawn_at_every_trial_keep_to_chunk_sized_arrays(self):
+        # Half of each cell's draws pass its cut, F(1.5) = 0.5, so it draws at every
+        # trial, a chunk at a time: 200,000-trial arrays of u and v would take 3.2 MB.
+        cell = TabulatedDiscrete((0.0, 1.5, 2.0), (0.2, 0.3, 0.5))
+        cfg = SimulationConfig((cell,) * 4, 0.05, 200_000, 5)
+        assert np.array_equal(verify._tables(cfg)[0].cuts, np.full(4, 0.5))
+        tracemalloc.start()
+        try:
+            res = simulate_size_and_power(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert within_z_se(res, exact_rejection_rate(cfg))
+
     # The harness draws its doubles in this order: the exceedances' u, their v,
-    # then the continuous cell's u and v at every trial.
+    # the swapped cell's u and v at every trial, past its cut in most trials, then
+    # the continuous cell's u and v at every trial.
     @pytest.mark.parametrize(
-        "draw", ["exceedance u", "exceedance v", "continuous u", "continuous v"]
+        "draw",
+        [
+            "exceedance u",
+            "exceedance v",
+            "every-trial u",
+            "every-trial v",
+            "continuous u",
+            "continuous v",
+        ],
     )
     def test_a_zero_draw_is_lifted_as_uniform_open_lifts_it(self, monkeypatch, draw):
         template = (Poisson(1.3), Binomial(10, 0.3), Uniform01())
         cfg = SimulationConfig(template, 0.2, 2000, 17, Alternative(0, Poisson(4.0)))
+        cuts = verify._tables(cfg)[0].cuts
+        assert cuts[0] < 0.75 < cuts[1] < 1.0
         seen = {}
-        rejecting, scores = verify._Tables.rejecting, verify._survival_scores
-        quantile = Uniform01.skorokhod_quantile
+        rejecting, rejects = verify._Tables.rejecting, verify._Tables.rejects
+        scores, quantile = verify._survival_scores, Uniform01.skorokhod_quantile
 
         def recorded_rejecting(tables, rows, cols, u, v):
             seen.update({"exceedance u": u, "exceedance v": v, "cuts": tables.cuts[cols]})
             return rejecting(tables, rows, cols, u, v)
+
+        def recorded_rejects(tables, cols, u, v):
+            if np.ndim(cols) == 0:  # a cell drawn at every trial
+                seen.update({"every-trial u": u, "every-trial v": v})
+            return rejects(tables, cols, u, v)
 
         def recorded_scores(left, right, v):
             seen["continuous v"] = v  # the last call scores the continuous cell
@@ -253,13 +285,18 @@ class TestSimulateSizeAndPower:
             return quantile(dist, omega)
 
         monkeypatch.setattr(verify._Tables, "rejecting", recorded_rejecting)
+        monkeypatch.setattr(verify._Tables, "rejects", recorded_rejects)
         monkeypatch.setattr(verify, "_survival_scores", recorded_scores)
         monkeypatch.setattr(Uniform01, "skorokhod_quantile", recorded_quantile)
         simulate_size_and_power(cfg)
-        drawn = seen["exceedance u"].size
+        drawn, trials = seen["exceedance u"].size, cfg.n_trials
+        assert trials <= verify._CHUNK
         # The stream position of each draw's first double; its eighth is zeroed.
-        first = {"exceedance u": 0, "exceedance v": drawn, "continuous u": 2 * drawn}
-        first["continuous v"] = first["continuous u"] + cfg.n_trials
+        # The trials fit one chunk, so the swapped cell draws all its u, then its v.
+        first = {"exceedance u": 0, "exceedance v": drawn}
+        for k, name in enumerate(["every-trial u", "every-trial v", "continuous u"]):
+            first[name] = 2 * drawn + k * trials
+        first["continuous v"] = first["continuous u"] + trials
         hits = zero_draws(monkeypatch, (first[draw] + 7,))
         # Unlifted, the continuous cell's quantile would refuse the 0.0.
         simulate_size_and_power(cfg)
@@ -533,7 +570,7 @@ class TestHarnessWithinExactRate:
 
 class TestFixtureTemplateFrozen:
     """The benchmark-scale runs on the bundled panel, frozen from the harness
-    that draws only the exceedances."""
+    that draws the exceedances, and every trial of the swapped cell."""
 
     @pytest.fixture(scope="class")
     def template(self):
@@ -546,7 +583,7 @@ class TestFixtureTemplateFrozen:
     def test_power(self, template):
         swap = Alternative(5, Poisson(8 * template[5].mean))
         res = simulate_size_and_power(SimulationConfig(template, 0.05, 50_000, 456, swap))
-        assert res == SimulationResult(0.91008, 0.001279331025184647, 50_000)
+        assert res == SimulationResult(0.90912, 0.0012854635397396533, 50_000)
 
 
 class TestFixtureTemplateAtSize:
@@ -693,11 +730,13 @@ class TestPieces:
         # numpy picks k of T > 10,000 trials by a partial shuffle of an array it
         # fills with all T once k passes T // 20, and by Floyd's algorithm, which
         # fills none, below.  Each side gets configs of 10,001 to 45,000 trials
-        # whose every drawn share 1 - cut is at least 0.15, or at most 0.01, so
-        # each count lies tens of se from T // 20; alpha is drawn from [0.2, 0.5]
-        # on the first side and from [1e-3, 0.05] on the second, so that most
-        # configs pick some trials.  Z = 5 with one trial of slack: the chance
-        # that a correct harness fails one of the 40 is below 0.1%.
+        # whose every drawn share 1 - cut is at least 0.15, some of them at most
+        # 0.25, or whose every share is at most 0.01, so each count lies tens of
+        # se from T // 20; alpha is drawn from [0.2, 0.5] on the first side and
+        # from [1e-3, 0.05] on the second, so that most configs pick some trials.
+        # A cell past a share of 0.25 draws at every trial and picks none.  Z = 5
+        # with one trial of slack: the chance that a correct harness fails one of
+        # the 40 is below 0.1%.
         picks, scored = [], []
         init, rejecting = RandomStream.__init__, verify._Tables.rejecting
 
@@ -733,12 +772,13 @@ class TestPieces:
             shares = 1.0 - np.maximum(cuts[cuts < math.inf], 0.0)
             if swaps_a_continuous_law(cfg) or not shares.size:
                 continue
-            if not (shares.min() >= 0.15 if dense else shares.max() <= 0.01):
+            if not (0.15 <= shares.min() <= 0.25 if dense else shares.max() <= 0.01):
                 continue
             picks.clear()
             scored.clear()
             res = simulate_size_and_power(cfg)
             assert all((k > trials // 20) == dense for _, k in picks), (cfg, picks)
+            assert len(picks) <= np.count_nonzero(shares <= 0.25), (cfg, picks)
             picked += bool(picks)
             # Each cell's picked trials are distinct trials of the call.
             ((rows, cols),) = scored
